@@ -19,8 +19,9 @@ import numpy as np
 from pmsflow import (
     RadialSubsolution,
     SolverConfig,
+    balanced_steps,
     capped_inverse,
-    radial_evolve,
+    evolve,
     radial_grid,
 )
 
@@ -39,16 +40,15 @@ def main() -> None:
     u0 = capped_inverse(grid, cap=args.cap)
     lower = RadialSubsolution(args.dimension)
     # steep radial data wants a strongly asymmetric primal/dual step split
-    bound = 2.0 ** (args.dimension / 2.0) / grid.spacing[0]
-    root = np.sqrt(1e-3)
-    cfg = SolverConfig(tau=args.tau, sigma=1.0 / (bound * root), s=root / bound)
+    sigma, s = balanced_steps(grid, 1e-3)
+    cfg = SolverConfig(tau=args.tau, sigma=sigma, s=s)
 
     print(
         f"capped 1/r spike (cap {args.cap:g}) in dimension {args.dimension}, "
         f"{args.cells} radial cells"
     )
     print(f"the comparison core a(t)/r survives until t = {lower.extinction_time:g}")
-    traj = radial_evolve(u0, args.t_end, cfg, keep="all")
+    traj = evolve(u0, args.t_end, cfg, keep="all")
 
     r = grid.cell_centers[0]
     times = traj.series("t")

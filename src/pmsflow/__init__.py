@@ -18,6 +18,8 @@ from .diagnostics import (
     jump_set,
     measure,
     regularization_time,
+    smoothness_gates,
+    structural_gates,
 )
 from .energy import (
     EnergyBreakdown,
@@ -59,11 +61,11 @@ from .solver import (
     SolverConfig,
     StepResult,
     Trajectory,
+    balanced_steps,
     evolve,
     implicit_step,
     kkt_residual,
     operator_norm_bound,
-    radial_evolve,
 )
 from .acceptance import CRITERIA_NAMES, run_acceptance
 
@@ -99,10 +101,10 @@ __all__ = [
     "Trajectory",
     "NonConvergenceError",
     "operator_norm_bound",
+    "balanced_steps",
     "implicit_step",
     "kkt_residual",
     "evolve",
-    "radial_evolve",
     # diagnostics
     "DiagnosticRecord",
     "Verdict",
@@ -113,6 +115,8 @@ __all__ = [
     "check_monotone",
     "check_ut_decay",
     "check_contraction",
+    "structural_gates",
+    "smoothness_gates",
     # initial data
     "constant",
     "step",

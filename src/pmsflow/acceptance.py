@@ -43,14 +43,16 @@ import numpy as np
 from .diagnostics import (
     Verdict,
     check_contraction,
-    check_monotone,
     check_ut_decay,
     regularization_time,
+    smoothness_gates,
+    structural_gates,
 )
-from .grid import CellField, interval_grid, radial_grid
-from .initial_data import capped_inverse, cosine, quarter_circles, random_piecewise
+from .grid import CellField, interval_grid
+from .initial_data import quarter_circles, random_piecewise
 from .reference import QuarterCircleProfile, RadialSubsolution
-from .solver import SolverConfig, evolve, implicit_step, operator_norm_bound
+from .runner import _evolve_config, _resolve
+from .solver import SolverConfig, balanced_steps, evolve, implicit_step
 
 __all__ = ["run_acceptance", "CRITERIA_NAMES"]
 
@@ -68,25 +70,14 @@ CRITERIA_NAMES = (
 )
 
 _BUDGETS = {1: 120.0, 2: 240.0, 7: 30.0, 9: 180.0}
-_SNAPSHOT_TIMES = (0.1, 0.2, 0.3, 0.4)
-
-
-def _balanced_steps(grid, beta: float) -> tuple[float, float]:
-    """Inner step sizes with s*sigma = 1/L^2 and ratio s/sigma = beta.
-
-    The primal prox is (1/tau)-strongly convex while the dual conjugate is
-    only 1-strongly convex, so a ratio well below one balances the two and
-    cuts inner iterations several-fold against the symmetric default; runs
-    dominated by saturated faces (jumps) want a larger ratio than smooth
-    ones.  Ratios were picked by measurement on each suite run.
-    """
-    bound = operator_norm_bound(grid)
-    root = float(np.sqrt(beta))
-    return 1.0 / (bound * root), root / bound
 
 
 class _Workspace:
-    """Cache of the evolutions shared between criteria, seeded once."""
+    """Cache of the evolutions shared between criteria, seeded once.
+
+    Runs that are presets of ``pmsflow run`` come from the runner's preset
+    table; the others pick their step ratio by measurement on each suite run.
+    """
 
     def __init__(self, seed: int):
         self.runs: dict[str, object] = {}
@@ -94,14 +85,15 @@ class _Workspace:
         self.bv_seed, self.oracle_seed, self.pair_seed = children
 
     def qc_run(self, cells: int, tau: float):
-        """Paired quarter circles with height c = 1 on (0, 2), run to t = 0.4."""
+        """The quarter_circles preset on ``cells`` cells with step ``tau``,
+        detecting jumps at the default threshold."""
         key = f"quarter_circle_{cells}"
         if key not in self.runs:
-            grid = interval_grid(0.0, 2.0, cells)
-            u0 = quarter_circles(grid, c=1.0)
-            sigma, s = _balanced_steps(grid, 0.03)
-            cfg = SolverConfig(tau=tau, sigma=sigma, s=s)
-            self.runs[key] = evolve(u0, 0.4, cfg, snapshot_times=_SNAPSHOT_TIMES)
+            cfg = _resolve("quarter_circles", {})
+            cfg = dataclasses.replace(
+                cfg, grid=dict(cfg.grid, cells=cells), tau=tau, kappa=None
+            )
+            self.runs[key] = _evolve_config(cfg)
         return self.runs[key]
 
     def persist_run(self):
@@ -109,7 +101,7 @@ class _Workspace:
         if "jump_persistence" not in self.runs:
             grid = interval_grid(0.0, 2.0, 800)
             u0 = quarter_circles(grid, c=2.0)
-            sigma, s = _balanced_steps(grid, 0.03)
+            sigma, s = balanced_steps(grid, 0.03)
             cfg = SolverConfig(tau=1e-3, sigma=sigma, s=s)
             self.runs["jump_persistence"] = evolve(
                 u0, 1.15, cfg, kappa=0.3, keep="all"
@@ -122,30 +114,16 @@ class _Workspace:
             grid = interval_grid(0.0, 1.0, 100)
             rng = np.random.default_rng(self.bv_seed)
             u0 = random_piecewise(grid, rng, pieces=10, amplitude=1.0)
-            sigma, s = _balanced_steps(grid, 3e-3)
+            sigma, s = balanced_steps(grid, 3e-3)
             cfg = SolverConfig(tau=1e-3, inner_tol=1e-11, sigma=sigma, s=s)
             self.runs["bounded_variation"] = evolve(u0, 0.5, cfg)
         return self.runs["bounded_variation"]
 
-    def cos_run(self):
-        """Smooth cosine on (0, 1), run long enough to flatten out."""
-        if "smooth_cosine" not in self.runs:
-            grid = interval_grid(0.0, 1.0, 200)
-            u0 = cosine(grid, amplitude=1.0)
-            sigma, s = _balanced_steps(grid, 3e-3)
-            cfg = SolverConfig(tau=1e-3, inner_tol=1e-11, sigma=sigma, s=s)
-            self.runs["smooth_cosine"] = evolve(u0, 2.0, cfg)
-        return self.runs["smooth_cosine"]
-
-    def radial_run(self):
-        """Capped 1/r spike in ambient dimension 3 on the unit ball."""
-        if "radial_spike" not in self.runs:
-            grid = radial_grid(3, 1.0, 400)
-            u0 = capped_inverse(grid, cap=20.0)
-            sigma, s = _balanced_steps(grid, 1e-3)
-            cfg = SolverConfig(tau=5e-4, sigma=sigma, s=s)
-            self.runs["radial_spike"] = evolve(u0, 0.4, cfg)
-        return self.runs["radial_spike"]
+    def preset_run(self, experiment: str):
+        """A named preset exactly as ``pmsflow run`` evolves it."""
+        if experiment not in self.runs:
+            self.runs[experiment] = _evolve_config(_resolve(experiment, {}))
+        return self.runs[experiment]
 
 
 def _weighted_error(grid, values, exact) -> float:
@@ -159,8 +137,7 @@ def _quarter_circle_accuracy(ws: _Workspace) -> Verdict:
     def worst_error(run):
         x = run.grid.cell_centers[0]
         worst, at = 0.0, None
-        for t in _SNAPSHOT_TIMES:
-            ts, u, _ = run.snapshot_at(t)
+        for ts, u, _ in run.snapshots:
             err = _weighted_error(run.grid, u.values, profile.solution(ts, x))
             if err > worst:
                 worst, at = err, ts
@@ -245,15 +222,9 @@ def _conservation_and_dissipation(ws: _Workspace) -> Verdict:
     for name in sorted(ws.runs):
         run = ws.runs[name]
         audited += 1
-        mean = run.series("mean")
-        drift = float(np.max(np.abs(mean - mean[0])))
-        energy = check_monotone(run.series("energy"), run.config.inner_tol)
-        sup = check_monotone(run.series("sup_norm"), 1e-10)
-        for label, violation in (
-            ("mean drift", drift - 1e-8),
-            ("energy increase", energy.worst_violation - energy.tolerance),
-            ("sup increase", sup.worst_violation - sup.tolerance),
-        ):
+        labels = ("mean drift", "energy increase", "sup increase")
+        for label, gate in zip(labels, structural_gates(run)):
+            violation = gate.worst_violation - gate.tolerance
             if violation > worst:
                 worst, where = violation, f"{name}: {label}"
     return Verdict(
@@ -290,9 +261,8 @@ def _velocity_decay(ws: _Workspace) -> Verdict:
 def _smooth_flattening(ws: _Workspace) -> Verdict:
     """Criterion 6: cosine data keeps lip and sup velocity nonincreasing
     (1e-6 slack) and is flat to 1e-2 at t = 2."""
-    run = ws.cos_run()
-    lip = check_monotone(run.series("lip"), 1e-6, name="lip")
-    ut = check_monotone(run.series("ut_sup")[1:], 1e-6, name="ut_sup")
+    run = ws.preset_run("smooth_cosine")
+    lip, ut = smoothness_gates(run)
     final_sup = run.records[-1].sup_norm
     parts = (
         ("lip increase", lip.worst_violation - lip.tolerance),
@@ -394,7 +364,7 @@ def _contraction(ws: _Workspace) -> Verdict:
     """Criterion 8: runs from ten random data pairs stay nonexpanding in the
     weighted norm up to twice the inner tolerance per step."""
     grid = interval_grid(0.0, 1.0, 64)
-    sigma, s = _balanced_steps(grid, 0.01)
+    sigma, s = balanced_steps(grid, 0.01)
     cfg = SolverConfig(tau=5e-3, inner_tol=1e-10, sigma=sigma, s=s)
     rng = np.random.default_rng(ws.pair_seed)
     worst, where, allowance = -np.inf, None, 0.0
@@ -423,7 +393,7 @@ def _contraction(ws: _Workspace) -> Verdict:
 def _steep_spike_persistence(ws: _Workspace) -> Verdict:
     """Criterion 9: the spike keeps slope >= 5 through t = 0.4, and the 1/r
     comparison profile has nonpositive residual off its kink."""
-    run = ws.radial_run()
+    run = ws.preset_run("radial_spike")
     lip = run.series("lip")
     min_lip = float(np.min(lip))
     lip_at = float(run.times[int(np.argmin(lip))])

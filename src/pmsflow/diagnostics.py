@@ -25,6 +25,8 @@ __all__ = [
     "check_monotone",
     "check_ut_decay",
     "check_contraction",
+    "structural_gates",
+    "smoothness_gates",
 ]
 
 
@@ -202,3 +204,37 @@ def check_contraction(traj_a, traj_b) -> Verdict:
     )
     allowance = 2.0 * max(traj_a.config.inner_tol, traj_b.config.inner_tol)
     return check_monotone(dist, allowance, name="contraction")
+
+
+def structural_gates(traj) -> list[Verdict]:
+    """The guarantees every run is gated on, as three Verdicts.
+
+    The weighted mean drifts by at most 1e-8 from its initial value, the
+    energy rises by at most the run's inner tolerance per step, and the sup
+    norm rises by at most 1e-10 per step.
+    """
+    mean = traj.series("mean")
+    drifts = np.abs(mean - mean[0])
+    at = int(np.argmax(drifts))
+    drift, drift_tol = float(drifts[at]), 1e-8
+    return [
+        Verdict(
+            name="mean_conservation",
+            passed=drift <= drift_tol,
+            worst_violation=drift,
+            location=at,
+            tolerance=drift_tol,
+            detail=f"largest weighted-mean drift {drift:.3e}",
+        ),
+        check_monotone(traj.series("energy"), traj.config.inner_tol, name="energy_dissipation"),
+        check_monotone(traj.series("sup_norm"), 1e-10, name="max_principle"),
+    ]
+
+
+def smoothness_gates(traj) -> list[Verdict]:
+    """Smooth data: the Lipschitz bound and the sup velocity never grow by
+    more than 1e-6 per step (the velocity from the first step on)."""
+    return [
+        check_monotone(traj.series("lip"), 1e-6, name="lip_monotone"),
+        check_monotone(traj.series("ut_sup")[1:], 1e-6, name="ut_sup_monotone"),
+    ]

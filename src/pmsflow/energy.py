@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, colocated_gradient
+from .grid import CellField, colocated_magnitude, forward_gradient_values
 
 __all__ = [
     "EnergyBreakdown",
@@ -67,15 +67,13 @@ def area_energy(u: CellField, steep_threshold: float = STEEP_DEFAULT) -> EnergyB
         raise ValueError(f"steep_threshold must be positive, got {steep_threshold}")
     g = u.grid
     if g.kind == "rectangle":
-        gx, gy = colocated_gradient(u)
-        mag = np.sqrt(gx * gx + gy * gy)
+        mag = colocated_magnitude(u)
         terms = g.cell_volumes * np.sqrt(1.0 + mag * mag)
         steep = mag > steep_threshold
         steep_part = float(terms[steep].sum())
         smooth_part = float(terms[~steep].sum())
     else:
-        h = g.spacing[0]
-        gf = np.diff(u.values) / h
+        gf = forward_gradient_values(g, u.values)[0]
         w = g.face_weights[0]
         terms = w * np.sqrt(1.0 + gf * gf)
         uncovered = g.total_volume - float(w.sum())  # boundary half cells, > 0

@@ -18,7 +18,9 @@ operators.  Three kinds share the layout:
 ``divergence`` is the exact negative adjoint of ``forward_gradient`` under
 the weighted pairings ``cell_inner`` and ``face_inner``, so discrete
 summation by parts holds to rounding and the weighted cell sum of any
-divergence telescopes to zero.
+divergence telescopes to zero.  Each operator also has an array form
+(``*_values``) on plain arrays, which the step solver calls in its inner
+loop to skip the per-call finiteness checks of the field types.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = [
     "forward_gradient",
     "divergence",
     "colocated_gradient",
+    "forward_gradient_values",
+    "divergence_values",
+    "colocated_gradient_values",
     "colocated_magnitude",
     "face_differences",
     "cell_inner",
@@ -261,11 +266,57 @@ class FaceField:
         return FaceField(self.grid, tuple(c.copy() for c in self.components))
 
 
+# Index tuples of the lower and the upper cell of every interior face, keyed
+# by (ndim, axis).  Built once: the solver indexes with them on every inner
+# iteration.
+_LO, _HI, _ALL = slice(None, -1), slice(1, None), slice(None)
+_FACE_SIDES = {
+    (1, 0): ((_LO,), (_HI,)),
+    (2, 0): ((_LO, _ALL), (_HI, _ALL)),
+    (2, 1): ((_ALL, _LO), (_ALL, _HI)),
+}
+
+
+def _differences(values: np.ndarray) -> list[np.ndarray]:
+    """Upper minus lower cell value across every interior face, per axis."""
+    out = []
+    for axis in range(values.ndim):
+        lower, upper = _FACE_SIDES[values.ndim, axis]
+        out.append(values[upper] - values[lower])
+    return out
+
+
+def forward_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Array form of ``forward_gradient``: per-axis face difference quotients."""
+    return tuple(d / h for d, h in zip(_differences(values), grid.spacing))
+
+
+def colocated_gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Array form of ``colocated_gradient``, stacked as (ndim, *grid.shape)."""
+    out = np.zeros((grid.ndim,) + grid.shape)
+    for axis, gf in enumerate(forward_gradient_values(grid, values)):
+        lower, upper = _FACE_SIDES[grid.ndim, axis]
+        out[axis][lower] += gf
+        out[axis][upper] += gf
+    out *= 0.5
+    return out
+
+
+def divergence_values(grid: Grid, components) -> np.ndarray:
+    """Array form of ``divergence`` for per-axis face arrays."""
+    acc = np.zeros(grid.shape)
+    for axis, p in enumerate(components):
+        lower, upper = _FACE_SIDES[grid.ndim, axis]
+        ap = grid.face_areas[axis] * p
+        acc[lower] += ap
+        acc[upper] -= ap
+    acc /= grid.cell_volumes
+    return acc
+
+
 def forward_gradient(u: CellField) -> FaceField:
     """Difference quotient across each interior face; boundary faces do not exist."""
-    g = u.grid
-    comps = tuple(np.diff(u.values, axis=k) / g.spacing[k] for k in range(g.ndim))
-    return FaceField(g, comps)
+    return FaceField(u.grid, forward_gradient_values(u.grid, u.values))
 
 
 def divergence(p: FaceField) -> CellField:
@@ -276,17 +327,7 @@ def divergence(p: FaceField) -> CellField:
     contribute zero, so the weighted cell sum of the result telescopes to
     zero for every face field.
     """
-    g = p.grid
-    acc = np.zeros(g.shape)
-    for axis in range(g.ndim):
-        ap = g.face_areas[axis] * p.components[axis]
-        front = [slice(None)] * g.ndim
-        back = [slice(None)] * g.ndim
-        front[axis] = slice(0, g.shape[axis] - 1)
-        back[axis] = slice(1, g.shape[axis])
-        acc[tuple(front)] += ap
-        acc[tuple(back)] -= ap
-    return CellField(g, acc / g.cell_volumes)
+    return CellField(p.grid, divergence_values(p.grid, p.components))
 
 
 def colocated_gradient(u: CellField) -> tuple[np.ndarray, ...]:
@@ -296,33 +337,18 @@ def colocated_gradient(u: CellField) -> tuple[np.ndarray, ...]:
     sees half of its single interior face gradient.  Used for diagnostics
     and for the isotropic coupling of the two axes on rectangles.
     """
-    g = u.grid
-    out = []
-    for axis in range(g.ndim):
-        gf = np.diff(u.values, axis=axis) / g.spacing[axis]
-        acc = np.zeros(g.shape)
-        front = [slice(None)] * g.ndim
-        back = [slice(None)] * g.ndim
-        front[axis] = slice(0, g.shape[axis] - 1)
-        back[axis] = slice(1, g.shape[axis])
-        acc[tuple(front)] += gf
-        acc[tuple(back)] += gf
-        out.append(0.5 * acc)
-    return tuple(out)
+    return tuple(colocated_gradient_values(u.grid, u.values))
 
 
 def colocated_magnitude(u: CellField) -> np.ndarray:
     """Euclidean norm over axes of the co-located gradient, one value per cell."""
-    parts = colocated_gradient(u)
-    mag2 = np.zeros(u.grid.shape)
-    for c in parts:
-        mag2 += c * c
-    return np.sqrt(mag2)
+    g = colocated_gradient_values(u.grid, u.values)
+    return np.sqrt(np.sum(g * g, axis=0))
 
 
 def face_differences(u: CellField) -> tuple[np.ndarray, ...]:
     """Raw value differences across interior faces (no division by spacing)."""
-    return tuple(np.diff(u.values, axis=k) for k in range(u.grid.ndim))
+    return tuple(_differences(u.values))
 
 
 def _check_same_grid(a, b):

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-    pmsflow run <config.yaml> [--out DIR] [--seed N] [--threads N]
-    pmsflow verify [--seed N] [--out DIR] [--threads N]
+    pmsflow run <config.yaml> [--out DIR] [--seed N]
+    pmsflow verify [--seed N] [--out DIR]
     pmsflow print-config-reference
 
 ``run`` executes one configured evolution, writes series.csv, one snapshot
@@ -31,12 +31,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .acceptance import run_acceptance
 from .diagnostics import (
     Verdict,
-    check_monotone,
     check_ut_decay,
     regularization_time,
+    smoothness_gates,
+    structural_gates,
 )
 from .grid import CellField, FaceField, Grid, build_grid
 from .initial_data import build_initial
@@ -44,8 +44,8 @@ from .solver import (
     NonConvergenceError,
     SolverConfig,
     Trajectory,
+    balanced_steps,
     evolve,
-    operator_norm_bound,
 )
 
 __all__ = [
@@ -74,8 +74,13 @@ _BASE_DEFAULTS = {
     "s": None,
 }
 
-# The smooth preset is gated on 1e-10 scale monotonicity, so it runs with a
-# tighter inner tolerance than the default.
+# Named presets.  ``step_ratio`` is the inner step-size ratio s/sigma a preset
+# runs with when the config leaves sigma and s unset (see ``balanced_steps``);
+# it cuts inner iterations several-fold on these experiments.  Explicit
+# sigma/s in the config always win; custom runs keep the symmetric solver
+# default.  The smooth preset is gated on 1e-10 scale monotonicity, so it
+# runs with a tighter inner tolerance than the default.  The acceptance
+# suite evolves these same presets.
 _EXPERIMENTS = {
     "quarter_circles": {
         "grid": {"kind": "interval", "lo": 0.0, "hi": 2.0, "cells": 400},
@@ -84,12 +89,14 @@ _EXPERIMENTS = {
         "t_end": 0.4,
         "snapshot_times": (0.1, 0.2, 0.3, 0.4),
         "kappa": 0.3,
+        "step_ratio": 0.03,
     },
     "radial_spike": {
         "grid": {"kind": "radial", "dimension": 3, "radius": 1.0, "cells": 400},
         "initial": {"type": "capped_inverse", "cap": 20.0},
         "tau": 5e-4,
         "t_end": 0.4,
+        "step_ratio": 1e-3,
     },
     "smooth_cosine": {
         "grid": {"kind": "interval", "lo": 0.0, "hi": 1.0, "cells": 200},
@@ -97,20 +104,9 @@ _EXPERIMENTS = {
         "tau": 1e-3,
         "t_end": 2.0,
         "inner_tol": 1e-11,
+        "step_ratio": 3e-3,
     },
     "custom": {},
-}
-
-# Inner step-size ratio s/sigma used by the named presets when the config
-# leaves sigma and s unset.  The product stays 1/L^2; the ratio balances the
-# (1/tau)-strongly-convex primal prox against the 1-strongly-convex dual
-# conjugate, cutting inner iterations several-fold on these experiments.
-# Explicit sigma/s in the config always win; custom runs keep the symmetric
-# solver default.
-_PRESET_STEP_RATIO = {
-    "quarter_circles": 0.03,
-    "radial_spike": 1e-3,
-    "smooth_cosine": 3e-3,
 }
 
 _TOP_KEYS = {
@@ -179,7 +175,12 @@ def load_config(path) -> RunConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    experiment = raw.get("experiment", "custom")
+    settings = dict(raw)
+    return _resolve(settings.pop("experiment", "custom"), settings)
+
+
+def _resolve(experiment: str, settings: dict) -> RunConfig:
+    """Fill the named experiment's preset in under the explicit settings."""
     if experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of "
@@ -187,7 +188,7 @@ def load_config(path) -> RunConfig:
         )
     merged = dict(_BASE_DEFAULTS)
     merged.update(_EXPERIMENTS[experiment])
-    merged.update({k: v for k, v in raw.items() if k != "experiment"})
+    merged.update(settings)
     for key in ("grid", "initial", "tau", "t_end"):
         if key not in merged:
             raise ConfigError(f"experiment {experiment!r} needs an explicit {key!r}")
@@ -216,32 +217,37 @@ def load_config(path) -> RunConfig:
 
 
 def _gate_verdicts(traj: Trajectory, experiment: str) -> list[Verdict]:
-    mean = traj.series("mean")
-    drift = float(np.max(np.abs(mean - mean[0])))
-    at = int(np.argmax(np.abs(mean - mean[0])))
-    gates = [
-        Verdict(
-            name="mean_conservation",
-            passed=drift <= 1e-8,
-            worst_violation=drift,
-            location=at,
-            tolerance=1e-8,
-            detail=f"largest weighted-mean drift {drift:.3e}",
-        ),
-        check_monotone(
-            traj.series("energy"), traj.config.inner_tol, name="energy_dissipation"
-        ),
-        check_monotone(traj.series("sup_norm"), 1e-10, name="max_principle"),
-        dataclasses.replace(check_ut_decay(traj), name="velocity_decay"),
-    ]
+    gates = structural_gates(traj)
+    gates.append(dataclasses.replace(check_ut_decay(traj), name="velocity_decay"))
     if experiment == "smooth_cosine":
-        gates.append(check_monotone(traj.series("lip"), 1e-6, name="lip_monotone"))
-        gates.append(
-            check_monotone(
-                traj.series("ut_sup")[1:], 1e-6, name="ut_sup_monotone"
-            )
-        )
+        gates.extend(smoothness_gates(traj))
     return gates
+
+
+def _evolve_config(cfg: RunConfig) -> Trajectory:
+    """Build the grid and initial data of a resolved config and evolve them."""
+    grid = build_grid(cfg.grid)
+    u0 = build_initial(grid, cfg.initial)
+    sigma, s = cfg.sigma, cfg.s
+    ratio = _EXPERIMENTS.get(cfg.experiment, {}).get("step_ratio")
+    if sigma is None and s is None and ratio is not None:
+        sigma, s = balanced_steps(grid, ratio)
+    solver_cfg = SolverConfig(
+        tau=cfg.tau,
+        theta=cfg.theta,
+        sigma=sigma,
+        s=s,
+        inner_tol=cfg.inner_tol,
+        max_inner=cfg.max_inner,
+        check_every=cfg.check_every,
+    )
+    return evolve(
+        u0,
+        cfg.t_end,
+        solver_cfg,
+        snapshot_times=cfg.snapshot_times,
+        kappa=cfg.kappa,
+    )
 
 
 def _fmt(value: float) -> str:
@@ -324,30 +330,8 @@ class RunReport:
 def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
-    grid = build_grid(cfg.grid)
-    u0 = build_initial(grid, cfg.initial)
-    sigma, s = cfg.sigma, cfg.s
-    ratio = _PRESET_STEP_RATIO.get(cfg.experiment)
-    if sigma is None and s is None and ratio is not None:
-        bound = operator_norm_bound(grid)
-        root = float(np.sqrt(ratio))
-        sigma, s = 1.0 / (bound * root), root / bound
-    solver_cfg = SolverConfig(
-        tau=cfg.tau,
-        theta=cfg.theta,
-        sigma=sigma,
-        s=s,
-        inner_tol=cfg.inner_tol,
-        max_inner=cfg.max_inner,
-        check_every=cfg.check_every,
-    )
-    traj = evolve(
-        u0,
-        cfg.t_end,
-        solver_cfg,
-        snapshot_times=cfg.snapshot_times,
-        kappa=cfg.kappa,
-    )
+    traj = _evolve_config(cfg)
+    grid = traj.grid
     gates = _gate_verdicts(traj, cfg.experiment)
     passed = all(g.passed for g in gates)
     reg_time = regularization_time(traj)
@@ -447,6 +431,8 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
 
 def verify_suite(seed: int = 0, progress=None) -> tuple[list[Verdict], bool]:
     """Run the acceptance suite; returns (verdicts, all_passed)."""
+    from .acceptance import run_acceptance  # acceptance imports this module
+
     verdicts = run_acceptance(seed=seed, progress=progress)
     return verdicts, all(v.passed for v in verdicts)
 
@@ -547,23 +533,11 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--seed", type=int, default=None, help="override the seed of a seeded initial"
     )
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="reserved; results never depend on it",
-    )
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--seed", type=int, default=0, help="suite seed (default: 0)")
     p_verify.add_argument(
         "--out", default=None, help="also write verify_report.txt to this directory"
-    )
-    p_verify.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="reserved; results never depend on it",
     )
 
     sub.add_parser(

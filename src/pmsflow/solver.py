@@ -35,7 +35,15 @@ import numpy as np
 
 from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
 from .energy import _dual_radius
-from .grid import CellField, FaceField, Grid, cell_norm
+from .grid import (
+    CellField,
+    FaceField,
+    Grid,
+    cell_norm,
+    colocated_gradient_values,
+    divergence_values,
+    forward_gradient_values,
+)
 
 __all__ = [
     "SolverConfig",
@@ -43,10 +51,10 @@ __all__ = [
     "Trajectory",
     "NonConvergenceError",
     "operator_norm_bound",
+    "balanced_steps",
     "implicit_step",
     "kkt_residual",
     "evolve",
-    "radial_evolve",
 ]
 
 
@@ -110,6 +118,20 @@ def operator_norm_bound(grid: Grid) -> float:
     return 2.0 * float(np.sqrt(sum(1.0 / h**2 for h in grid.spacing)))
 
 
+def balanced_steps(grid: Grid, ratio: float) -> tuple[float, float]:
+    """Inner step sizes (sigma, s) with s/sigma = ratio and s*sigma = 1/L^2.
+
+    The primal prox is (1/tau)-strongly convex while the dual conjugate is
+    only 1-strongly convex, so a ratio well below one balances the two and
+    cuts inner iterations several-fold against the symmetric default (ratio
+    1); runs dominated by saturated faces (jumps) want a larger ratio than
+    smooth ones.
+    """
+    bound = operator_norm_bound(grid)
+    root = float(np.sqrt(ratio))
+    return 1.0 / (bound * root), root / bound
+
+
 def _resolve_steps(grid: Grid, cfg: SolverConfig) -> tuple[float, float]:
     bound = operator_norm_bound(grid)
     if cfg.sigma is None:
@@ -128,21 +150,13 @@ class _OneAxisOps:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.h = grid.spacing[0]
-        self.areas = grid.face_areas[0]
-        self.volumes = grid.cell_volumes
         self.dual_weights = grid.face_weights[0]
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
-        return np.diff(v) / self.h
+        return forward_gradient_values(self.grid, v)[0]
 
     def div_dual(self, p: np.ndarray) -> np.ndarray:
-        ap = self.areas * p
-        out = np.zeros(self.grid.shape[0])
-        out[:-1] += ap
-        out[1:] -= ap
-        out /= self.volumes
-        return out
+        return divergence_values(self.grid, (p,))
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
@@ -168,22 +182,10 @@ class _RectangleOps:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.hx, self.hy = grid.spacing
-        self.volumes = grid.cell_volumes
         self.dual_weights = grid.cell_volumes
-        self.areas = grid.face_areas
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
-        nx, ny = self.grid.shape
-        out = np.zeros((2, nx, ny))
-        gx = np.diff(v, axis=0) / self.hx
-        out[0, :-1, :] += gx
-        out[0, 1:, :] += gx
-        gy = np.diff(v, axis=1) / self.hy
-        out[1, :, :-1] += gy
-        out[1, :, 1:] += gy
-        out *= 0.5
-        return out
+        return colocated_gradient_values(self.grid, v)
 
     def flux_components(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
         zx = 0.5 * (p[0, :-1, :] + p[0, 1:, :])
@@ -191,16 +193,7 @@ class _RectangleOps:
         return (zx, zy)
 
     def div_dual(self, p: np.ndarray) -> np.ndarray:
-        zx, zy = self.flux_components(p)
-        out = np.zeros(self.grid.shape)
-        ax = self.areas[0] * zx
-        out[:-1, :] += ax
-        out[1:, :] -= ax
-        ay = self.areas[1] * zy
-        out[:, :-1] += ay
-        out[:, 1:] -= ay
-        out /= self.volumes
-        return out
+        return divergence_values(self.grid, self.flux_components(p))
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
@@ -220,6 +213,21 @@ def _variational_dual(ops, values: np.ndarray) -> np.ndarray:
     q = ops.k_apply(values)
     m = ops.magnitude(q)
     return q / np.sqrt(1.0 + m * m)
+
+
+def _residuals(ops, u_prev, tau, p, divz, v, u):
+    """Primal stationarity residual of v and dual relation residual of p at u.
+
+    The first is |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p), the
+    second max |p * sqrt(1 + |q|^2) - q| with q = K u.  Also returns q and
+    sqrt(1 + |q|^2) for the gap.  A returned pair is certified with v = u.
+    """
+    primal = float(np.sqrt(np.sum(ops.grid.cell_volumes * ((v - u_prev) / tau - divz) ** 2)))
+    q = ops.k_apply(u)
+    mq = ops.magnitude(q)
+    root = np.sqrt(1.0 + mq * mq)
+    dual = float(np.max(ops.magnitude(p * root - q)))
+    return primal, dual, q, root
 
 
 @dataclass
@@ -284,7 +292,6 @@ def implicit_step(
         v = np.array(warm[0], dtype=float)
         p = np.array(warm[1], dtype=float)
     vbar = v.copy()
-    wvol = grid.cell_volumes
     a_res = b_res = gap = np.inf
     for k in range(1, cfg.max_inner + 1):
         d = p + sigma * ops.k_apply(vbar)
@@ -298,25 +305,17 @@ def implicit_step(
         v = v_new
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
             u_cand = u0 + tau * divz
-            a_res = float(np.sqrt(np.sum(wvol * ((v - u0) / tau - divz) ** 2)))
-            q = ops.k_apply(u_cand)
-            mq = ops.magnitude(q)
-            root = np.sqrt(1.0 + mq * mq)
-            b_res = float(np.max(ops.magnitude(p * root - q)))
+            a_res, b_res, q, root = _residuals(ops, u0, tau, p, divz, v, u_cand)
             mp = ops.magnitude(p)
             conj = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
             gap_terms = np.clip(root - ops.dot(p, q) - conj, 0.0, None)
             gap = float(np.sum(ops.dual_weights * gap_terms))
             if a_res <= tol and b_res <= tol and gap <= tol:
-                u_next = CellField(grid, u_cand)
-                a_final = float(
-                    np.sqrt(np.sum(wvol * ((u_cand - u0) / tau - divz) ** 2))
-                )
                 return StepResult(
-                    u_next=u_next,
+                    u_next=CellField(grid, u_cand),
                     flux=FaceField(grid, ops.flux_components(p)),
                     inner_iters=k,
-                    kkt_residual=max(a_final, b_res),
+                    kkt_residual=max(_residuals(ops, u0, tau, p, divz, u_cand, u_cand)[:2]),
                     dual=p,
                 )
     raise NonConvergenceError(
@@ -358,13 +357,7 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     if float(np.max(ops.magnitude(pa))) > 1.0 + 1e-12:
         raise ValueError("dual state is infeasible: |p| > 1 somewhere")
     divz = ops.div_dual(pa)
-    wvol = grid.cell_volumes
-    a_res = float(np.sqrt(np.sum(wvol * ((u.values - u_prev.values) / tau - divz) ** 2)))
-    q = ops.k_apply(u.values)
-    mq = ops.magnitude(q)
-    root = np.sqrt(1.0 + mq * mq)
-    b_res = float(np.max(ops.magnitude(pa * root - q)))
-    return max(a_res, b_res)
+    return max(_residuals(ops, u_prev.values, tau, pa, divz, u.values, u.values)[:2])
 
 
 @dataclass
@@ -487,24 +480,3 @@ def evolve(
         inner_iters=inner_iters,
         kkt_residuals=kkt_residuals,
     )
-
-
-def radial_evolve(
-    u0: CellField,
-    t_end: float,
-    cfg: SolverConfig,
-    dimension: int | None = None,
-    **kwargs,
-) -> Trajectory:
-    """``evolve`` restricted to radial grids.
-
-    The ambient dimension comes from the grid; an explicit ``dimension`` is
-    only checked against it.
-    """
-    if u0.grid.kind != "radial":
-        raise ValueError(f"radial_evolve needs a radial grid, got {u0.grid.kind!r}")
-    if dimension is not None and dimension != u0.grid.radial_dim:
-        raise ValueError(
-            f"dimension {dimension} disagrees with the grid's {u0.grid.radial_dim}"
-        )
-    return evolve(u0, t_end, cfg, **kwargs)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import pmsflow.runner as runner_module
+from pmsflow.grid import build_grid
 from pmsflow.runner import ConfigError, RunConfig, load_config, main, run
+from pmsflow.solver import operator_norm_bound
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -59,6 +61,22 @@ def test_smooth_preset_tightens_inner_tol(tmp_path):
     cfg = load_config(write_config(tmp_path, "experiment: smooth_cosine\n"))
     assert cfg.inner_tol == 1e-11
     assert cfg.kappa is None
+
+
+@pytest.mark.parametrize(
+    "experiment, ratio",
+    [("quarter_circles", 0.03), ("radial_spike", 1e-3), ("smooth_cosine", 3e-3)],
+)
+def test_presets_run_with_their_step_ratio(tmp_path, monkeypatch, experiment, ratio):
+    # the measured s/sigma of each preset, at the largest product s*sigma*L^2 = 1
+    seen = []
+    monkeypatch.setattr(runner_module, "evolve", lambda u0, t_end, cfg, **kw: seen.append(cfg))
+    cfg = load_config(write_config(tmp_path, f"experiment: {experiment}\n"))
+    runner_module._evolve_config(cfg)
+    (solver_cfg,) = seen
+    bound = operator_norm_bound(build_grid(cfg.grid))
+    assert solver_cfg.s / solver_cfg.sigma == pytest.approx(ratio, rel=1e-14)
+    assert solver_cfg.s * solver_cfg.sigma * bound**2 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_custom_requires_the_core_keys(tmp_path):

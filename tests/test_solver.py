@@ -8,7 +8,10 @@ from pmsflow.energy import area_energy
 from pmsflow.grid import (
     CellField,
     FaceField,
+    colocated_gradient,
+    divergence,
     face_differences,
+    forward_gradient,
     interval_grid,
     radial_grid,
     rectangle_grid,
@@ -18,11 +21,12 @@ from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
     Trajectory,
+    _make_ops,
+    balanced_steps,
     evolve,
     implicit_step,
     kkt_residual,
     operator_norm_bound,
-    radial_evolve,
 )
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -136,6 +140,43 @@ def test_operator_norm_bound_dominates_gradient():
             lhs = np.sqrt(np.sum(grid.face_weights[0] * g**2))
             rhs = bound * np.sqrt(np.sum(grid.cell_volumes * u.values**2))
             assert lhs <= rhs * (1.0 + 1e-12)
+
+
+def test_balanced_steps_keep_the_product_at_the_bound():
+    grid = radial_grid(3, 1.0, 20)
+    bound = operator_norm_bound(grid)
+    sigma, s = balanced_steps(grid, 4e-2)
+    assert s / sigma == pytest.approx(4e-2, rel=1e-14)
+    assert s * sigma * bound**2 == pytest.approx(1.0, rel=1e-14)
+    assert balanced_steps(grid, 1.0) == (1.0 / bound, 1.0 / bound)
+
+
+_ALL_GRID_KINDS = [
+    interval_grid(0.0, 2.0, 24),
+    *(radial_grid(n, 1.0, 20) for n in range(2, 7)),
+    rectangle_grid((0.0, 0.0), (1.0, 2.0), (7, 6)),
+]
+_ALL_GRID_IDS = ["interval", *(f"radial{n}" for n in range(2, 7)), "rectangle"]
+
+
+@pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
+def test_saddle_operators_are_the_public_calculus(grid):
+    # the solver iterates with the grid module's calculus, bit for bit, and
+    # K is the exact negative adjoint of div under the pairings it uses
+    ops = _make_ops(grid)
+    rng = np.random.default_rng(77)
+    u = CellField(grid, rng.standard_normal(grid.shape))
+    if grid.kind == "rectangle":
+        p = rng.uniform(-1.0, 1.0, (2,) + grid.shape)
+        assert np.array_equal(ops.k_apply(u.values), np.stack(colocated_gradient(u)))
+    else:
+        p = rng.uniform(-1.0, 1.0, grid.face_shape(0))
+        assert np.array_equal(ops.k_apply(u.values), forward_gradient(u).components[0])
+    flux = FaceField(grid, ops.flux_components(p))
+    assert np.array_equal(ops.div_dual(p), divergence(flux).values)
+    lhs = float(np.sum(ops.dual_weights * ops.dot(ops.k_apply(u.values), p)))
+    rhs = float(np.sum(grid.cell_volumes * u.values * ops.div_dual(p)))
+    assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
 # ---------------------------------------------------------------- one step
@@ -257,6 +298,15 @@ def test_kkt_rejects_infeasible_dual_and_wrong_rectangle_input():
     assert kkt_residual(res.u_next, res.dual, ur, 0.1) == 0.0
 
 
+@pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
+def test_returned_certificate_is_the_public_one(grid):
+    rng = np.random.default_rng(58)
+    u_prev = CellField(grid, rng.uniform(-1.0, 1.0, grid.shape))
+    res = implicit_step(u_prev, SolverConfig(tau=1e-2))
+    assert res.kkt_residual > 0.0
+    assert res.kkt_residual == kkt_residual(res.u_next, res.dual, u_prev, 1e-2)
+
+
 # ---------------------------------------------------------------- evolve
 
 
@@ -282,9 +332,8 @@ def test_random_data_flattens_to_its_mean():
     rng = np.random.default_rng(2024)
     u0 = CellField(grid, rng.uniform(-1.0, 1.0, 50))
     mean = np.sum(grid.cell_volumes * u0.values) / grid.total_volume
-    bound = operator_norm_bound(grid)
-    ratio = np.sqrt(3e-3)
-    cfg = SolverConfig(tau=2e-2, sigma=1.0 / (bound * ratio), s=ratio / bound)
+    sigma, s = balanced_steps(grid, 3e-3)
+    cfg = SolverConfig(tau=2e-2, sigma=sigma, s=s)
     traj = evolve(u0, 5.0, cfg)
     final = traj.records[-1]
     assert final.sup_norm <= abs(mean) + 1e-3
@@ -333,9 +382,7 @@ def test_vertical_shift_commutes_with_the_flow():
 def test_time_step_refinement_is_first_order():
     grid = interval_grid(0.0, 1.0, 64)
     u0 = cosine(grid)
-    bound = operator_norm_bound(grid)
-    ratio = np.sqrt(3e-3)
-    sigma, s = 1.0 / (bound * ratio), ratio / bound
+    sigma, s = balanced_steps(grid, 3e-3)
     states = []
     for tau in (5e-3, 2.5e-3, 1.25e-3, 6.25e-4):
         cfg = SolverConfig(tau=tau, inner_tol=1e-11, sigma=sigma, s=s)
@@ -412,7 +459,7 @@ def test_trajectory_accessors_validate_requests():
 def test_radial_constant_is_stationary():
     grid = radial_grid(3, 1.0, 30)
     u0 = CellField(grid, np.full(30, 2.0))
-    traj = radial_evolve(u0, 0.2, SolverConfig(tau=0.05), keep="all")
+    traj = evolve(u0, 0.2, SolverConfig(tau=0.05), keep="all")
     for state in traj.states:
         assert np.array_equal(state.values, u0.values)
 
@@ -421,21 +468,9 @@ def test_radial_spike_conserves_mean_and_stays_steep():
     grid = radial_grid(3, 1.0, 60)
     r = grid.cell_centers[0]
     u0 = CellField(grid, np.minimum(1.0 / r, 20.0))
-    bound = operator_norm_bound(grid)
-    ratio = np.sqrt(1e-3)
-    cfg = SolverConfig(tau=2e-3, sigma=1.0 / (bound * ratio), s=ratio / bound)
-    traj = radial_evolve(u0, 0.05, cfg, dimension=3)
+    sigma, s = balanced_steps(grid, 1e-3)
+    cfg = SolverConfig(tau=2e-3, sigma=sigma, s=s)
+    traj = evolve(u0, 0.05, cfg)
     mean = traj.series("mean")
     assert np.max(np.abs(mean - mean[0])) <= 1e-8
     assert np.min(traj.series("lip")) >= 5.0
-
-
-def test_radial_evolve_rejects_wrong_grids():
-    grid = interval_grid(0.0, 1.0, 10)
-    u0 = CellField(grid, np.zeros(10))
-    with pytest.raises(ValueError):
-        radial_evolve(u0, 0.1, SolverConfig(tau=0.05))
-    rad = radial_grid(3, 1.0, 10)
-    v0 = CellField(rad, np.zeros(10))
-    with pytest.raises(ValueError):
-        radial_evolve(v0, 0.1, SolverConfig(tau=0.05), dimension=4)
