@@ -2,8 +2,10 @@
 
 A ``DiagnosticRecord`` is written at every time step; checks consume the
 recorded series (or the stored states, for the contraction check) and
-return ``Verdict`` objects whose ``passed`` flag is equivalent to
-``worst_violation <= tolerance``.
+return ``Verdict`` objects.  A check reports its signed worst value and the
+place where it occurred, never a clamped one: a passing run shows how much
+room it left (a negative increment, a negative excess), and ``passed`` is
+exactly ``worst_violation <= tolerance``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,14 @@ class DiagnosticRecord:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one check; ``passed`` iff ``worst_violation <= tolerance``."""
+    """Outcome of one check.
+
+    ``worst_violation`` is the signed worst value the check observed and
+    ``location`` where it occurred (a series index, a time, or a label);
+    ``passed`` iff ``worst_violation <= tolerance``.  The acceptance suite
+    stores its signed margin with tolerance 0, and also fails a criterion
+    that overruns its wall-clock budget.
+    """
 
     name: str
     passed: bool
@@ -149,13 +158,18 @@ def regularization_time(traj, kappa: float | None = None):
 
 
 def check_monotone(series, tolerance: float, name: str = "monotone") -> Verdict:
-    """Pass iff no increment of the series exceeds the tolerance."""
+    """Pass iff no increment of the series exceeds the tolerance.
+
+    Reports the largest signed increment and the index of the entry it
+    leads to; a series shorter than two entries has no increment and
+    reports 0 at location None.
+    """
     s = np.asarray(series, dtype=float)
     if s.size < 2:
         return Verdict(name, True, 0.0, None, float(tolerance))
     inc = np.diff(s)
     k = int(np.argmax(inc))
-    worst = max(0.0, float(inc[k]))
+    worst = float(inc[k])
     return Verdict(
         name=name,
         passed=worst <= tolerance,
@@ -167,20 +181,20 @@ def check_monotone(series, tolerance: float, name: str = "monotone") -> Verdict:
 
 
 def check_ut_decay(traj, slack: float = 1.5) -> Verdict:
-    """Velocity decay gate: ut_l2(t) <= slack * |u0|_w / t at every step."""
-    worst = 0.0
-    where = None
-    for rec in traj.records:
-        if rec.t <= 0.0:
-            continue
-        excess = rec.ut_l2 - slack * traj.u0_norm / rec.t
-        if excess > worst:
-            worst, where = excess, rec.t
+    """Velocity decay gate: ut_l2(t) <= slack * |u0|_w / t at every step.
+
+    Reports the largest signed excess over the bound and its time.
+    """
+    excess, at = max(
+        (rec.ut_l2 - slack * traj.u0_norm / rec.t, rec.t)
+        for rec in traj.records
+        if rec.t > 0.0
+    )
     return Verdict(
-        name="ut_decay",
-        passed=worst <= 0.0,
-        worst_violation=worst,
-        location=where,
+        name="velocity_decay",
+        passed=excess <= 0.0,
+        worst_violation=excess,
+        location=at,
         tolerance=0.0,
         detail=f"slack {slack}, |u0|_w = {traj.u0_norm:.6g}",
     )
@@ -233,8 +247,15 @@ def structural_gates(traj) -> list[Verdict]:
 
 def smoothness_gates(traj) -> list[Verdict]:
     """Smooth data: the Lipschitz bound and the sup velocity never grow by
-    more than 1e-6 per step (the velocity from the first step on)."""
+    more than 1e-6 per step (the velocity from the first step on).
+
+    Both locations are record indices, that is step numbers.
+    """
+    ut_sup = traj.series("ut_sup")
+    # No velocity is recorded at t = 0; +inf there makes the increment into
+    # step 1 -inf, so it never binds and indices stay step numbers.
+    ut_sup[0] = np.inf
     return [
         check_monotone(traj.series("lip"), 1e-6, name="lip_monotone"),
-        check_monotone(traj.series("ut_sup")[1:], 1e-6, name="ut_sup_monotone"),
+        check_monotone(ut_sup, 1e-6, name="ut_sup_monotone"),
     ]

@@ -63,15 +63,16 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configurations."""
 
 
+# Keys every experiment may leave unset: no snapshots, the default jump
+# threshold, and SolverConfig's own inner-iteration defaults.
 _BASE_DEFAULTS = {
     "snapshot_times": (),
     "kappa": None,
-    "inner_tol": 1e-8,
-    "max_inner": 20000,
-    "theta": 1.0,
-    "check_every": 16,
-    "sigma": None,
-    "s": None,
+    **{
+        f.name: f.default
+        for f in dataclasses.fields(SolverConfig)
+        if f.default is not dataclasses.MISSING
+    },
 }
 
 # Named presets.  ``step_ratio`` is the inner step-size ratio s/sigma a preset
@@ -109,23 +110,6 @@ _EXPERIMENTS = {
     "custom": {},
 }
 
-_TOP_KEYS = {
-    "experiment",
-    "grid",
-    "initial",
-    "tau",
-    "t_end",
-    "snapshot_times",
-    "kappa",
-    "inner_tol",
-    "max_inner",
-    "theta",
-    "check_every",
-    "sigma",
-    "s",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved settings of one experiment run."""
@@ -143,6 +127,9 @@ class RunConfig:
     check_every: int
     sigma: float | None
     s: float | None
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _as_float(value, key: str) -> float:
@@ -218,7 +205,7 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
 
 def _gate_verdicts(traj: Trajectory, experiment: str) -> list[Verdict]:
     gates = structural_gates(traj)
-    gates.append(dataclasses.replace(check_ut_decay(traj), name="velocity_decay"))
+    gates.append(check_ut_decay(traj))
     if experiment == "smooth_cosine":
         gates.extend(smoothness_gates(traj))
     return gates
@@ -508,7 +495,10 @@ def _cmd_verify(args) -> int:
     lines = []
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
-        lines.append(f"{status} {v.name}: {v.detail}")
+        lines.append(
+            f"{status} {v.name}: margin {v.worst_violation:.3e} at {v.location}; "
+            f"{v.detail}"
+        )
     lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

@@ -92,7 +92,14 @@ class SolverConfig:
 
 
 class NonConvergenceError(RuntimeError):
-    """Inner iteration exhausted max_inner without meeting inner_tol."""
+    """Inner iteration exhausted max_inner without meeting inner_tol.
+
+    ``evolve`` sets ``step`` and ``t``, the step that failed and its time,
+    and names them in the message; both are None for a lone implicit step.
+    """
+
+    step: int | None = None
+    t: float | None = None
 
     def __init__(self, message, *, iterations, primal_residual, dual_residual, gap):
         super().__init__(message)
@@ -430,6 +437,12 @@ def evolve(
         Jump detection threshold; default per ``default_jump_threshold``.
     keep : "none" | "snapshots" | "all"
         "all" additionally stores every intermediate state.
+
+    Raises
+    ------
+    NonConvergenceError
+        From the first step whose inner iteration fails, with that step's
+        index and time in ``step``, ``t`` and the message.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -458,7 +471,12 @@ def evolve(
     inner_iters = np.zeros(n_steps, dtype=int)
     kkt_residuals = np.zeros(n_steps)
     for k in range(1, n_steps + 1):
-        res = implicit_step(u, cfg, warm=warm, ops=ops)
+        try:
+            res = implicit_step(u, cfg, warm=warm, ops=ops)
+        except NonConvergenceError as exc:
+            exc.step, exc.t = k, float(times[k])
+            exc.args = (f"step {k} at t = {exc.t:g}: {exc}",)
+            raise
         warm = (res.u_next.values, res.dual)
         records.append(measure(res.u_next, u, float(times[k]), cfg.tau, kappa))
         if keep == "all":

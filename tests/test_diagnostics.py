@@ -131,8 +131,11 @@ def test_regularization_time_needs_states_for_new_kappa():
 
 def test_check_monotone_passes_decreasing_series():
     v = check_monotone([3.0, 2.0, 2.0, 1.5], 1e-12)
-    assert v.passed and v.worst_violation == 0.0
+    assert v.passed and v.worst_violation == 0.0 and v.location == 2
     assert v.passed == (v.worst_violation <= v.tolerance)
+    # the signed increment shows the room left; no clamp at 0
+    v = check_monotone([3.0, 2.0, 1.75, 1.5], 1e-12)
+    assert v.passed and v.worst_violation == -0.25 and v.location == 2
 
 
 def test_check_monotone_flags_a_bump():
@@ -153,7 +156,9 @@ def test_check_ut_decay_on_a_real_run():
     grid = interval_grid(0.0, 1.0, 20)
     traj = evolve(cosine(grid), 0.05, SolverConfig(tau=5e-3))
     good = check_ut_decay(traj)
-    assert good.passed and good.worst_violation == 0.0
+    assert good.name == "velocity_decay"
+    assert good.passed and good.worst_violation < 0.0
+    assert good.location in traj.times[1:]
     strict = check_ut_decay(traj, slack=0.0)
     assert not strict.passed
     assert strict.location is not None

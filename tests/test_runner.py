@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import pmsflow.runner as runner_module
+from pmsflow.diagnostics import Verdict
 from pmsflow.grid import build_grid
 from pmsflow.runner import ConfigError, RunConfig, load_config, main, run
-from pmsflow.solver import operator_norm_bound
+from pmsflow.solver import SolverConfig, operator_norm_bound
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -77,6 +78,13 @@ def test_presets_run_with_their_step_ratio(tmp_path, monkeypatch, experiment, ra
     bound = operator_norm_bound(build_grid(cfg.grid))
     assert solver_cfg.s / solver_cfg.sigma == pytest.approx(ratio, rel=1e-14)
     assert solver_cfg.s * solver_cfg.sigma * bound**2 == pytest.approx(1.0, rel=1e-14)
+
+
+def test_custom_config_carries_the_solver_defaults(tmp_path):
+    cfg = load_config(write_config(tmp_path, CUSTOM_SMALL))
+    defaults = SolverConfig(tau=cfg.tau)
+    for key in ("inner_tol", "max_inner", "theta", "check_every", "sigma", "s"):
+        assert getattr(cfg, key) == getattr(defaults, key), key
 
 
 def test_custom_requires_the_core_keys(tmp_path):
@@ -225,7 +233,10 @@ def test_cli_reports_solver_breakdown(tmp_path, capsys):
     )
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    # where it failed: the first step, at t = tau
+    assert "step 1 at t = 0.001" in err
 
 
 def test_cli_maps_gate_failure_to_exit_one(tmp_path, monkeypatch, capsys):
@@ -238,6 +249,26 @@ def test_cli_maps_gate_failure_to_exit_one(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(runner_module, "run", failing_run)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_cli_verify_prints_margin_and_location(tmp_path, monkeypatch, capsys):
+    import pmsflow.acceptance
+
+    verdicts = [
+        Verdict("first", True, -0.25, "t = 0.4", 0.0, "first detail"),
+        Verdict("second", False, 1.5, "pair 3 at step 7", 0.0, "second detail"),
+    ]
+    monkeypatch.setattr(
+        pmsflow.acceptance, "run_acceptance", lambda seed, progress: verdicts
+    )
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    lines = (tmp_path / "verify_report.txt").read_text().splitlines()
+    assert lines == [
+        "PASS first: margin -2.500e-01 at t = 0.4; first detail",
+        "FAIL second: margin 1.500e+00 at pair 3 at step 7; second detail",
+        "overall: FAIL",
+    ]
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_cli_seed_override_changes_seeded_data(tmp_path, capsys):

@@ -249,6 +249,12 @@ def test_non_convergence_reports_residuals():
     assert err.primal_residual > 0 or err.dual_residual > 0
     assert err.kkt_residual == max(err.primal_residual, err.dual_residual)
     assert "2" in str(err)
+    assert err.step is None and err.t is None
+    # evolve says which step failed, and when
+    with pytest.raises(NonConvergenceError) as info:
+        evolve(u, 0.05, SolverConfig(tau=1e-2, max_inner=2))
+    assert (info.value.step, info.value.t) == (1, 1e-2)
+    assert str(info.value).startswith("step 1 at t = 0.01: ")
 
 
 # ------------------------------------------------------------ kkt residual
