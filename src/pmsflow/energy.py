@@ -101,24 +101,35 @@ def conjugate_value(p) -> float:
     return float(np.sqrt(max(1.0 - m2, 0.0)))
 
 
-def _dual_radius(m, sigma: float):
+def _dual_radius(m, sigma: float, w: np.ndarray):
     """Solve sigma*r/sqrt(1-r^2) + r = m elementwise for r in [0, 1).
 
     Solved in the slope variable w = r/sqrt(1-r^2), where the equation
-    becomes g(w) = sigma*w + w/sqrt(1+w^2) - m = 0.  g is increasing and
-    concave on w >= 0 and the start max((m-1)/sigma, m/(1+sigma)) never
-    exceeds the root, so plain Newton climbs to it monotonically with no
-    bracket and no singular derivative near r = 1.  An entry is finished
-    when its residual reaches the rounding noise of evaluating it (so
-    downstream certificates can go to 1e-12 and below) or its update falls
-    below the float resolution of w itself.
+    becomes g(w) = sigma*w + w/sqrt(1+w^2) - m = 0.  ``w`` is a float
+    buffer of m's shape holding the starting slopes; it is overwritten with
+    the solved ones, so a caller that passes it back in on the next call
+    starts there (a zero buffer gives the cold start below).
+
+    g is increasing and concave on w >= 0.  The cold start
+    c = max((m-1)/sigma, m/(1+sigma)) lies in [0, root], and each solve
+    starts at max(c, w).  From at or below the root, concavity keeps every
+    Newton iterate at or below it, so Newton climbs to it monotonically,
+    with no bracket and no singular derivative near r = 1.  From above the
+    root, concavity puts the first Newton iterate at or below it (possibly
+    below 0, where g is convex); every update is clamped below by c, which
+    is at most the root, and the climb takes over from there.  An entry is
+    finished when its residual reaches the rounding noise of evaluating it
+    (so downstream certificates can go to 1e-12 and below) or its update
+    falls below the float resolution of w itself.
     """
     m = np.asarray(m, dtype=float)
     scalar = m.ndim == 0
     m = np.atleast_1d(m)
+    w = np.atleast_1d(w)  # a view, so a 0-d buffer is written too
     if np.any(m < 0):
         raise ValueError("radius equation needs a nonnegative magnitude")
-    w = np.maximum((m - 1.0) / sigma, m / (1.0 + sigma))
+    cold = np.maximum((m - 1.0) / sigma, m / (1.0 + sigma))
+    np.maximum(cold, w, out=w)
     tol = np.maximum(1e-15, 4e-16 * m)
     done = np.zeros(m.shape, dtype=bool)
     for _ in range(60):
@@ -128,7 +139,8 @@ def _dual_radius(m, sigma: float):
         done |= (np.abs(g) <= tol) | (np.abs(step) <= 4e-16 * w)
         if np.all(done):
             break
-        w = np.where(done, w, w - step)  # hold finished entries
+        np.subtract(w, step, out=w, where=~done)  # hold finished entries
+        np.maximum(w, cold, out=w)
     r = w / np.sqrt(1.0 + w * w)
     return float(r[0]) if scalar else r
 
@@ -155,7 +167,7 @@ def prox_dual(p_hat, sigma: float):
     m = float(np.sqrt(np.sum(p_hat * p_hat)))
     if m == 0.0:
         return np.zeros_like(p_hat)
-    r = _dual_radius(np.asarray(m), sigma)
+    r = _dual_radius(np.asarray(m), sigma, np.zeros(()))
     return (r / m) * p_hat
 
 

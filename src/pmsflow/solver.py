@@ -299,11 +299,12 @@ def implicit_step(
         v = np.array(warm[0], dtype=float)
         p = np.array(warm[1], dtype=float)
     vbar = v.copy()
+    slope = np.zeros(ops.dual_weights.shape)  # radius solves start at the last slopes
     a_res = b_res = gap = np.inf
     for k in range(1, cfg.max_inner + 1):
         d = p + sigma * ops.k_apply(vbar)
         m = ops.magnitude(d)
-        r = _dual_radius(m, sigma)
+        r = _dual_radius(m, sigma, slope)
         safe = np.where(m > 0.0, m, 1.0)
         p = (r / safe) * d
         divz = ops.div_dual(p)

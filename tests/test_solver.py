@@ -4,6 +4,7 @@ dissipation, comparison, refinement order, and error taxonomy."""
 import numpy as np
 import pytest
 
+from pmsflow import solver
 from pmsflow.energy import area_energy
 from pmsflow.grid import (
     CellField,
@@ -311,6 +312,26 @@ def test_returned_certificate_is_the_public_one(grid):
     res = implicit_step(u_prev, SolverConfig(tau=1e-2))
     assert res.kkt_residual > 0.0
     assert res.kkt_residual == kkt_residual(res.u_next, res.dual, u_prev, 1e-2)
+
+
+@pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
+def test_warm_radius_solves_give_the_cold_iterates(grid, monkeypatch):
+    # each step carries the dual-radius slopes across its inner iterations;
+    # solving every radius from the cold start instead changes only last bits
+    rng = np.random.default_rng(90)
+    u0 = CellField(grid, np.where(rng.uniform(size=grid.shape) < 0.5, -1.0, 1.0))
+    cfg = SolverConfig(tau=1e-2, inner_tol=1e-10)
+    warm = evolve(u0, 0.05, cfg, keep="all")
+    cold_radius = solver._dual_radius
+    monkeypatch.setattr(
+        solver, "_dual_radius", lambda m, sigma, w: cold_radius(m, sigma, np.zeros_like(m))
+    )
+    cold = evolve(u0, 0.05, cfg, keep="all")
+    assert np.array_equal(warm.inner_iters, cold.inner_iters)
+    for a, b in zip(warm.states, cold.states):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13
+    assert np.max(warm.kkt_residuals) <= cfg.inner_tol
+    assert np.max(cold.kkt_residuals) <= cfg.inner_tol
 
 
 # ---------------------------------------------------------------- evolve
