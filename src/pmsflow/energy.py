@@ -10,14 +10,18 @@ is what the primal-dual step solver exploits; ``prox_dual`` is the exact
 proximal map of the conjugate and ``prox_quadratic`` the closed-form
 proximal map of the implicit-step quadratic.
 
-Discretization: one-axis grids (interval, radial) sum face terms
-W_f * sqrt(1 + g_f^2) plus the constant uncovered boundary volume, so each
-term depends on a single difference quotient and the discrete comparison
-principle is exact.  The rectangle co-locates per-axis face-pair means onto
-cells and couples the axes through the Euclidean norm, which keeps the
-two-dimensional functional isotropic.  Both forms are convex, exceed the
-domain volume unless the field is constant, and are invariant under adding
-a constant.
+Discretization: the saddle operator K maps cell values to the dual space,
+and the discrete area is sum W * sqrt(1 + |K u|^2) over the dual entries
+plus the volume no dual weight W covers.  ``_make_ops`` is the one place
+that picks the dual layout.  One-axis grids (interval, radial) put the dual
+on faces: K is the face gradient and W the face control volumes, so each
+term depends on a single difference quotient, the discrete comparison
+principle is exact, and the boundary half cells form the uncovered volume.
+The rectangle puts a 2-vector dual on each cell: K co-locates per-axis
+face-pair means onto cells and the Euclidean norm couples the axes, which
+keeps the two-dimensional functional isotropic; W is the cell volume and
+nothing is uncovered.  Both forms are convex, exceed the domain volume
+unless the field is constant, and are invariant under adding a constant.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellField, colocated_magnitude, forward_gradient_values
+from .grid import (
+    CellField,
+    Grid,
+    colocated_gradient_values,
+    divergence_values,
+    forward_gradient_values,
+)
 
 __all__ = [
     "EnergyBreakdown",
@@ -55,31 +65,94 @@ class EnergyBreakdown:
     threshold: float
 
 
+class _OneAxisOps:
+    """Saddle operators for interval and radial grids; duals live on faces."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.dual_weights = grid.face_weights[0]
+
+    def k_apply(self, v: np.ndarray) -> np.ndarray:
+        return forward_gradient_values(self.grid, v)[0]
+
+    def div_dual(self, p: np.ndarray) -> np.ndarray:
+        return divergence_values(self.grid, (p,))
+
+    @staticmethod
+    def magnitude(p: np.ndarray) -> np.ndarray:
+        return np.abs(p)
+
+    @staticmethod
+    def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return p * q
+
+    @staticmethod
+    def flux_components(p: np.ndarray) -> tuple[np.ndarray, ...]:
+        return (p.copy(),)
+
+    @staticmethod
+    def dual_from_flux(flux) -> np.ndarray:
+        return flux.components[0]
+
+
+class _RectangleOps:
+    """Saddle operators for rectangles; duals are 2-vectors per cell.
+
+    The dual pairs against the co-located gradient (per-axis face-pair
+    means), its ball constraint holds per cell, and the face flux is the
+    adjoint average of the two adjacent cell duals, so |flux| < 1 per face
+    whenever the duals are feasible.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.dual_weights = grid.cell_volumes
+
+    def k_apply(self, v: np.ndarray) -> np.ndarray:
+        return colocated_gradient_values(self.grid, v)
+
+    def flux_components(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
+        zx = 0.5 * (p[0, :-1, :] + p[0, 1:, :])
+        zy = 0.5 * (p[1, :, :-1] + p[1, :, 1:])
+        return (zx, zy)
+
+    def div_dual(self, p: np.ndarray) -> np.ndarray:
+        return divergence_values(self.grid, self.flux_components(p))
+
+    @staticmethod
+    def magnitude(p: np.ndarray) -> np.ndarray:
+        return np.sqrt(p[0] ** 2 + p[1] ** 2)
+
+    @staticmethod
+    def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return p[0] * q[0] + p[1] * q[1]
+
+    @staticmethod
+    def dual_from_flux(flux) -> np.ndarray:
+        raise ValueError("rectangle duals are per-cell 2-vectors; pass StepResult.dual")
+
+
+def _make_ops(grid: Grid):
+    return _RectangleOps(grid) if grid.kind == "rectangle" else _OneAxisOps(grid)
+
+
 def area_energy(u: CellField, steep_threshold: float = STEEP_DEFAULT) -> EnergyBreakdown:
     """Discrete graph area of a cell field.
 
     The split assigns a term to ``steep_part`` when the gradient magnitude
     it sees exceeds ``steep_threshold`` (face gradients on one-axis grids,
-    co-located magnitudes on rectangles).  The constant uncovered boundary
-    volume of one-axis grids counts as smooth.
+    co-located magnitudes on rectangles).  The uncovered volume (the
+    boundary half cells of one-axis grids) counts as smooth.
     """
     if steep_threshold <= 0:
         raise ValueError(f"steep_threshold must be positive, got {steep_threshold}")
-    g = u.grid
-    if g.kind == "rectangle":
-        mag = colocated_magnitude(u)
-        terms = g.cell_volumes * np.sqrt(1.0 + mag * mag)
-        steep = mag > steep_threshold
-        steep_part = float(terms[steep].sum())
-        smooth_part = float(terms[~steep].sum())
-    else:
-        gf = forward_gradient_values(g, u.values)[0]
-        w = g.face_weights[0]
-        terms = w * np.sqrt(1.0 + gf * gf)
-        uncovered = g.total_volume - float(w.sum())  # boundary half cells, > 0
-        steep = np.abs(gf) > steep_threshold
-        steep_part = float(terms[steep].sum())
-        smooth_part = float(terms[~steep].sum()) + uncovered
+    ops = _make_ops(u.grid)
+    mag = ops.magnitude(ops.k_apply(u.values))
+    terms = ops.dual_weights * np.sqrt(1.0 + mag * mag)
+    uncovered = u.grid.total_volume - float(ops.dual_weights.sum())
+    steep = mag > steep_threshold
+    steep_part = float(terms[steep].sum())
+    smooth_part = float(terms[~steep].sum()) + uncovered
     return EnergyBreakdown(
         total=smooth_part + steep_part,
         smooth_part=smooth_part,

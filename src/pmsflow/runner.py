@@ -135,6 +135,8 @@ _TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -288,14 +290,13 @@ def _write_snapshot_csv(path: Path, grid: Grid, u: CellField, flux: FaceField) -
 
 
 def _json_safe(value):
+    """A strict JSON value: non-finite floats become null."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, float):
-        return value
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     return str(value)
 
 
@@ -401,7 +402,7 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
         "passed": passed,
     }
     report_json_path = out / "report.json"
-    report_json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_json_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     return RunReport(
         config=cfg,
@@ -459,7 +460,7 @@ initial:              # initial profile sampled at cell centers
 tau: 1.0e-3           # time step (> 0)
 t_end: 0.4            # final time; steps = ceil(t_end / tau)
 snapshot_times: [0.1, 0.2, 0.3, 0.4]   # each rounded to the nearest step
-kappa: null           # jump detection threshold; null picks a grid-aware default
+kappa: 0.3            # jump detection threshold; null picks a grid-aware default
 
 inner_tol: 1.0e-8     # certificate tolerance of the implicit step solver
 max_inner: 20000      # inner iteration cap per step

@@ -12,11 +12,12 @@ the closed form ``prox_quadratic``:
     v    <- prox_quadratic(v + s * div p, u_prev, tau, s)
     vbar <- v + theta * (v - v_prev)
 
-K is the face gradient on one-axis grids and the co-located cell gradient on
-rectangles; the grid weights are carried by the pairing, so they cancel
-inside both proximal maps.  Because the quadratic term is (1/tau)-strongly
-convex and the dual conjugate is 1-strongly convex on its domain, the
-iteration converges linearly for fixed steps with s * sigma * L^2 <= 1.
+K and div are the saddle operators of ``energy._make_ops`` (the face gradient
+on one-axis grids, the co-located cell gradient on rectangles); the grid
+weights are carried by the pairing, so they cancel inside both proximal
+maps.  Because the quadratic term is (1/tau)-strongly convex and the dual
+conjugate is 1-strongly convex on its domain, the iteration converges
+linearly for fixed steps with s * sigma * L^2 <= 1.
 
 Termination requires three certificates at tolerance ``inner_tol``: the
 primal stationarity residual, the pointwise dual relation residual, and the
@@ -34,16 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
-from .energy import _dual_radius
-from .grid import (
-    CellField,
-    FaceField,
-    Grid,
-    cell_norm,
-    colocated_gradient_values,
-    divergence_values,
-    forward_gradient_values,
-)
+# perfbench/tracer.py finds _dual_radius and the two ops classes here and
+# wraps them to time the inner loop.
+from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps, prox_quadratic  # noqa: F401
+from .grid import CellField, FaceField, Grid, cell_norm
 
 __all__ = [
     "SolverConfig",
@@ -75,20 +70,20 @@ class SolverConfig:
     check_every: int = 16
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.inner_tol <= 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
+        if not 0 < self.inner_tol < np.inf:
+            raise ValueError(f"inner_tol must be positive and finite, got {self.inner_tol}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
         if self.check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {self.check_every}")
         if (self.sigma is None) != (self.s is None):
             raise ValueError("give both sigma and s, or neither")
-        if self.sigma is not None and (self.sigma <= 0 or self.s <= 0):
-            raise ValueError("sigma and s must be positive")
+        if self.sigma is not None and not (0 < self.sigma < np.inf and 0 < self.s < np.inf):
+            raise ValueError("sigma and s must be positive and finite")
 
 
 class NonConvergenceError(RuntimeError):
@@ -140,79 +135,15 @@ def balanced_steps(grid: Grid, ratio: float) -> tuple[float, float]:
 
 
 def _resolve_steps(grid: Grid, cfg: SolverConfig) -> tuple[float, float]:
-    bound = operator_norm_bound(grid)
     if cfg.sigma is None:
-        step = 1.0 / bound
-        return step, step
+        return balanced_steps(grid, 1.0)
+    bound = operator_norm_bound(grid)
     if cfg.sigma * cfg.s * bound * bound > 1.0 + 1e-9:
         raise ValueError(
             f"sigma*s*L^2 = {cfg.sigma * cfg.s * bound * bound:.6g} exceeds 1 "
             f"(L = {bound:.6g} on this grid)"
         )
     return cfg.sigma, cfg.s
-
-
-class _OneAxisOps:
-    """Saddle operators for interval and radial grids; duals live on faces."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.dual_weights = grid.face_weights[0]
-
-    def k_apply(self, v: np.ndarray) -> np.ndarray:
-        return forward_gradient_values(self.grid, v)[0]
-
-    def div_dual(self, p: np.ndarray) -> np.ndarray:
-        return divergence_values(self.grid, (p,))
-
-    @staticmethod
-    def magnitude(p: np.ndarray) -> np.ndarray:
-        return np.abs(p)
-
-    @staticmethod
-    def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return p * q
-
-    @staticmethod
-    def flux_components(p: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (p.copy(),)
-
-
-class _RectangleOps:
-    """Saddle operators for rectangles; duals are 2-vectors per cell.
-
-    The dual pairs against the co-located gradient (per-axis face-pair
-    means), its ball constraint holds per cell, and the face flux is the
-    adjoint average of the two adjacent cell duals, so |flux| < 1 per face
-    whenever the duals are feasible.
-    """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.dual_weights = grid.cell_volumes
-
-    def k_apply(self, v: np.ndarray) -> np.ndarray:
-        return colocated_gradient_values(self.grid, v)
-
-    def flux_components(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
-        zx = 0.5 * (p[0, :-1, :] + p[0, 1:, :])
-        zy = 0.5 * (p[1, :, :-1] + p[1, :, 1:])
-        return (zx, zy)
-
-    def div_dual(self, p: np.ndarray) -> np.ndarray:
-        return divergence_values(self.grid, self.flux_components(p))
-
-    @staticmethod
-    def magnitude(p: np.ndarray) -> np.ndarray:
-        return np.sqrt(p[0] ** 2 + p[1] ** 2)
-
-    @staticmethod
-    def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return p[0] * q[0] + p[1] * q[1]
-
-
-def _make_ops(grid: Grid):
-    return _RectangleOps(grid) if grid.kind == "rectangle" else _OneAxisOps(grid)
 
 
 def _variational_dual(ops, values: np.ndarray) -> np.ndarray:
@@ -223,18 +154,23 @@ def _variational_dual(ops, values: np.ndarray) -> np.ndarray:
 
 
 def _residuals(ops, u_prev, tau, p, divz, v, u):
-    """Primal stationarity residual of v and dual relation residual of p at u.
+    """The three certificates (primal, dual relation, gap) of a step pair.
 
-    The first is |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p), the
-    second max |p * sqrt(1 + |q|^2) - q| with q = K u.  Also returns q and
-    sqrt(1 + |q|^2) for the gap.  A returned pair is certified with v = u.
+    Primal: |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p).  Dual
+    relation: max |p * sqrt(1 + |q|^2) - q| with q = K u.  Gap: the summed
+    Fenchel gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the
+    duality gap of the step problem at u = u_prev + tau * div(p).
+    A returned pair is certified with v = u.
     """
     primal = float(np.sqrt(np.sum(ops.grid.cell_volumes * ((v - u_prev) / tau - divz) ** 2)))
     q = ops.k_apply(u)
     mq = ops.magnitude(q)
     root = np.sqrt(1.0 + mq * mq)
     dual = float(np.max(ops.magnitude(p * root - q)))
-    return primal, dual, q, root
+    mp = ops.magnitude(p)
+    conj = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
+    gap_terms = np.clip(root - ops.dot(p, q) - conj, 0.0, None)
+    return primal, dual, float(np.sum(ops.dual_weights * gap_terms))
 
 
 @dataclass
@@ -258,7 +194,6 @@ def implicit_step(
     u_prev: CellField,
     cfg: SolverConfig,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
-    ops=None,
 ) -> StepResult:
     """Solve one minimizing step of the area functional.
 
@@ -287,8 +222,7 @@ def implicit_step(
         max_inner iterations; the error carries the last residuals.
     """
     grid = u_prev.grid
-    if ops is None:
-        ops = _make_ops(grid)
+    ops = _make_ops(grid)
     sigma, s = _resolve_steps(grid, cfg)
     tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
     u0 = u_prev.values
@@ -308,16 +242,12 @@ def implicit_step(
         safe = np.where(m > 0.0, m, 1.0)
         p = (r / safe) * d
         divz = ops.div_dual(p)
-        v_new = (tau * (v + s * divz) + s * u0) / (tau + s)
+        v_new = prox_quadratic(v + s * divz, u0, tau, s)
         vbar = v_new + theta * (v_new - v)
         v = v_new
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
             u_cand = u0 + tau * divz
-            a_res, b_res, q, root = _residuals(ops, u0, tau, p, divz, v, u_cand)
-            mp = ops.magnitude(p)
-            conj = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
-            gap_terms = np.clip(root - ops.dot(p, q) - conj, 0.0, None)
-            gap = float(np.sum(ops.dual_weights * gap_terms))
+            a_res, b_res, gap = _residuals(ops, u0, tau, p, divz, v, u_cand)
             if a_res <= tol and b_res <= tol and gap <= tol:
                 return StepResult(
                     u_next=CellField(grid, u_cand),
@@ -354,14 +284,7 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     if not grid.same_layout(u_prev.grid):
         raise ValueError("u and u_prev live on different grids")
     ops = _make_ops(grid)
-    if isinstance(p, FaceField):
-        if grid.kind == "rectangle":
-            raise ValueError(
-                "rectangle duals are per-cell 2-vectors; pass StepResult.dual"
-            )
-        pa = p.components[0]
-    else:
-        pa = np.asarray(p, dtype=float)
+    pa = ops.dual_from_flux(p) if isinstance(p, FaceField) else np.asarray(p, dtype=float)
     if float(np.max(ops.magnitude(pa))) > 1.0 + 1e-12:
         raise ValueError("dual state is infeasible: |p| > 1 somewhere")
     divz = ops.div_dual(pa)
@@ -436,7 +359,7 @@ def evolve(
         variational flux.
     kappa : float, optional
         Jump detection threshold; default per ``default_jump_threshold``.
-    keep : "none" | "snapshots" | "all"
+    keep : "snapshots" | "all"
         "all" additionally stores every intermediate state.
 
     Raises
@@ -445,17 +368,16 @@ def evolve(
         From the first step whose inner iteration fails, with that step's
         index and time in ``step``, ``t`` and the message.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if keep not in ("none", "snapshots", "all"):
-        raise ValueError(f"keep must be none, snapshots or all, got {keep!r}")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if keep not in ("snapshots", "all"):
+        raise ValueError(f"keep must be snapshots or all, got {keep!r}")
     grid = u0.grid
-    ops = _make_ops(grid)
     _resolve_steps(grid, cfg)  # validate explicit step sizes up front
     if kappa is None:
         kappa = default_jump_threshold(u0)
-    elif kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    elif not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     n_steps = max(1, int(np.ceil(t_end / cfg.tau - 1e-9)))
     times = cfg.tau * np.arange(n_steps + 1)
     snap_idx = {min(n_steps, max(0, int(round(float(t) / cfg.tau)))) for t in snapshot_times}
@@ -463,6 +385,7 @@ def evolve(
     records = [measure(u0, None, 0.0, cfg.tau, kappa)]
     snapshots = []
     if 0 in snap_idx:
+        ops = _make_ops(grid)
         z0 = _variational_dual(ops, u0.values)
         snapshots.append((0.0, u0.copy(), FaceField(grid, ops.flux_components(z0))))
     states = [u0.copy()] if keep == "all" else None
@@ -473,7 +396,7 @@ def evolve(
     kkt_residuals = np.zeros(n_steps)
     for k in range(1, n_steps + 1):
         try:
-            res = implicit_step(u, cfg, warm=warm, ops=ops)
+            res = implicit_step(u, cfg, warm=warm)
         except NonConvergenceError as exc:
             exc.step, exc.t = k, float(times[k])
             exc.args = (f"step {k} at t = {exc.t:g}: {exc}",)

@@ -215,6 +215,29 @@ def test_cli_rejects_a_bad_config(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("kappa", ".nan"),
+        ("tau", ".nan"),
+        ("tau", ".inf"),
+        ("t_end", ".nan"),
+        ("t_end", ".inf"),
+        ("inner_tol", ".nan"),
+        ("sigma", ".nan\ns: 1.0e-3"),
+        ("snapshot_times", "[0.1, .nan]"),
+        ("t_end", "1" + "0" * 400),
+    ],
+    ids=["kappa-nan", "tau-nan", "tau-inf", "t_end-nan", "t_end-inf",
+         "inner_tol-nan", "sigma-nan", "snapshot_times-nan", "t_end-huge-int"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, f"experiment: quarter_circles\n{key}: {value}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_a_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
@@ -307,6 +330,28 @@ def test_cli_prints_the_config_reference(capsys):
         "inner_tol", "max_inner", "theta", "check_every", "sigma",
     ):
         assert key in text
+
+
+def test_printed_reference_is_the_quarter_circles_preset(tmp_path, capsys):
+    assert main(["print-config-reference"]) == 0
+    path = write_config(tmp_path, capsys.readouterr().out)
+    assert load_config(path) == runner_module._resolve("quarter_circles", {})
+
+
+def test_report_json_is_strict_json(tmp_path, capsys):
+    # a one-step smooth run has no ut_sup increment to bound: its worst
+    # value is -inf, which strict JSON writes as null
+    path = write_config(tmp_path, "experiment: smooth_cosine\nt_end: 1.0e-3\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    doc = json.loads(text, parse_constant=reject)
+    gate = next(g for g in doc["gates"] if g["name"] == "ut_sup_monotone")
+    assert gate["worst_violation"] is None and gate["passed"] is True
 
 
 # ------------------------------------------------------- jump disappearance

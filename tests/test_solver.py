@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pmsflow import solver
-from pmsflow.energy import area_energy
+from pmsflow.acceptance import _descent_oracle
+from pmsflow.energy import _make_ops, area_energy
 from pmsflow.grid import (
     CellField,
     FaceField,
@@ -17,65 +18,16 @@ from pmsflow.grid import (
     radial_grid,
     rectangle_grid,
 )
-from pmsflow.initial_data import cosine, quarter_circles, random_piecewise
+from pmsflow.initial_data import cosine, quarter_circles
 from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
-    Trajectory,
-    _make_ops,
     balanced_steps,
     evolve,
     implicit_step,
     kkt_residual,
     operator_norm_bound,
 )
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, a, b, xtol=1e-12):
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def brute_force_step(grid, u_prev, tau):
-    """Cyclic coordinate descent on the step objective, independent of the
-    package's own optimizer."""
-    h = float(grid.spacing[0])
-    w = grid.face_weights[0]
-    vol = grid.cell_volumes
-    n = u_prev.size
-    v = u_prev.copy()
-
-    def objective_piece(i, x):
-        val = vol[i] * (x - u_prev[i]) ** 2 / (2.0 * tau)
-        if i > 0:
-            val += w[i - 1] * np.sqrt(1.0 + ((x - v[i - 1]) / h) ** 2)
-        if i < n - 1:
-            val += w[i] * np.sqrt(1.0 + ((v[i + 1] - x) / h) ** 2)
-        return val
-
-    lo, hi = u_prev.min() - 2.0, u_prev.max() + 2.0
-    for _ in range(400):
-        moved = 0.0
-        for i in range(n):
-            x = golden_min(lambda x: objective_piece(i, x), lo, hi)
-            moved = max(moved, abs(x - v[i]))
-            v[i] = x
-        if moved <= 1e-10:
-            break
-    return v
 
 
 # ---------------------------------------------------------------- config
@@ -102,6 +54,15 @@ def test_config_validation():
         SolverConfig(tau=0.1, s=0.5)  # sigma missing
     with pytest.raises(ValueError):
         SolverConfig(tau=0.1, sigma=-0.5, s=0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            SolverConfig(tau=bad)
+        with pytest.raises(ValueError, match="inner_tol must be positive and finite"):
+            SolverConfig(tau=0.1, inner_tol=bad)
+        with pytest.raises(ValueError, match="sigma and s must be positive and finite"):
+            SolverConfig(tau=0.1, sigma=bad, s=0.5)
+        with pytest.raises(ValueError, match="sigma and s must be positive and finite"):
+            SolverConfig(tau=0.1, sigma=0.5, s=bad)
 
 
 def test_step_size_product_validated_against_operator_bound():
@@ -197,7 +158,7 @@ def test_five_cell_step_matches_brute_force():
     grid = interval_grid(0.0, 2.0, 5)
     u_prev = CellField(grid, np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
     res = implicit_step(u_prev, SolverConfig(tau=0.1, inner_tol=1e-12))
-    oracle = brute_force_step(grid, u_prev.values, 0.1)
+    oracle = _descent_oracle(grid, u_prev.values, 0.1)
     assert np.max(np.abs(res.u_next.values - oracle)) <= 1e-6
 
 
@@ -215,15 +176,18 @@ def test_step_conserves_weighted_mean_exactly():
         assert abs(after - before) <= 1e-13 * (1.0 + abs(before))
 
 
-def test_step_dissipates_energy_and_keeps_flux_feasible():
-    grid = interval_grid(0.0, 2.0, 50)
-    u = quarter_circles(grid, c=1.0)
+@pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
+def test_step_dissipates_energy_and_keeps_flux_feasible(grid):
+    # area_energy is the functional the certified step minimizes, on every
+    # dual layout: E(u_next) + |u_next - u_prev|_w^2 / (2 tau) <= E(u_prev)
+    rng = np.random.default_rng(12)
+    u = CellField(grid, np.where(rng.uniform(size=grid.shape) < 0.5, -1.0, 1.0))
     cfg = SolverConfig(tau=1e-2)
     res = implicit_step(u, cfg)
     step_cost = np.sum(grid.cell_volumes * (res.u_next.values - u.values) ** 2)
     lhs = area_energy(res.u_next).total + step_cost / (2.0 * cfg.tau)
     assert lhs <= area_energy(u).total + cfg.inner_tol
-    assert np.max(np.abs(res.flux.components[0])) < 1.0
+    assert max(float(np.max(np.abs(c))) for c in res.flux.components) < 1.0
     assert res.kkt_residual <= cfg.inner_tol
 
 
@@ -459,8 +423,14 @@ def test_evolve_validation_errors():
     cfg = SolverConfig(tau=0.1)
     with pytest.raises(ValueError):
         evolve(u0, 0.0, cfg)
-    with pytest.raises(ValueError):
-        evolve(u0, 1.0, cfg, keep="sometimes")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            evolve(u0, bad, cfg)
+        with pytest.raises(ValueError, match="kappa"):
+            evolve(u0, 1.0, cfg, kappa=bad)
+    for keep in ("sometimes", "none"):
+        with pytest.raises(ValueError):
+            evolve(u0, 1.0, cfg, keep=keep)
     with pytest.raises(ValueError):
         evolve(u0, 1.0, cfg, kappa=0.0)
 
