@@ -17,9 +17,9 @@ import numpy as np
 from pmsflow import (
     QuarterCircleProfile,
     SolverConfig,
+    balanced_steps,
     evolve,
     interval_grid,
-    operator_norm_bound,
     quarter_circles,
     regularization_time,
 )
@@ -42,9 +42,8 @@ def main() -> None:
 
     # the jump face makes the problem stiff; a small primal/dual step ratio
     # keeps the inner iteration counts reasonable
-    bound = operator_norm_bound(grid)
-    root = np.sqrt(0.03)
-    cfg = SolverConfig(tau=args.tau, sigma=1.0 / (bound * root), s=root / bound)
+    sigma, s = balanced_steps(grid, 0.03)
+    cfg = SolverConfig(tau=args.tau, sigma=sigma, s=s)
 
     print(f"jump height c = {args.jump:g}, predicted extinction at t = {args.jump / 2:g}")
     print(f"evolving {args.cells} cells to t = {t_end:g} with tau = {args.tau:g}")

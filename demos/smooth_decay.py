@@ -14,10 +14,10 @@ import numpy as np
 
 from pmsflow import (
     SolverConfig,
+    balanced_steps,
     cosine,
     evolve,
     interval_grid,
-    operator_norm_bound,
 )
 
 
@@ -31,14 +31,8 @@ def main() -> None:
 
     grid = interval_grid(0.0, 1.0, args.cells)
     u0 = cosine(grid)
-    bound = operator_norm_bound(grid)
-    root = np.sqrt(3e-3)
-    cfg = SolverConfig(
-        tau=args.tau,
-        sigma=1.0 / (bound * root),
-        s=root / bound,
-        inner_tol=1e-10,
-    )
+    sigma, s = balanced_steps(grid, 3e-3)
+    cfg = SolverConfig(tau=args.tau, sigma=sigma, s=s, inner_tol=1e-10)
 
     print(f"cos(pi x) on {args.cells} cells, tau = {args.tau:g}, t_end = {args.t_end:g}")
     traj = evolve(u0, args.t_end, cfg)

@@ -30,7 +30,7 @@ from pmsflow import (
 
 def objective(v: CellField, u_prev: CellField, tau: float) -> float:
     drift = CellField(v.grid, v.values - u_prev.values)
-    return area_energy(v).total + cell_norm(drift) ** 2 / (2.0 * tau)
+    return area_energy(v) + cell_norm(drift) ** 2 / (2.0 * tau)
 
 
 def main() -> None:
@@ -60,7 +60,7 @@ def main() -> None:
     mean_after = np.sum(grid.cell_volumes * res.u_next.values)
     print(f"weighted mean drift = {abs(mean_after - mean_before):.1e}")
     print(
-        f"energy {area_energy(u_prev).total:.9f} -> {area_energy(res.u_next).total:.9f}"
+        f"energy {area_energy(u_prev):.9f} -> {area_energy(res.u_next):.9f}"
     )
 
     best = objective(res.u_next, u_prev, args.tau)

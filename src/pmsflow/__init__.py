@@ -21,13 +21,7 @@ from .diagnostics import (
     smoothness_gates,
     structural_gates,
 )
-from .energy import (
-    EnergyBreakdown,
-    area_energy,
-    conjugate_value,
-    prox_dual,
-    prox_quadratic,
-)
+from .energy import area_energy, prox_dual, prox_quadratic
 from .grid import (
     CellField,
     FaceField,
@@ -55,7 +49,7 @@ from .initial_data import (
     step,
 )
 from .reference import QuarterCircleProfile, RadialSubsolution
-from .runner import ConfigError, RunConfig, RunReport, load_config, run, verify_suite
+from .runner import ConfigError, RunConfig, RunReport, load_config, run
 from .solver import (
     NonConvergenceError,
     SolverConfig,
@@ -90,9 +84,7 @@ __all__ = [
     "cell_norm",
     "face_inner",
     # energy
-    "EnergyBreakdown",
     "area_energy",
-    "conjugate_value",
     "prox_dual",
     "prox_quadratic",
     # solver
@@ -134,7 +126,6 @@ __all__ = [
     "RunReport",
     "load_config",
     "run",
-    "verify_suite",
     "run_acceptance",
     "CRITERIA_NAMES",
 ]

@@ -89,7 +89,7 @@ def measure(
     max_fd = max(float(np.max(np.abs(d))) if d.size else 0.0 for d in diffs)
     return DiagnosticRecord(
         t=float(t),
-        energy=area_energy(u).total,
+        energy=area_energy(u),
         mean=float(np.sum(g.cell_volumes * u.values)) / g.total_volume,
         sup_norm=float(np.max(np.abs(u.values))),
         lip=float(np.max(colocated_magnitude(u))),
@@ -180,13 +180,16 @@ def check_monotone(series, tolerance: float, name: str = "monotone") -> Verdict:
     )
 
 
-def check_ut_decay(traj, slack: float = 1.5) -> Verdict:
-    """Velocity decay gate: ut_l2(t) <= slack * |u0|_w / t at every step.
+_UT_DECAY_SLACK = 1.5
+
+
+def check_ut_decay(traj) -> Verdict:
+    """Velocity decay gate: ut_l2(t) <= _UT_DECAY_SLACK * |u0|_w / t at every step.
 
     Reports the largest signed excess over the bound and its time.
     """
     excess, at = max(
-        (rec.ut_l2 - slack * traj.u0_norm / rec.t, rec.t)
+        (rec.ut_l2 - _UT_DECAY_SLACK * traj.u0_norm / rec.t, rec.t)
         for rec in traj.records
         if rec.t > 0.0
     )
@@ -196,7 +199,7 @@ def check_ut_decay(traj, slack: float = 1.5) -> Verdict:
         worst_violation=excess,
         location=at,
         tolerance=0.0,
-        detail=f"slack {slack}, |u0|_w = {traj.u0_norm:.6g}",
+        detail=f"slack {_UT_DECAY_SLACK}, |u0|_w = {traj.u0_norm:.6g}",
     )
 
 

@@ -11,12 +11,13 @@ proximal map of the conjugate and ``prox_quadratic`` the closed-form
 proximal map of the implicit-step quadratic.
 
 Discretization: the saddle operator K maps cell values to the dual space,
-and the discrete area is sum W * sqrt(1 + |K u|^2) over the dual entries
-plus the volume no dual weight W covers.  ``_make_ops`` is the one place
-that picks the dual layout.  One-axis grids (interval, radial) put the dual
-on faces: K is the face gradient and W the face control volumes, so each
-term depends on a single difference quotient, the discrete comparison
-principle is exact, and the boundary half cells form the uncovered volume.
+and the discrete area, which ``area_energy`` returns as one float, is
+sum W * sqrt(1 + |K u|^2) over the dual entries plus the volume no dual
+weight W covers.  ``_make_ops`` is the one place that picks the dual
+layout.  One-axis grids (interval, radial) put the dual on faces: K is the
+face gradient and W the face control volumes, so each term depends on a
+single difference quotient, the discrete comparison principle is exact,
+and the boundary half cells form the uncovered volume.
 The rectangle puts a 2-vector dual on each cell: K co-locates per-axis
 face-pair means onto cells and the Euclidean norm couples the axes, which
 keeps the two-dimensional functional isotropic; W is the cell volume and
@@ -25,8 +26,6 @@ unless the field is constant, and are invariant under adding a constant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,30 +38,10 @@ from .grid import (
 )
 
 __all__ = [
-    "EnergyBreakdown",
     "area_energy",
-    "conjugate_value",
     "prox_dual",
     "prox_quadratic",
 ]
-
-# Classification threshold separating resolved slopes from grid-scale ones;
-# a genuine jump has a difference quotient of order 1/h, far above this.
-STEEP_DEFAULT = 10.0
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Total area and its split into sub- and super-threshold parts.
-
-    ``total == smooth_part + steep_part`` exactly, and ``total`` is never
-    below the domain volume.
-    """
-
-    total: float
-    smooth_part: float
-    steep_part: float
-    threshold: float
 
 
 class _OneAxisOps:
@@ -136,42 +115,13 @@ def _make_ops(grid: Grid):
     return _RectangleOps(grid) if grid.kind == "rectangle" else _OneAxisOps(grid)
 
 
-def area_energy(u: CellField, steep_threshold: float = STEEP_DEFAULT) -> EnergyBreakdown:
-    """Discrete graph area of a cell field.
-
-    The split assigns a term to ``steep_part`` when the gradient magnitude
-    it sees exceeds ``steep_threshold`` (face gradients on one-axis grids,
-    co-located magnitudes on rectangles).  The uncovered volume (the
-    boundary half cells of one-axis grids) counts as smooth.
-    """
-    if steep_threshold <= 0:
-        raise ValueError(f"steep_threshold must be positive, got {steep_threshold}")
+def area_energy(u: CellField) -> float:
+    """Discrete graph area of a cell field; never below the domain volume."""
     ops = _make_ops(u.grid)
     mag = ops.magnitude(ops.k_apply(u.values))
     terms = ops.dual_weights * np.sqrt(1.0 + mag * mag)
     uncovered = u.grid.total_volume - float(ops.dual_weights.sum())
-    steep = mag > steep_threshold
-    steep_part = float(terms[steep].sum())
-    smooth_part = float(terms[~steep].sum()) + uncovered
-    return EnergyBreakdown(
-        total=smooth_part + steep_part,
-        smooth_part=smooth_part,
-        steep_part=steep_part,
-        threshold=float(steep_threshold),
-    )
-
-
-def conjugate_value(p) -> float:
-    """sqrt(1 - |p|^2) for a dual vector p with |p| <= 1.
-
-    Raises:
-        ValueError: when |p| exceeds 1 beyond a 1e-12 rounding grace.
-    """
-    p = np.asarray(p, dtype=float)
-    m2 = float(np.sum(p * p))
-    if m2 > 1.0 + 1e-12:
-        raise ValueError(f"dual vector has norm {np.sqrt(m2):.17g} > 1")
-    return float(np.sqrt(max(1.0 - m2, 0.0)))
+    return float(terms.sum()) + uncovered
 
 
 def _dual_radius(m, sigma: float, w: np.ndarray):

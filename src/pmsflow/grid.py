@@ -25,6 +25,7 @@ loop to skip the per-call finiteness checks of the field types.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,6 @@ class Grid:
     @property
     def ndim(self) -> int:
         return len(self.shape)
-
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.shape))
 
     @property
     def total_volume(self) -> float:
@@ -204,24 +201,32 @@ def build_grid(spec: dict) -> Grid:
         "rectangle": {"kind", "lo", "hi", "cells"},
         "radial": {"kind", "dimension", "radius", "cells"},
     }
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise ValueError(f"unknown grid kind {kind!r}")
     extra = set(spec) - known[kind]
     if extra:
         raise ValueError(f"unknown grid keys for {kind}: {sorted(extra)}")
     try:
         if kind == "interval":
-            return interval_grid(float(spec["lo"]), float(spec["hi"]), int(spec["cells"]))
+            cells = _as_count(spec["cells"], "cells")
+            return interval_grid(float(spec["lo"]), float(spec["hi"]), cells)
         if kind == "rectangle":
-            lo = tuple(float(v) for v in spec["lo"])
-            hi = tuple(float(v) for v in spec["hi"])
-            cells = tuple(int(v) for v in spec["cells"])
-            if len(lo) != 2 or len(hi) != 2 or len(cells) != 2:
+            lo, hi, cells = (spec[key] for key in ("lo", "hi", "cells"))
+            if not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in (lo, hi, cells)):
                 raise ValueError("rectangle lo/hi/cells must be pairs")
-            return rectangle_grid(lo, hi, cells)
-        return radial_grid(int(spec["dimension"]), float(spec["radius"]), int(spec["cells"]))
+            cells = tuple(_as_count(n, "cells") for n in cells)
+            return rectangle_grid(tuple(map(float, lo)), tuple(map(float, hi)), cells)
+        dimension = _as_count(spec["dimension"], "dimension")
+        return radial_grid(dimension, float(spec["radius"]), _as_count(spec["cells"], "cells"))
     except KeyError as exc:
         raise ValueError(f"grid spec missing key {exc}") from exc
+
+
+def _as_count(value, key: str) -> int:
+    """A config integer; a float is rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CellField, Grid
+from .grid import CellField, Grid, _as_count
 from .reference import QuarterCircleProfile
 
 __all__ = [
@@ -107,7 +107,7 @@ def random_piecewise(
     """
     _one_axis(grid, "random_piecewise")
     n = grid.shape[0]
-    pieces = int(pieces)
+    pieces = _as_count(pieces, "pieces")
     if not 1 <= pieces <= n:
         raise ValueError(f"pieces must lie in [1, {n}], got {pieces}")
     if amplitude <= 0:
@@ -141,7 +141,7 @@ def build_initial(grid: Grid, spec: dict) -> CellField:
         raise ValueError(f"initial spec must be a mapping, got {type(spec).__name__}")
     params = dict(spec)
     kind = params.pop("type", None)
-    if kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ValueError(
             f"unknown initial type {kind!r}; expected one of {sorted(_BUILDERS)}"
         )
@@ -150,7 +150,6 @@ def build_initial(grid: Grid, spec: dict) -> CellField:
     if unknown:
         raise ValueError(f"unknown keys for initial type {kind!r}: {sorted(unknown)}")
     if kind == "random_piecewise":
-        seed = int(params.pop("seed", 0))
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_as_count(params.pop("seed", 0), "seed"))
         return random_piecewise(grid, rng, **params)
     return builder(grid, **params)

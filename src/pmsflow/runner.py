@@ -32,6 +32,7 @@ import numpy as np
 import yaml
 
 from .diagnostics import (
+    DiagnosticRecord,
     Verdict,
     check_ut_decay,
     regularization_time,
@@ -54,7 +55,6 @@ __all__ = [
     "RunReport",
     "load_config",
     "run",
-    "verify_suite",
     "main",
 ]
 
@@ -170,7 +170,7 @@ def load_config(path) -> RunConfig:
 
 def _resolve(experiment: str, settings: dict) -> RunConfig:
     """Fill the named experiment's preset in under the explicit settings."""
-    if experiment not in _EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of "
             f"{sorted(_EXPERIMENTS)}"
@@ -243,50 +243,35 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_rows(path: Path, header: str, columns) -> None:
+    """Write ``header`` and one row per entry of the equal-length columns,
+    streamed so that no copy of the table is held in memory."""
+    rows = zip(*(np.ravel(c) for c in columns))
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def _write_series_csv(path: Path, traj: Trajectory) -> None:
-    lines = ["t,energy,mean,sup,lip,ut_l2,ut_sup,max_face_diff,jump_count"]
-    for rec in traj.records:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(rec.t),
-                    _fmt(rec.energy),
-                    _fmt(rec.mean),
-                    _fmt(rec.sup_norm),
-                    _fmt(rec.lip),
-                    _fmt(rec.ut_l2),
-                    _fmt(rec.ut_sup),
-                    _fmt(rec.max_face_diff),
-                    str(rec.jump_count),
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(
+        path,
+        "t,energy,mean,sup,lip,ut_l2,ut_sup,max_face_diff,jump_count",
+        [traj.series(name) for name in DiagnosticRecord.FIELDS],
+    )
 
 
 def _write_snapshot_csv(path: Path, grid: Grid, u: CellField, flux: FaceField) -> None:
-    """One row per cell; flux columns hold the flux on the cell's left face
-    per axis, with 0 on the boundary where the zero-flux wall sits."""
-    if grid.ndim == 1:
-        x = grid.cell_centers[0]
-        left = np.concatenate(([0.0], flux.components[0]))
-        lines = ["x,u,flux_left"]
-        for i in range(x.size):
-            lines.append(f"{_fmt(x[i])},{_fmt(u.values[i])},{_fmt(left[i])}")
-    else:
-        xs, ys = grid.cell_centers
-        nx, ny = grid.shape
-        zx, zy = flux.components
-        left_x = np.concatenate([np.zeros((1, ny)), zx], axis=0)
-        left_y = np.concatenate([np.zeros((nx, 1)), zy], axis=1)
-        lines = ["x,y,u,flux_left_x,flux_left_y"]
-        for i in range(nx):
-            for j in range(ny):
-                lines.append(
-                    f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(u.values[i, j])},"
-                    f"{_fmt(left_x[i, j])},{_fmt(left_y[i, j])}"
-                )
-    path.write_text("\n".join(lines) + "\n")
+    """One row per cell in i-major order; flux columns hold the flux on the
+    cell's left face per axis, with 0 on the boundary where the zero-flux
+    wall sits."""
+    axes = "xy"[: grid.ndim]
+    fluxes = ["flux_left"] if grid.ndim == 1 else [f"flux_left_{a}" for a in axes]
+    left = [
+        np.pad(z, [(int(a == k), 0) for a in range(grid.ndim)])
+        for k, z in enumerate(flux.components)
+    ]
+    centers = np.meshgrid(*grid.cell_centers, indexing="ij")
+    _write_rows(path, ",".join([*axes, "u", *fluxes]), [*centers, u.values, *left])
 
 
 def _json_safe(value):
@@ -318,6 +303,8 @@ class RunReport:
 def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
     traj = _evolve_config(cfg)
     grid = traj.grid
     gates = _gate_verdicts(traj, cfg.experiment)
@@ -325,8 +312,6 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     reg_time = regularization_time(traj)
     elapsed = time.perf_counter() - started
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     series_path = out / "series.csv"
     _write_series_csv(series_path, traj)
     snapshot_paths = []
@@ -417,14 +402,6 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     )
 
 
-def verify_suite(seed: int = 0, progress=None) -> tuple[list[Verdict], bool]:
-    """Run the acceptance suite; returns (verdicts, all_passed)."""
-    from .acceptance import run_acceptance  # acceptance imports this module
-
-    verdicts = run_acceptance(seed=seed, progress=progress)
-    return verdicts, all(v.passed for v in verdicts)
-
-
 _CONFIG_REFERENCE = """\
 # Run configuration reference (YAML).  Every key is optional unless the
 # chosen experiment leaves it unset; explicit keys override the preset.
@@ -492,7 +469,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    verdicts, passed = verify_suite(seed=args.seed, progress=print)
+    from .acceptance import run_acceptance  # acceptance imports this module
+
+    verdicts = run_acceptance(seed=args.seed, progress=print)
+    passed = all(v.passed for v in verdicts)
     lines = []
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
@@ -546,10 +526,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

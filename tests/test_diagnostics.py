@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pmsflow import diagnostics
 from pmsflow.diagnostics import (
     DiagnosticRecord,
     check_contraction,
@@ -152,14 +153,16 @@ def test_check_monotone_short_series_passes():
     assert v.passed and v.worst_violation == 0.0 and v.location is None
 
 
-def test_check_ut_decay_on_a_real_run():
+def test_check_ut_decay_on_a_real_run(monkeypatch):
     grid = interval_grid(0.0, 1.0, 20)
     traj = evolve(cosine(grid), 0.05, SolverConfig(tau=5e-3))
     good = check_ut_decay(traj)
     assert good.name == "velocity_decay"
     assert good.passed and good.worst_violation < 0.0
     assert good.location in traj.times[1:]
-    strict = check_ut_decay(traj, slack=0.0)
+    assert "slack 1.5" in good.detail
+    monkeypatch.setattr(diagnostics, "_UT_DECAY_SLACK", 0.0)
+    strict = check_ut_decay(traj)
     assert not strict.passed
     assert strict.location is not None
 

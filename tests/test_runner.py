@@ -181,6 +181,59 @@ def test_snapshot_csv_round_trips_the_state(small_run):
     assert np.array_equal(data[1:, 2], flux.components[0])
 
 
+def _run_custom(tmp_path, grid, initial):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            f"experiment: custom\ngrid: {grid}\ninitial: {initial}\n"
+            "tau: 5.0e-3\nt_end: 1.0e-2\nsnapshot_times: [0.01]\n",
+        )
+    )
+    report = run(cfg, tmp_path / "out")
+    (path,) = report.snapshot_paths
+    _, u, flux = report.trajectory.snapshot_at(0.01)
+    return path, report.trajectory.grid, u, flux
+
+
+def test_rectangle_snapshot_csv_round_trips_the_state(tmp_path):
+    path, grid, u, flux = _run_custom(
+        tmp_path,
+        "{kind: rectangle, lo: [0.0, 0.0], hi: [1.0, 2.0], cells: [6, 5]}",
+        "{type: cosine, amplitude: 0.5}",
+    )
+    assert path.read_text().splitlines()[0] == "x,y,u,flux_left_x,flux_left_y"
+    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    assert data.shape == (30, 5)
+    xs, ys = grid.cell_centers
+    # one row per cell, i-major: the y index runs fastest
+    assert np.array_equal(data[:, 0], np.repeat(xs, 5))
+    assert np.array_equal(data[:, 1], np.tile(ys, 6))
+    assert np.array_equal(data[:, 2], u.values.ravel())
+    left_x = data[:, 3].reshape(6, 5)
+    left_y = data[:, 4].reshape(6, 5)
+    zx, zy = flux.components
+    assert np.all(left_x[0, :] == 0.0) and np.all(left_y[:, 0] == 0.0)
+    assert np.array_equal(left_x[1:, :], zx)
+    assert np.array_equal(left_y[:, 1:], zy)
+    assert np.any(zx != 0.0) and np.any(zy != 0.0)
+
+
+def test_radial_snapshot_csv_round_trips_the_state(tmp_path):
+    path, grid, u, flux = _run_custom(
+        tmp_path,
+        "{kind: radial, dimension: 3, radius: 1.0, cells: 12}",
+        "{type: capped_inverse, cap: 5.0}",
+    )
+    assert path.read_text().splitlines()[0] == "x,u,flux_left"
+    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    assert data.shape == (12, 3)
+    assert np.array_equal(data[:, 0], grid.cell_centers[0])
+    assert np.array_equal(data[:, 1], u.values)
+    assert data[0, 2] == 0.0  # no face at r = 0
+    assert np.array_equal(data[1:, 2], flux.components[0])
+    assert np.any(flux.components[0] != 0.0)
+
+
 def test_identical_configs_write_identical_csvs(tmp_path):
     cfg = load_config(write_config(tmp_path, CUSTOM_SMALL))
     first = run(cfg, tmp_path / "a")
@@ -236,6 +289,53 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SMALL_GRID = "{kind: interval, lo: 0.0, hi: 1.0, cells: 8}"
+_SMALL_INITIAL = "{type: cosine}"
+
+
+@pytest.mark.parametrize(
+    "grid, initial, key",
+    [
+        (_SMALL_GRID, _SMALL_INITIAL, "experiment"),
+        ("{kind: [interval], lo: 0.0, hi: 1.0, cells: 8}", _SMALL_INITIAL, "kind"),
+        (_SMALL_GRID, "{type: [cosine]}", "type"),
+        ("{kind: interval, lo: 0.0, hi: 1.0, cells: .inf}", _SMALL_INITIAL, "cells"),
+        ("{kind: interval, lo: 0.0, hi: 1.0, cells: 2.7}", _SMALL_INITIAL, "cells"),
+        ("{kind: rectangle, lo: [0, 0], hi: [1, 1], cells: [4, 4.5]}", _SMALL_INITIAL, "cells"),
+        ("{kind: radial, dimension: 3.5, radius: 1.0, cells: 8}", _SMALL_INITIAL, "dimension"),
+        (_SMALL_GRID, "{type: random_piecewise, seed: 2.5, pieces: 2}", "seed"),
+        (_SMALL_GRID, "{type: random_piecewise, seed: 1, pieces: 2.5}", "pieces"),
+    ],
+    ids=["experiment-list", "kind-list", "type-list", "cells-inf", "cells-float",
+         "rectangle-cells-float", "dimension-float", "seed-float", "pieces-float"],
+)
+def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, key):
+    experiment = "[quarter_circles]" if key == "experiment" else "custom"
+    path = write_config(
+        tmp_path,
+        f"experiment: {experiment}\ngrid: {grid}\ninitial: {initial}\n"
+        "tau: 5.0e-3\nt_end: 1.0e-2\n",
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("unusable", ["config", "out"])
+def test_cli_rejects_unusable_paths_before_evolving(tmp_path, monkeypatch, capsys, unusable):
+    monkeypatch.setattr(runner_module, "evolve", lambda *a, **kw: pytest.fail("evolved"))
+    config = write_config(tmp_path, CUSTOM_SMALL)
+    out = tmp_path / "out"
+    if unusable == "config":
+        config = tmp_path / "a_directory"
+        config.mkdir()
+    else:
+        out.write_text("an existing file\n")
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    bad = config if unusable == "config" else out
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_cli_rejects_a_missing_config(tmp_path, capsys):

@@ -185,8 +185,8 @@ def test_step_dissipates_energy_and_keeps_flux_feasible(grid):
     cfg = SolverConfig(tau=1e-2)
     res = implicit_step(u, cfg)
     step_cost = np.sum(grid.cell_volumes * (res.u_next.values - u.values) ** 2)
-    lhs = area_energy(res.u_next).total + step_cost / (2.0 * cfg.tau)
-    assert lhs <= area_energy(u).total + cfg.inner_tol
+    lhs = area_energy(res.u_next) + step_cost / (2.0 * cfg.tau)
+    assert lhs <= area_energy(u) + cfg.inner_tol
     assert max(float(np.max(np.abs(c))) for c in res.flux.components) < 1.0
     assert res.kkt_residual <= cfg.inner_tol
 
