@@ -66,7 +66,8 @@ class _Workspace:
     """Cache of the evolutions shared between criteria, seeded once.
 
     Runs that are presets of ``pmsflow run`` come from the runner's preset
-    table; the others pick their step ratio by measurement on each suite run.
+    table; the others pass a fixed step ratio (0.03, 3e-3 or 0.01) to
+    ``balanced_steps``.
     """
 
     def __init__(self, seed: int):

@@ -134,25 +134,18 @@ def default_jump_threshold(u0: CellField) -> float:
     return float(max(kappa, floor))
 
 
-def regularization_time(traj, kappa: float | None = None):
+def regularization_time(traj):
     """First recorded time after which the jump set stays empty.
 
-    With ``kappa=None`` the jump counts recorded during the run are used;
-    passing a different kappa requires the trajectory to have stored states
-    (``keep="all"``).  Returns ``times[0]`` when no record ever jumps and
-    ``None`` when jumps persist through the final record.
+    Reads the jump counts recorded during the run.  Returns ``times[0]``
+    when no record ever jumps and ``None`` when jumps persist through the
+    final record.
     """
-    if kappa is None or kappa == traj.kappa:
-        counts = [rec.jump_count for rec in traj.records]
-    else:
-        if traj.states is None:
-            raise ValueError("recomputing with a different kappa needs keep='all'")
-        counts = [len(jump_set(s, kappa)) for s in traj.states]
-    nonzero = [k for k, c in enumerate(counts) if c > 0]
+    nonzero = [k for k, rec in enumerate(traj.records) if rec.jump_count > 0]
     if not nonzero:
         return float(traj.times[0])
     last = nonzero[-1]
-    if last == len(counts) - 1:
+    if last == len(traj.records) - 1:
         return None
     return float(traj.times[last + 1])
 

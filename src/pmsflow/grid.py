@@ -25,7 +25,9 @@ loop to skip the per-call finiteness checks of the field types.
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,9 @@ __all__ = [
     "cell_norm",
     "face_inner",
 ]
+
+
+_MAX_CELLS = 10**6  # far above every preset and planned sweep, far below exhausting memory
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -191,7 +196,8 @@ def build_grid(spec: dict) -> Grid:
         {"kind": "radial", "dimension": 3, "radius": 1.0, "cells": 400}
 
     Raises:
-        ValueError: unknown kind, missing keys, or degenerate geometry.
+        ValueError: unknown kind, missing keys, or degenerate geometry;
+            its subclass ConfigError for a bad value or too many cells.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("grid spec must be a mapping with a 'kind' key")
@@ -207,26 +213,46 @@ def build_grid(spec: dict) -> Grid:
     if extra:
         raise ValueError(f"unknown grid keys for {kind}: {sorted(extra)}")
     try:
-        if kind == "interval":
-            cells = _as_count(spec["cells"], "cells")
-            return interval_grid(float(spec["lo"]), float(spec["hi"]), cells)
         if kind == "rectangle":
             lo, hi, cells = (spec[key] for key in ("lo", "hi", "cells"))
             if not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in (lo, hi, cells)):
                 raise ValueError("rectangle lo/hi/cells must be pairs")
-            cells = tuple(_as_count(n, "cells") for n in cells)
-            return rectangle_grid(tuple(map(float, lo)), tuple(map(float, hi)), cells)
+            shape = tuple(_as_count(n, "cells") for n in cells)
+        else:
+            shape = (_as_count(spec["cells"], "cells"),)
+        if math.prod(shape) > _MAX_CELLS:
+            raise ConfigError(f"cells must total at most {_MAX_CELLS}, got {shape}")
+        if kind == "interval":
+            lo, hi = _as_float(spec["lo"], "lo"), _as_float(spec["hi"], "hi")
+            return interval_grid(lo, hi, *shape)
+        if kind == "rectangle":
+            lo = tuple(_as_float(v, "lo") for v in lo)
+            hi = tuple(_as_float(v, "hi") for v in hi)
+            return rectangle_grid(lo, hi, shape)
         dimension = _as_count(spec["dimension"], "dimension")
-        return radial_grid(dimension, float(spec["radius"]), _as_count(spec["cells"], "cells"))
+        return radial_grid(dimension, _as_float(spec["radius"], "radius"), *shape)
     except KeyError as exc:
         raise ValueError(f"grid spec missing key {exc}") from exc
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or inconsistent run configurations."""
 
 
 def _as_count(value, key: str) -> int:
     """A config integer; a float is rejected rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(value, key: str) -> float:
+    """A finite config number; a bool, string or list is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass

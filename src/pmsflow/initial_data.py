@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CellField, Grid, _as_count
+from .grid import CellField, Grid, _as_count, _as_float
 from .reference import QuarterCircleProfile
 
 __all__ = [
@@ -135,7 +135,9 @@ def build_initial(grid: Grid, spec: dict) -> CellField:
     """Build a profile from a mapping like {"type": "cosine", "amplitude": 2}.
 
     ``random_piecewise`` takes a ``seed`` (default 0) instead of a generator
-    so configs stay fully reproducible.
+    so configs stay fully reproducible.  ``seed`` and ``pieces`` must be
+    integers and every other value a finite number (a null ``position`` is
+    the midpoint), else ConfigError names the key.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"initial spec must be a mapping, got {type(spec).__name__}")
@@ -149,7 +151,12 @@ def build_initial(grid: Grid, spec: dict) -> CellField:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown keys for initial type {kind!r}: {sorted(unknown)}")
+    for key, value in params.items():
+        if key in ("seed", "pieces"):
+            params[key] = _as_count(value, key)
+        elif not (key == "position" and value is None):  # null: the midpoint
+            params[key] = _as_float(value, key)
     if kind == "random_piecewise":
-        rng = np.random.default_rng(_as_count(params.pop("seed", 0), "seed"))
+        rng = np.random.default_rng(params.pop("seed", 0))
         return random_piecewise(grid, rng, **params)
     return builder(grid, **params)

@@ -9,9 +9,11 @@ Subcommands:
 ``run`` executes one configured evolution, writes series.csv, one snapshot
 CSV per requested time, and a report in text and JSON form, then checks the
 run against its gates (conservation, dissipation, max principle, velocity
-decay, plus smoothness monotonicity for the smooth preset).  ``verify``
-executes the acceptance suite.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 configuration or usage error, 3 the inner solver did not converge.
+decay, plus smoothness monotonicity for the smooth preset).  Both reports
+render one summary record; report.txt and ``verify`` print every verdict
+as the same margin line.  ``verify`` executes the acceptance suite.  Exit
+codes: 0 all checks passed, 1 a check failed, 2 configuration or usage
+error, 3 the inner solver did not converge.
 
 CSV outputs never embed timestamps or other run-local state, so identical
 configs produce byte identical CSVs; the reports additionally carry wall
@@ -39,7 +41,7 @@ from .diagnostics import (
     smoothness_gates,
     structural_gates,
 )
-from .grid import CellField, FaceField, Grid, build_grid
+from .grid import CellField, ConfigError, FaceField, Grid, _as_count, _as_float, build_grid
 from .initial_data import build_initial
 from .solver import (
     NonConvergenceError,
@@ -57,10 +59,6 @@ __all__ = [
     "run",
     "main",
 ]
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent run configurations."""
 
 
 # Keys every experiment may leave unset: no snapshots, the default jump
@@ -132,24 +130,6 @@ class RunConfig:
 _TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return float(value)
-
-
-def _as_optional_float(value, key: str):
-    return None if value is None else _as_float(value, key)
-
-
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def load_config(path) -> RunConfig:
     """Parse and resolve a YAML run config; unknown keys are errors."""
     text = Path(path).read_text()
@@ -188,6 +168,9 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
     snaps = merged["snapshot_times"]
     if not isinstance(snaps, (list, tuple)):
         raise ConfigError(f"snapshot_times must be a list, got {snaps!r}")
+    optional = {
+        k: None if merged[k] is None else _as_float(merged[k], k) for k in ("kappa", "sigma", "s")
+    }
     return RunConfig(
         experiment=experiment,
         grid=dict(merged["grid"]),
@@ -195,13 +178,11 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
         tau=_as_float(merged["tau"], "tau"),
         t_end=_as_float(merged["t_end"], "t_end"),
         snapshot_times=tuple(_as_float(t, "snapshot_times") for t in snaps),
-        kappa=_as_optional_float(merged["kappa"], "kappa"),
         inner_tol=_as_float(merged["inner_tol"], "inner_tol"),
-        max_inner=_as_int(merged["max_inner"], "max_inner"),
+        max_inner=_as_count(merged["max_inner"], "max_inner"),
         theta=_as_float(merged["theta"], "theta"),
-        check_every=_as_int(merged["check_every"], "check_every"),
-        sigma=_as_optional_float(merged["sigma"], "sigma"),
-        s=_as_optional_float(merged["s"], "s"),
+        check_every=_as_count(merged["check_every"], "check_every"),
+        **optional,
     )
 
 
@@ -213,8 +194,9 @@ def _gate_verdicts(traj: Trajectory, experiment: str) -> list[Verdict]:
     return gates
 
 
-def _evolve_config(cfg: RunConfig) -> Trajectory:
-    """Build the grid and initial data of a resolved config and evolve them."""
+def _evolve_inputs(cfg: RunConfig) -> tuple[CellField, SolverConfig]:
+    """The initial data and solver settings of a resolved config: a bad
+    grid, initial value or solver setting fails here, before any write."""
     grid = build_grid(cfg.grid)
     u0 = build_initial(grid, cfg.initial)
     sigma, s = cfg.sigma, cfg.s
@@ -230,13 +212,13 @@ def _evolve_config(cfg: RunConfig) -> Trajectory:
         max_inner=cfg.max_inner,
         check_every=cfg.check_every,
     )
-    return evolve(
-        u0,
-        cfg.t_end,
-        solver_cfg,
-        snapshot_times=cfg.snapshot_times,
-        kappa=cfg.kappa,
-    )
+    return u0, solver_cfg
+
+
+def _evolve_config(cfg: RunConfig) -> Trajectory:
+    """Build the grid and initial data of a resolved config and evolve them."""
+    u0, solver_cfg = _evolve_inputs(cfg)
+    return evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
 
 
 def _fmt(value: float) -> str:
@@ -300,13 +282,26 @@ class RunReport:
     trajectory: Trajectory
 
 
+def _verdict_line(v: Verdict) -> str:
+    """A verdict's status, signed margin past its tolerance, and where."""
+    status = "PASS" if v.passed else "FAIL"
+    margin = v.worst_violation - v.tolerance
+    return f"{status} {v.name}: margin {margin:.3e} at {v.location}; {v.detail}"
+
+
+def _verdict_lines(verdicts: list[Verdict]) -> list[str]:
+    """One line per verdict, then the overall verdict."""
+    overall = "PASS" if all(v.passed for v in verdicts) else "FAIL"
+    return [*map(_verdict_line, verdicts), f"overall: {overall}"]
+
+
 def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
+    u0, solver_cfg = _evolve_inputs(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
-    traj = _evolve_config(cfg)
-    grid = traj.grid
+    traj = evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
     gates = _gate_verdicts(traj, cfg.experiment)
     passed = all(g.passed for g in gates)
     reg_time = regularization_time(traj)
@@ -316,40 +311,12 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     _write_series_csv(series_path, traj)
     snapshot_paths = []
     for t, u, flux in traj.snapshots:
-        p = out / f"snapshot_t{t:.6f}.csv"
-        _write_snapshot_csv(p, grid, u, flux)
-        snapshot_paths.append(p)
+        snapshot_paths.append(out / f"snapshot_t{t:.6f}.csv")
+        _write_snapshot_csv(snapshot_paths[-1], traj.grid, u, flux)
+    report_text_path, report_json_path = out / "report.txt", out / "report.json"
 
     final = traj.records[-1]
-    if reg_time is None:
-        reg_text = "none (jumps persist through the final record)"
-    else:
-        reg_text = f"{reg_time:g}"
-    text_lines = [
-        f"experiment: {cfg.experiment}",
-        f"grid: {grid.kind}, cells {'x'.join(str(n) for n in grid.shape)}, "
-        f"spacing {'x'.join(_fmt(h) for h in grid.spacing)}",
-        f"steps: {len(traj.records) - 1} x tau {cfg.tau:g} -> t_end {float(traj.times[-1]):g}",
-        f"inner iterations: total {int(np.sum(traj.inner_iters))}, "
-        f"max per step {int(np.max(traj.inner_iters))}",
-        f"largest step kkt residual: {float(np.max(traj.kkt_residuals)):.3e}",
-        f"regularization time (kappa {traj.kappa:g}): {reg_text}",
-        f"final: t {final.t:g}, energy {final.energy:.12g}, sup {final.sup_norm:.6g}, "
-        f"jumps {final.jump_count}",
-        f"wall time: {elapsed:.2f}s",
-        "gates:",
-    ]
-    for g in gates:
-        status = "PASS" if g.passed else "FAIL"
-        text_lines.append(
-            f"  {status} {g.name}: worst {g.worst_violation:.3e} "
-            f"tolerance {g.tolerance:.3e} ({g.detail})"
-        )
-    text_lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    report_text_path = out / "report.txt"
-    report_text_path.write_text("\n".join(text_lines) + "\n")
-
-    report = {
+    summary = {
         "experiment": cfg.experiment,
         "grid": cfg.grid,
         "initial": cfg.initial,
@@ -362,9 +329,9 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
         "kappa": traj.kappa,
         "regularization_time": reg_time,
         "wall_time_seconds": elapsed,
-        "outputs": ["series.csv"]
-        + [f"snapshot_t{t:.6f}.csv" for t, _, _ in traj.snapshots]
-        + ["report.txt", "report.json"],
+        "outputs": [
+            p.name for p in (series_path, *snapshot_paths, report_text_path, report_json_path)
+        ],
         "final": {
             "t": final.t,
             "energy": final.energy,
@@ -373,20 +340,11 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
             "lip": final.lip,
             "jump_count": final.jump_count,
         },
-        "gates": [
-            {
-                "name": g.name,
-                "passed": g.passed,
-                "worst_violation": _json_safe(g.worst_violation),
-                "tolerance": g.tolerance,
-                "location": _json_safe(g.location),
-                "detail": g.detail,
-            }
-            for g in gates
-        ],
-        "passed": passed,
     }
-    report_json_path = out / "report.json"
+    lines = [f"{k.replace('_', ' ')}: {json.dumps(v, sort_keys=True)}" for k, v in summary.items()]
+    report_text_path.write_text("\n".join(lines + _verdict_lines(gates)) + "\n")
+    gate_docs = [{k: _json_safe(v) for k, v in dataclasses.asdict(g).items()} for g in gates]
+    report = {**summary, "gates": gate_docs, "passed": passed}
     report_json_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     return RunReport(
@@ -472,22 +430,13 @@ def _cmd_verify(args) -> int:
     from .acceptance import run_acceptance  # acceptance imports this module
 
     verdicts = run_acceptance(seed=args.seed, progress=print)
-    passed = all(v.passed for v in verdicts)
-    lines = []
-    for v in verdicts:
-        status = "PASS" if v.passed else "FAIL"
-        lines.append(
-            f"{status} {v.name}: margin {v.worst_violation:.3e} at {v.location}; "
-            f"{v.detail}"
-        )
-    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(_verdict_lines(verdicts)) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "verify_report.txt").write_text(text)
-    return 0 if passed else 1
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 def main(argv=None) -> int:

@@ -117,17 +117,6 @@ def test_regularization_time_matches_the_jump_record():
     k = int(np.argmin(np.abs(np.asarray(traj.times) - reg)))
     assert jump_set(traj.states[k], 0.15) == []
     assert jump_set(traj.states[k - 1], 0.15) != []
-    # recomputing with the recorded kappa agrees with the records
-    assert regularization_time(traj, 0.15) == reg
-    # nothing is ever as tall as 10, so the answer is the first time
-    assert regularization_time(traj, 10.0) == 0.0
-
-
-def test_regularization_time_needs_states_for_new_kappa():
-    grid = interval_grid(0.0, 1.0, 20)
-    traj = evolve(step(grid, 0.0, 1.0), 0.002, SolverConfig(tau=1e-3), kappa=0.3)
-    with pytest.raises(ValueError):
-        regularization_time(traj, 0.123)
 
 
 def test_check_monotone_passes_decreasing_series():

@@ -250,6 +250,18 @@ def test_report_text_names_every_gate(small_run):
         assert gate.name in text
     assert "overall: PASS" in text
     assert "wall time" in text
+    # one line per summary key of report.json, then one margin line per
+    # gate in the format `verify` prints, then the overall line
+    with open(report.report_json_path) as fh:
+        doc = json.load(fh)
+    keys = [key for key in doc if key not in ("gates", "passed")]
+    lines = text.splitlines()
+    assert len(lines) == len(keys) + len(report.gates) + 1
+    summary = {line.split(": ", 1)[0] for line in lines[: len(keys)]}
+    assert summary == {key.replace("_", " ") for key in keys}
+    verdicts = lines[len(keys) : -1]
+    assert verdicts == [runner_module._verdict_line(g) for g in report.gates]
+    assert lines[-1] == "overall: PASS"
 
 
 # ---------------------------------------------------------------- CLI
@@ -307,9 +319,34 @@ _SMALL_INITIAL = "{type: cosine}"
         ("{kind: radial, dimension: 3.5, radius: 1.0, cells: 8}", _SMALL_INITIAL, "dimension"),
         (_SMALL_GRID, "{type: random_piecewise, seed: 2.5, pieces: 2}", "seed"),
         (_SMALL_GRID, "{type: random_piecewise, seed: 1, pieces: 2.5}", "pieces"),
+        ("{kind: sphere, lo: 0.0, hi: 1.0, cells: 8}", _SMALL_INITIAL, "kind"),
+        ("{kind: interval, lo: [0], hi: 1.0, cells: 8}", _SMALL_INITIAL, "lo"),
+        ("{kind: interval, lo: true, hi: 1.0, cells: 8}", _SMALL_INITIAL, "lo"),
+        ("{kind: interval, lo: 0.0, hi: .inf, cells: 8}", _SMALL_INITIAL, "hi"),
+        ("{kind: rectangle, lo: [0, '0'], hi: [1, 1], cells: [4, 4]}", _SMALL_INITIAL, "lo"),
+        ("{kind: rectangle, lo: [0, 0], hi: [1, .nan], cells: [4, 4]}", _SMALL_INITIAL, "hi"),
+        ("{kind: radial, dimension: 3, radius: .nan, cells: 8}", _SMALL_INITIAL, "radius"),
+        ("{kind: interval, lo: 0.0, hi: 1.0, cells: 1000000000}", _SMALL_INITIAL, "cells"),
+        ("{kind: rectangle, lo: [0, 0], hi: [1, 1], cells: [100000, 100000]}",
+         _SMALL_INITIAL, "cells"),
+        (_SMALL_GRID, "{type: cosine, amplitude: [1]}", "amplitude"),
+        (_SMALL_GRID, "{type: cosine, amplitude: true}", "amplitude"),
+        (_SMALL_GRID, "{type: step, position: [0.5]}", "position"),
+        (_SMALL_GRID, "{type: step, position: '0.5'}", "position"),
+        (_SMALL_GRID, "{type: step, left: .nan}", "left"),
+        (_SMALL_GRID, "{type: step, right: [1]}", "right"),
+        (_SMALL_GRID, "{type: constant, value: '1'}", "value"),
+        (_SMALL_GRID, "{type: quarter_circles, c: [1]}", "c"),
+        (_SMALL_GRID, "{type: capped_inverse, cap: .inf}", "cap"),
+        (_SMALL_GRID, "{type: random_piecewise, amplitude: false}", "amplitude"),
     ],
     ids=["experiment-list", "kind-list", "type-list", "cells-inf", "cells-float",
-         "rectangle-cells-float", "dimension-float", "seed-float", "pieces-float"],
+         "rectangle-cells-float", "dimension-float", "seed-float", "pieces-float",
+         "kind-unknown", "lo-list", "lo-bool", "hi-inf", "rectangle-lo-string",
+         "rectangle-hi-nan", "radius-nan", "cells-huge", "rectangle-cells-huge",
+         "amplitude-list", "amplitude-bool", "position-list", "position-string",
+         "left-nan", "right-list", "value-string", "c-list", "cap-inf",
+         "random-amplitude-bool"],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, key):
     experiment = "[quarter_circles]" if key == "experiment" else "custom"
@@ -321,6 +358,28 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, ke
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("tau", "-1.0"), ("theta", "2.0")])
+def test_cli_rejects_bad_solver_settings_before_writing(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, f"{CUSTOM_SMALL}{key}: {value}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_position_is_the_midpoint(tmp_path):
+    cfg = load_config(
+        write_config(
+            tmp_path,
+            "experiment: custom\ngrid: {kind: interval, lo: 0.0, hi: 1.0, cells: 8}\n"
+            "initial: {type: step, left: 0, right: 1, position: null}\n"
+            "tau: 5.0e-3\nt_end: 5.0e-3\nsnapshot_times: [0.0]\n",
+        )
+    )
+    _, u, _ = run(cfg, tmp_path / "out").trajectory.snapshot_at(0.0)
+    assert list(u.values) == [0.0] * 4 + [1.0] * 4
 
 
 @pytest.mark.parametrize("unusable", ["config", "out"])
