@@ -3,8 +3,9 @@
     u_t = div( grad u / sqrt(1 + |grad u|^2) )
 
 with zero-flux boundary conditions, discretized by implicit minimizing
-steps of the area functional and solved per step by a primal-dual iteration
-with certified termination.  Handles bounded data of bounded variation,
+steps of the area functional and solved per step, with certified
+termination, by Newton on the step's dual (interval and radial grids) or a
+primal-dual iteration (rectangles).  Handles bounded data of bounded variation,
 keeps genuine jumps sharp while they persist, and measures when they close.
 """
 

@@ -6,9 +6,11 @@ whose pointwise convex conjugate over the closed unit ball is
 
     sqrt(1 + |q|^2) = sup_{|p| <= 1} [ p.q + sqrt(1 - |p|^2) ]
 
-is what the primal-dual step solver exploits; ``prox_dual`` is the exact
-proximal map of the conjugate and ``prox_quadratic`` the closed-form
-proximal map of the implicit-step quadratic.
+is what both step solvers exploit.  The primal-dual iteration of
+rectangles uses ``prox_dual``, the exact proximal map of the conjugate, and
+``prox_quadratic``, the closed-form proximal map of the implicit-step
+quadratic.  The Newton solve of one-axis grids maximizes the step's dual,
+whose gradient and tridiagonal Hessian ``_OneAxisOps`` supplies.
 
 Discretization: the saddle operator K maps cell values to the dual space,
 and the discrete area, which ``area_energy`` returns as one float, is
@@ -72,6 +74,55 @@ class _OneAxisOps:
     @staticmethod
     def dual_from_flux(flux) -> np.ndarray:
         return flux.components[0]
+
+    def hessian_bands(self, p: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the Hessian of the negative step dual.
+
+        The Hessian is diag(W (1 - p^2)^(-3/2)) + tau * div^T V div, and
+        <div e_j, div e_k>_V is nonzero only for faces sharing a cell:
+        a_j^2 (1/V_j + 1/V_{j+1}) on the diagonal, -a_j a_{j+1} / V_{j+1}
+        beside it, with a the face areas and V the cell volumes.
+        """
+        a, vol = self.grid.face_areas[0], self.grid.cell_volumes
+        slack = (1.0 - p) * (1.0 + p)
+        diag = self.dual_weights / (slack * np.sqrt(slack))
+        diag += tau * a * a * (1.0 / vol[:-1] + 1.0 / vol[1:])
+        return diag, -tau * a[:-1] * a[1:] / vol[1:-1]
+
+    def dual_gradient(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Gradient W (p / sqrt(1 - p^2) - q) of the negative step dual.
+
+        The negative step dual is -sum W sqrt(1 - p^2) + <u_prev, div p>_V
+        + (tau/2) |div p|_V^2 with ``q`` = K u and u = u_prev + tau div p;
+        its gradient vanishes exactly where the dual relation does.
+        """
+        return self.dual_weights * (p / np.sqrt((1.0 - p) * (1.0 + p)) - q)
+
+    def newton_direction(self, p: np.ndarray, grad: np.ndarray, tau: float) -> np.ndarray:
+        """Newton direction -H^(-1) grad of the negative step dual at p."""
+        diag, off = self.hessian_bands(p, tau)
+        return _solve_tridiagonal(diag, off, -grad)
+
+
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite tridiagonal system by LDL^T.
+
+    ``diag`` holds the n diagonal entries and ``off`` the n - 1 entries
+    beside them.  The recurrence is sequential, so it runs over Python
+    floats, which costs less per entry than numpy's per-call dispatch.
+    """
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    n = len(d)
+    low = [0.0] * n
+    for i in range(1, n):
+        li = e[i - 1] / d[i - 1]
+        d[i] -= li * e[i - 1]
+        x[i] -= li * x[i - 1]
+        low[i] = li
+    x[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / d[i] - low[i + 1] * x[i + 1]
+    return np.array(x)
 
 
 class _RectangleOps:

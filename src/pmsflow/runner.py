@@ -47,6 +47,7 @@ from .solver import (
     NonConvergenceError,
     SolverConfig,
     Trajectory,
+    _check_run_settings,
     balanced_steps,
     evolve,
 )
@@ -74,8 +75,9 @@ _BASE_DEFAULTS = {
 }
 
 # Named presets.  ``step_ratio`` is the inner step-size ratio s/sigma a preset
-# runs with when the config leaves sigma and s unset (see ``balanced_steps``);
-# it cuts inner iterations several-fold on these experiments.  Explicit
+# runs with when the config leaves sigma and s unset (see ``balanced_steps``).
+# Only the rectangle loop uses sigma and s, so on these one-axis presets it
+# does not change the iterates.  Explicit
 # sigma/s in the config always win; custom runs keep the symmetric solver
 # default.  The smooth preset is gated on 1e-10 scale monotonicity, so it
 # runs with a tighter inner tolerance than the default.  The acceptance
@@ -299,6 +301,7 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
     u0, solver_cfg = _evolve_inputs(cfg)
+    _check_run_settings(u0.grid, cfg.t_end, solver_cfg, cfg.kappa)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
     traj = evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
@@ -399,6 +402,8 @@ kappa: 0.3            # jump detection threshold; null picks a grid-aware defaul
 
 inner_tol: 1.0e-8     # certificate tolerance of the implicit step solver
 max_inner: 20000      # inner iteration cap per step
+# theta, check_every, sigma and s steer the primal-dual iteration, which
+# only rectangles run; they are validated on every grid
 theta: 1.0            # extrapolation weight of the inner iteration, in [0, 1]
 check_every: 16       # termination check cadence of the inner iteration
 sigma: null           # dual step; null picks 1/L for the grid's bound L,

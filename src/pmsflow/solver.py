@@ -4,28 +4,43 @@ Each step advances u by solving the strictly convex problem
 
     minimize  E(v) + |v - u_prev|_w^2 / (2 tau)
 
-with E the discrete area functional, through a primal-dual iteration whose
-dual proximal map is exact (``prox_dual``) and whose primal proximal map is
-the closed form ``prox_quadratic``:
+with E the discrete area functional.  K and div are the saddle operators of
+``energy._make_ops`` (the face gradient on one-axis grids, the co-located
+cell gradient on rectangles), and the step has two inner solvers.
+
+On one-axis grids (interval, radial) the step's dual
+
+    maximize  D(p) = sum W sqrt(1 - p^2) - <u_prev, div p>_V
+                     - (tau/2) |div p|_V^2   over |p| < 1,
+
+with u = u_prev + tau * div p, is smooth and strictly concave, and its
+Hessian is tridiagonal.  Damped Newton solves it: each direction is one
+LDL^T solve with the closed-form bands, the step keeps a fixed fraction of
+the distance to |p| = 1 and backtracks until -D decreases (Armijo), or,
+once that decrease is below the rounding of -D, until the scaled gradient
+does.  It certifies within a handful of steps.
+
+On rectangles a primal-dual iteration (PDHG) runs, whose dual proximal map
+is exact (``prox_dual``) and whose primal proximal map is the closed form
+``prox_quadratic``:
 
     p    <- prox_dual(p + sigma * K vbar)
     v    <- prox_quadratic(v + s * div p, u_prev, tau, s)
     vbar <- v + theta * (v - v_prev)
 
-K and div are the saddle operators of ``energy._make_ops`` (the face gradient
-on one-axis grids, the co-located cell gradient on rectangles); the grid
-weights are carried by the pairing, so they cancel inside both proximal
-maps.  Because the quadratic term is (1/tau)-strongly convex and the dual
-conjugate is 1-strongly convex on its domain, the iteration converges
-linearly for fixed steps with s * sigma * L^2 <= 1.
+The grid weights are carried by the pairing, so they cancel inside both
+proximal maps.  Because the quadratic term is (1/tau)-strongly convex and
+the dual conjugate is 1-strongly convex on its domain, the iteration
+converges linearly for fixed steps with s * sigma * L^2 <= 1.
 
-Termination requires three certificates at tolerance ``inner_tol``: the
-primal stationarity residual, the pointwise dual relation residual, and the
-summed Fenchel gap, which at the finalized iterate equals the duality gap of
-the step problem.  The returned state is u_prev + tau * div(flux), so the
-weighted mean is conserved to machine precision and the per-step energy
-inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) + inner_tol
-holds by convex duality rather than by observation.
+Both solvers terminate on the same three certificates at tolerance
+``inner_tol``: the primal stationarity residual, the pointwise dual
+relation residual, and the summed Fenchel gap, which at the finalized
+iterate equals the duality gap of the step problem.  The returned state is
+u_prev + tau * div(flux), so the weighted mean is conserved to machine
+precision and the per-step energy inequality
+E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) + inner_tol holds by
+convex duality rather than by observation.
 """
 
 from __future__ import annotations
@@ -59,6 +74,11 @@ class SolverConfig:
 
     ``sigma`` and ``s`` default to 1/L with L the grid-specific bound on the
     saddle operator norm; explicit values must satisfy s * sigma * L^2 <= 1.
+    ``theta``, ``sigma``, ``s`` and ``check_every`` steer the primal-dual
+    iteration, so they act only on rectangles; the Newton solve of one-axis
+    grids ignores them, but they are validated on every grid.
+    ``max_inner`` caps inner iterations (PDHG) or certificate evaluations,
+    one per Newton step plus the start (one-axis grids).
     """
 
     tau: float
@@ -206,7 +226,8 @@ def implicit_step(
     warm : (v, dual) pair, optional
         Primal and dual starting guesses, typically from the previous step.
         Without it the primal starts at u_prev and the dual at the pointwise
-        variational flux of u_prev.
+        variational flux of u_prev.  The Newton solve of one-axis grids
+        starts from the dual alone.
 
     Returns
     -------
@@ -223,18 +244,43 @@ def implicit_step(
     """
     grid = u_prev.grid
     ops = _make_ops(grid)
-    sigma, s = _resolve_steps(grid, cfg)
-    tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
+    sigma, s = _resolve_steps(grid, cfg)  # validated on every grid, used on rectangles
     u0 = u_prev.values
-    if warm is None:
-        v = u0.copy()
-        p = _variational_dual(ops, u0)
-    else:
-        v = np.array(warm[0], dtype=float)
-        p = np.array(warm[1], dtype=float)
+    p = _variational_dual(ops, u0) if warm is None else np.array(warm[1], dtype=float)
+    if isinstance(ops, _OneAxisOps):
+        return _newton(ops, u0, cfg, p)
+    v = u0.copy() if warm is None else np.array(warm[0], dtype=float)
+    return _pdhg(ops, u0, cfg, sigma, s, v, p)
+
+
+def _step_result(ops, u, p, iters, kkt):
+    return StepResult(
+        u_next=CellField(ops.grid, u),
+        flux=FaceField(ops.grid, ops.flux_components(p)),
+        inner_iters=iters,
+        kkt_residual=kkt,
+        dual=p,
+    )
+
+
+def _nonconvergence(what, iterations, residuals, tol):
+    a_res, b_res, gap = residuals
+    return NonConvergenceError(
+        f"{what} did not meet tol {tol:g} within {iterations} iterations "
+        f"(primal {a_res:.3e}, dual {b_res:.3e}, gap {gap:.3e})",
+        iterations=iterations,
+        primal_residual=a_res,
+        dual_residual=b_res,
+        gap=gap,
+    )
+
+
+def _pdhg(ops, u0, cfg, sigma, s, v, p) -> StepResult:
+    """The primal-dual iteration from (v, p), certified every check_every."""
+    tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
     vbar = v.copy()
     slope = np.zeros(ops.dual_weights.shape)  # radius solves start at the last slopes
-    a_res = b_res = gap = np.inf
+    residuals = (np.inf, np.inf, np.inf)
     for k in range(1, cfg.max_inner + 1):
         d = p + sigma * ops.k_apply(vbar)
         m = ops.magnitude(d)
@@ -247,23 +293,97 @@ def implicit_step(
         v = v_new
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
             u_cand = u0 + tau * divz
-            a_res, b_res, gap = _residuals(ops, u0, tau, p, divz, v, u_cand)
-            if a_res <= tol and b_res <= tol and gap <= tol:
-                return StepResult(
-                    u_next=CellField(grid, u_cand),
-                    flux=FaceField(grid, ops.flux_components(p)),
-                    inner_iters=k,
-                    kkt_residual=max(_residuals(ops, u0, tau, p, divz, u_cand, u_cand)[:2]),
-                    dual=p,
-                )
-    raise NonConvergenceError(
-        f"inner iteration did not meet tol {tol:g} within {cfg.max_inner} iterations "
-        f"(primal {a_res:.3e}, dual {b_res:.3e}, gap {gap:.3e})",
-        iterations=cfg.max_inner,
-        primal_residual=a_res,
-        dual_residual=b_res,
-        gap=gap,
-    )
+            residuals = _residuals(ops, u0, tau, p, divz, v, u_cand)
+            if all(r <= tol for r in residuals):
+                kkt = max(_residuals(ops, u0, tau, p, divz, u_cand, u_cand)[:2])
+                return _step_result(ops, u_cand, p, k, kkt)
+    raise _nonconvergence("inner iteration", cfg.max_inner, residuals, tol)
+
+
+# Newton steps keep this fraction of the distance to |p| = 1, must cut -D by
+# this fraction of the first-order prediction (Armijo), and are halved at
+# most this often.
+_TO_BOUNDARY = 0.995
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+# Rounding noise of -D relative to the sum of its terms' magnitudes: a
+# predicted decrease below it cannot be told from zero.
+_DUAL_NOISE = 1e-13
+# Below that noise a step must cut the squared ``_relation_sq`` by this
+# factor, as Newton does near the solution.  A step at that measure's own
+# rounding floor cannot, so a step whose certificates lie below the float
+# floor fails within a few iterations instead of running to max_inner.
+_RELATION_SHRINK = 0.25
+# The largest float below 1: iterates are clipped to it so that
+# sqrt(1 - p^2) stays positive.
+_P_MAX = float(np.nextafter(1.0, 0.0))
+
+
+def _negative_dual(ops, u0, tau, p):
+    """-D(p), its rounding noise, and div p.
+
+    -D(p) = -sum W sqrt(1 - p^2) + <u_prev, div p>_V + (tau/2) |div p|_V^2
+    is the negative dual of the step problem on one-axis grids, minimized
+    where u = u_prev + tau div p solves the step.
+    """
+    divz = ops.div_dual(p)
+    conj = ops.dual_weights * np.sqrt((1.0 - p) * (1.0 + p))
+    pair = ops.grid.cell_volumes * divz * (u0 + 0.5 * tau * divz)
+    noise = _DUAL_NOISE * float(conj.sum() + np.abs(pair).sum())
+    return float(pair.sum() - conj.sum()), noise, divz
+
+
+def _relation_sq(ops, p, grad):
+    """Squared norm of (1 - p^2) grad / W, which is the dual-relation
+    residual p sqrt(1 + q^2) - q to first order.  Unlike the bare gradient,
+    it does not blow up the rounding of faces near saturation."""
+    r = (1.0 - p) * (1.0 + p) * grad / ops.dual_weights
+    return float(np.dot(r, r))
+
+
+def _newton(ops, u0, cfg, p) -> StepResult:
+    """Damped Newton on the step's dual over |p| < 1, certified every step.
+
+    Each step is capped at ``_TO_BOUNDARY`` of the way to |p| = 1 and
+    halved until -D decreases by the Armijo fraction of its prediction.
+    Near the solution that decrease sinks below the rounding noise of -D;
+    there a step is accepted when it shrinks the gradient, measured by
+    ``_relation_sq``, by ``_RELATION_SHRINK`` instead.  A step that finds
+    no acceptable length raises NonConvergenceError at once.
+    ``inner_iters`` counts certificate evaluations: Newton steps + 1.
+    """
+    tau, tol = cfg.tau, cfg.inner_tol
+    p = np.clip(p, -_P_MAX, _P_MAX)
+    f, noise, divz = _negative_dual(ops, u0, tau, p)
+    for k in range(1, cfg.max_inner + 1):
+        u = u0 + tau * divz
+        residuals = _residuals(ops, u0, tau, p, divz, u, u)
+        if all(r <= tol for r in residuals):
+            return _step_result(ops, u, p, k, max(residuals[:2]))
+        if k == cfg.max_inner:
+            break
+        grad = ops.dual_gradient(p, ops.k_apply(u))
+        d = ops.newton_direction(p, grad, tau)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d != 0.0, (np.copysign(1.0, d) - p) / d, np.inf)
+        alpha = min(1.0, _TO_BOUNDARY * float(np.min(room)))
+        slope = float(np.dot(grad, d))
+        rel_sq = _relation_sq(ops, p, grad)
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(p + alpha * d, -_P_MAX, _P_MAX)
+            f_t, noise_t, divz_t = _negative_dual(ops, u0, tau, trial)
+            if -alpha * slope > noise:
+                if f_t <= f + _ARMIJO * alpha * slope:
+                    break
+            else:
+                g_t = ops.dual_gradient(trial, ops.k_apply(u0 + tau * divz_t))
+                if _relation_sq(ops, trial, g_t) <= _RELATION_SHRINK * rel_sq:
+                    break
+            alpha *= 0.5
+        else:
+            raise _nonconvergence("Newton iteration (line search stalled)", k, residuals, tol)
+        p, f, noise, divz = trial, f_t, noise_t, divz_t
+    raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)
 
 
 def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
@@ -334,6 +454,15 @@ class Trajectory:
         return self.states[k]
 
 
+def _check_run_settings(grid: Grid, t_end: float, cfg: SolverConfig, kappa) -> None:
+    """Reject a t_end, kappa or explicit step-size pair that ``evolve`` cannot run."""
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if kappa is not None and not 0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    _resolve_steps(grid, cfg)
+
+
 def evolve(
     u0: CellField,
     t_end: float,
@@ -368,16 +497,12 @@ def evolve(
         From the first step whose inner iteration fails, with that step's
         index and time in ``step``, ``t`` and the message.
     """
-    if not 0 < t_end < np.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if keep not in ("snapshots", "all"):
         raise ValueError(f"keep must be snapshots or all, got {keep!r}")
     grid = u0.grid
-    _resolve_steps(grid, cfg)  # validate explicit step sizes up front
+    _check_run_settings(grid, t_end, cfg, kappa)
     if kappa is None:
         kappa = default_jump_threshold(u0)
-    elif not 0 < kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     n_steps = max(1, int(np.ceil(t_end / cfg.tau - 1e-9)))
     times = cfg.tau * np.arange(n_steps + 1)
     snap_idx = {min(n_steps, max(0, int(round(float(t) / cfg.tau)))) for t in snapshot_times}

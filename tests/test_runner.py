@@ -361,8 +361,18 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, ke
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, value", [("tau", "-1.0"), ("theta", "2.0")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau", "-1.0"),
+        ("theta", "2.0"),
+        ("t_end", "-1.0"),
+        ("kappa", "-0.5"),
+        pytest.param("sigma", "10.0\ns: 10.0", id="sigma-s"),  # s*sigma*L^2 far above 1
+    ],
+)
 def test_cli_rejects_bad_solver_settings_before_writing(tmp_path, capsys, key, value):
+    # YAML keeps the last value of a repeated key, so these override CUSTOM_SMALL
     path = write_config(tmp_path, f"{CUSTOM_SMALL}{key}: {value}\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
@@ -411,7 +421,7 @@ def test_cli_reports_solver_breakdown(tmp_path, capsys):
         "tau: 1.0e-3\n"
         "t_end: 2.0e-3\n"
         "inner_tol: 1.0e-12\n"
-        "max_inner: 50\n",
+        "max_inner: 1\n",
     )
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 3

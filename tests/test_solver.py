@@ -6,7 +6,7 @@ import pytest
 
 from pmsflow import solver
 from pmsflow.acceptance import _descent_oracle
-from pmsflow.energy import _make_ops, area_energy
+from pmsflow.energy import _make_ops, _solve_tridiagonal, area_energy
 from pmsflow.grid import (
     CellField,
     FaceField,
@@ -222,6 +222,19 @@ def test_non_convergence_reports_residuals():
     assert str(info.value).startswith("step 1 at t = 0.01: ")
 
 
+@pytest.mark.parametrize("height", [1e7, 1e8, 1e10])
+def test_step_below_the_float_floor_fails_fast(height):
+    # a jump this tall puts the primal certificate's rounding, about
+    # eps * height / tau, above inner_tol: the Newton solve stops within a
+    # few steps instead of spending max_inner on rounding noise
+    grid = interval_grid(0.0, 1.0, 10)
+    u = CellField(grid, np.where(np.arange(10) < 5, 0.0, height))
+    with pytest.raises(NonConvergenceError) as info:
+        implicit_step(u, SolverConfig(tau=1e-3))
+    assert info.value.iterations <= 100
+    assert max(info.value.primal_residual, info.value.dual_residual) > 1e-8
+
+
 # ------------------------------------------------------------ kkt residual
 
 
@@ -296,6 +309,91 @@ def test_warm_radius_solves_give_the_cold_iterates(grid, monkeypatch):
         assert np.max(np.abs(a.values - b.values)) <= 1e-13
     assert np.max(warm.kkt_residuals) <= cfg.inner_tol
     assert np.max(cold.kkt_residuals) <= cfg.inner_tol
+
+
+# ------------------------------------------------------- one-axis Newton
+
+_ONE_AXIS_SMALL = [
+    *(interval_grid(0.0, 1.5, n) for n in (2, 3, 7)),
+    *(radial_grid(n, 1.0, 9) for n in range(2, 7)),
+]
+_ONE_AXIS_SMALL_IDS = ["interval2", "interval3", "interval7", *(f"radial{n}" for n in range(2, 7))]
+
+
+@pytest.mark.parametrize("grid", _ONE_AXIS_SMALL, ids=_ONE_AXIS_SMALL_IDS)
+def test_hessian_bands_match_the_probed_dense_hessian(grid):
+    # tau div^T V div has columns -W * K(div e_k), probed with the saddle
+    # operators themselves; the bands are the closed form of it plus the
+    # conjugate's diagonal W (1 - p^2)^(-3/2)
+    ops = _make_ops(grid)
+    rng = np.random.default_rng(3)
+    n, tau = grid.face_shape(0)[0], 0.37
+    p = rng.uniform(-0.95, 0.95, n)
+    dense = np.diag(ops.dual_weights * (1.0 - p * p) ** -1.5)
+    for k, e in enumerate(np.eye(n)):
+        dense[:, k] -= tau * ops.dual_weights * ops.k_apply(ops.div_dual(e))
+    diag, off = ops.hessian_bands(p, tau)
+    banded = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.allclose(banded, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
+    assert np.all(np.linalg.eigvalsh(banded) > 0.0)
+
+
+@pytest.mark.parametrize("grid", _ONE_AXIS_SMALL, ids=_ONE_AXIS_SMALL_IDS)
+def test_dual_gradient_is_the_derivative_of_the_negative_dual(grid):
+    ops = _make_ops(grid)
+    rng = np.random.default_rng(4)
+    u0, tau = rng.standard_normal(grid.shape), 0.2
+    p = rng.uniform(-0.9, 0.9, grid.face_shape(0))
+    grad = ops.dual_gradient(p, ops.k_apply(u0 + tau * ops.div_dual(p)))
+    eps = 1e-6
+    numeric = [
+        (solver._negative_dual(ops, u0, tau, p + eps * e)[0]
+         - solver._negative_dual(ops, u0, tau, p - eps * e)[0]) / (2.0 * eps)
+        for e in np.eye(p.size)
+    ]
+    assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 257])
+def test_tridiagonal_solve_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        off = rng.standard_normal(n - 1)
+        pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
+        diag = pad + rng.uniform(1e-3, 2.0, n)  # diagonally dominant, hence SPD
+        rhs = rng.standard_normal(n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        x = _solve_tridiagonal(diag, off, rhs)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize(
+    "grid", [interval_grid(0.0, 2.0, 60), radial_grid(3, 1.0, 40)], ids=["interval", "radial3"]
+)
+def test_newton_step_agrees_with_the_primal_dual_loop(grid):
+    # two certified minimizers of the same (1/tau)-strongly convex step lie
+    # within 2 sqrt(2 tau inner_tol) of each other in the weighted norm
+    rng = np.random.default_rng(21)
+    u0 = np.where(rng.uniform(size=grid.shape) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.0)
+    cfg = SolverConfig(tau=1e-2, inner_tol=1e-9)
+    ops = _make_ops(grid)
+    newton = implicit_step(CellField(grid, u0), cfg)
+    sigma, s = balanced_steps(grid, 0.03)
+    pdhg = solver._pdhg(ops, u0, cfg, sigma, s, u0.copy(), solver._variational_dual(ops, u0))
+    assert max(newton.kkt_residual, pdhg.kkt_residual) <= cfg.inner_tol
+    diff = newton.u_next.values - pdhg.u_next.values
+    dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
+    assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+
+
+@pytest.mark.parametrize("cells", [4000, 40000])
+def test_newton_certifies_fine_cosine_grids(cells):
+    grid = interval_grid(0.0, 1.0, cells)
+    cfg = SolverConfig(tau=1e-3, inner_tol=1e-8, max_inner=20)
+    traj = evolve(cosine(grid), 5e-3, cfg)
+    assert len(traj.inner_iters) == 5
+    assert np.max(traj.kkt_residuals) <= cfg.inner_tol
 
 
 # ---------------------------------------------------------------- evolve
