@@ -17,7 +17,6 @@ import numpy as np
 from pmsflow import (
     QuarterCircleProfile,
     SolverConfig,
-    balanced_steps,
     evolve,
     interval_grid,
     quarter_circles,
@@ -40,10 +39,7 @@ def main() -> None:
     compare_times = tuple(np.linspace(0.0, profile.extinction_time, 6)[1:-1])
     snapshot_times = compare_times + (t_end,)
 
-    # the jump face makes the problem stiff; a small primal/dual step ratio
-    # keeps the inner iteration counts reasonable
-    sigma, s = balanced_steps(grid, 0.03)
-    cfg = SolverConfig(tau=args.tau, sigma=sigma, s=s)
+    cfg = SolverConfig(tau=args.tau)
 
     print(f"jump height c = {args.jump:g}, predicted extinction at t = {args.jump / 2:g}")
     print(f"evolving {args.cells} cells to t = {t_end:g} with tau = {args.tau:g}")

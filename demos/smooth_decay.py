@@ -14,7 +14,6 @@ import numpy as np
 
 from pmsflow import (
     SolverConfig,
-    balanced_steps,
     cosine,
     evolve,
     interval_grid,
@@ -31,8 +30,7 @@ def main() -> None:
 
     grid = interval_grid(0.0, 1.0, args.cells)
     u0 = cosine(grid)
-    sigma, s = balanced_steps(grid, 3e-3)
-    cfg = SolverConfig(tau=args.tau, sigma=sigma, s=s, inner_tol=1e-10)
+    cfg = SolverConfig(tau=args.tau, inner_tol=1e-10)
 
     print(f"cos(pi x) on {args.cells} cells, tau = {args.tau:g}, t_end = {args.t_end:g}")
     traj = evolve(u0, args.t_end, cfg)

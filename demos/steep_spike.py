@@ -19,7 +19,6 @@ import numpy as np
 from pmsflow import (
     RadialSubsolution,
     SolverConfig,
-    balanced_steps,
     capped_inverse,
     evolve,
     radial_grid,
@@ -39,9 +38,7 @@ def main() -> None:
     grid = radial_grid(args.dimension, 1.0, args.cells)
     u0 = capped_inverse(grid, cap=args.cap)
     lower = RadialSubsolution(args.dimension)
-    # steep radial data wants a strongly asymmetric primal/dual step split
-    sigma, s = balanced_steps(grid, 1e-3)
-    cfg = SolverConfig(tau=args.tau, sigma=sigma, s=s)
+    cfg = SolverConfig(tau=args.tau)
 
     print(
         f"capped 1/r spike (cap {args.cap:g}) in dimension {args.dimension}, "

@@ -22,7 +22,7 @@ from .diagnostics import (
     smoothness_gates,
     structural_gates,
 )
-from .energy import area_energy, prox_dual, prox_quadratic
+from .energy import area_energy, prox_quadratic
 from .grid import (
     CellField,
     FaceField,
@@ -86,7 +86,6 @@ __all__ = [
     "face_inner",
     # energy
     "area_energy",
-    "prox_dual",
     "prox_quadratic",
     # solver
     "SolverConfig",

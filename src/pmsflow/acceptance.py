@@ -58,7 +58,7 @@ from .grid import CellField, interval_grid
 from .initial_data import quarter_circles, random_piecewise
 from .reference import QuarterCircleProfile, RadialSubsolution
 from .runner import _evolve_config, _resolve
-from .solver import SolverConfig, balanced_steps, evolve, implicit_step
+from .solver import SolverConfig, evolve, implicit_step
 
 __all__ = ["run_acceptance", "CRITERIA_NAMES"]
 
@@ -66,8 +66,7 @@ class _Workspace:
     """Cache of the evolutions shared between criteria, seeded once.
 
     Runs that are presets of ``pmsflow run`` come from the runner's preset
-    table; the others pass a fixed step ratio (0.03, 3e-3 or 0.01) to
-    ``balanced_steps``.
+    table.
     """
 
     def __init__(self, seed: int):
@@ -92,8 +91,7 @@ class _Workspace:
         if "jump_persistence" not in self.runs:
             grid = interval_grid(0.0, 2.0, 800)
             u0 = quarter_circles(grid, c=2.0)
-            sigma, s = balanced_steps(grid, 0.03)
-            cfg = SolverConfig(tau=1e-3, sigma=sigma, s=s)
+            cfg = SolverConfig(tau=1e-3)
             self.runs["jump_persistence"] = evolve(
                 u0, 1.15, cfg, kappa=0.3, keep="all"
             )
@@ -105,8 +103,7 @@ class _Workspace:
             grid = interval_grid(0.0, 1.0, 100)
             rng = np.random.default_rng(self.bv_seed)
             u0 = random_piecewise(grid, rng, pieces=10, amplitude=1.0)
-            sigma, s = balanced_steps(grid, 3e-3)
-            cfg = SolverConfig(tau=1e-3, inner_tol=1e-11, sigma=sigma, s=s)
+            cfg = SolverConfig(tau=1e-3, inner_tol=1e-11)
             self.runs["bounded_variation"] = evolve(u0, 0.5, cfg)
         return self.runs["bounded_variation"]
 
@@ -315,8 +312,7 @@ def _contraction(ws: _Workspace):
     """Criterion 8: runs from ten random data pairs stay nonexpanding in the
     weighted norm up to twice the inner tolerance per step."""
     grid = interval_grid(0.0, 1.0, 64)
-    sigma, s = balanced_steps(grid, 0.01)
-    cfg = SolverConfig(tau=5e-3, inner_tol=1e-10, sigma=sigma, s=s)
+    cfg = SolverConfig(tau=5e-3, inner_tol=1e-10)
     rng = np.random.default_rng(ws.pair_seed)
     pairs = []
     for k in range(10):

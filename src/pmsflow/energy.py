@@ -7,10 +7,11 @@ whose pointwise convex conjugate over the closed unit ball is
     sqrt(1 + |q|^2) = sup_{|p| <= 1} [ p.q + sqrt(1 - |p|^2) ]
 
 is what both step solvers exploit.  The primal-dual iteration of
-rectangles uses ``prox_dual``, the exact proximal map of the conjugate, and
-``prox_quadratic``, the closed-form proximal map of the implicit-step
-quadratic.  The Newton solve of one-axis grids maximizes the step's dual,
-whose gradient and tridiagonal Hessian ``_OneAxisOps`` supplies.
+rectangles applies the exact proximal map of the conjugate per cell: it is
+radial, and ``_dual_radius`` solves for its radius.  Its primal map is
+``prox_quadratic``, the closed form of the implicit-step quadratic.  The
+Newton solve of one-axis grids maximizes the step's dual, whose gradient
+and tridiagonal Hessian ``_OneAxisOps`` supplies.
 
 Discretization: the saddle operator K maps cell values to the dual space,
 and the discrete area, which ``area_energy`` returns as one float, is
@@ -41,7 +42,6 @@ from .grid import (
 
 __all__ = [
     "area_energy",
-    "prox_dual",
     "prox_quadratic",
 ]
 
@@ -175,8 +175,12 @@ def area_energy(u: CellField) -> float:
     return float(terms.sum()) + uncovered
 
 
-def _dual_radius(m, sigma: float, w: np.ndarray):
+def _dual_radius(m: np.ndarray, sigma: float, w: np.ndarray) -> np.ndarray:
     """Solve sigma*r/sqrt(1-r^2) + r = m elementwise for r in [0, 1).
+
+    r is the radius of the proximal map of the conjugate at a point of
+    magnitude m: the minimizer of -sqrt(1 - |p|^2) + |p - p_hat|^2 / (2 sigma)
+    over the unit ball is r * p_hat / |p_hat|, strictly inside the ball.
 
     Solved in the slope variable w = r/sqrt(1-r^2), where the equation
     becomes g(w) = sigma*w + w/sqrt(1+w^2) - m = 0.  ``w`` is a float
@@ -197,9 +201,6 @@ def _dual_radius(m, sigma: float, w: np.ndarray):
     falls below the float resolution of w itself.
     """
     m = np.asarray(m, dtype=float)
-    scalar = m.ndim == 0
-    m = np.atleast_1d(m)
-    w = np.atleast_1d(w)  # a view, so a 0-d buffer is written too
     if np.any(m < 0):
         raise ValueError("radius equation needs a nonnegative magnitude")
     cold = np.maximum((m - 1.0) / sigma, m / (1.0 + sigma))
@@ -215,34 +216,7 @@ def _dual_radius(m, sigma: float, w: np.ndarray):
             break
         np.subtract(w, step, out=w, where=~done)  # hold finished entries
         np.maximum(w, cold, out=w)
-    r = w / np.sqrt(1.0 + w * w)
-    return float(r[0]) if scalar else r
-
-
-def prox_dual(p_hat, sigma: float):
-    """Exact proximal map of -sqrt(1 - |p|^2) + indicator(|p| <= 1).
-
-    Returns the minimizer of -sqrt(1 - |p|^2) + |p - p_hat|^2 / (2 sigma)
-    over the closed unit ball.  The minimizer is radial: r * p_hat / |p_hat|
-    with r solving sigma*r/sqrt(1-r^2) + r = |p_hat|, hence strictly inside
-    the ball.
-
-    Parameters
-    ----------
-    p_hat : array_like
-        A single dual vector (any shape; the Euclidean norm is taken over
-        all entries).
-    sigma : float
-        Positive prox parameter.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    p_hat = np.asarray(p_hat, dtype=float)
-    m = float(np.sqrt(np.sum(p_hat * p_hat)))
-    if m == 0.0:
-        return np.zeros_like(p_hat)
-    r = _dual_radius(np.asarray(m), sigma, np.zeros(()))
-    return (r / m) * p_hat
+    return w / np.sqrt(1.0 + w * w)
 
 
 def prox_quadratic(v_hat, u_prev, tau: float, s: float):

@@ -48,7 +48,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     _check_run_settings,
-    balanced_steps,
     evolve,
 )
 
@@ -74,13 +73,8 @@ _BASE_DEFAULTS = {
     },
 }
 
-# Named presets.  ``step_ratio`` is the inner step-size ratio s/sigma a preset
-# runs with when the config leaves sigma and s unset (see ``balanced_steps``).
-# Only the rectangle loop uses sigma and s, so on these one-axis presets it
-# does not change the iterates.  Explicit
-# sigma/s in the config always win; custom runs keep the symmetric solver
-# default.  The smooth preset is gated on 1e-10 scale monotonicity, so it
-# runs with a tighter inner tolerance than the default.  The acceptance
+# Named presets.  The smooth preset is gated on 1e-10 scale monotonicity, so
+# it runs with a tighter inner tolerance than the default.  The acceptance
 # suite evolves these same presets.
 _EXPERIMENTS = {
     "quarter_circles": {
@@ -90,14 +84,12 @@ _EXPERIMENTS = {
         "t_end": 0.4,
         "snapshot_times": (0.1, 0.2, 0.3, 0.4),
         "kappa": 0.3,
-        "step_ratio": 0.03,
     },
     "radial_spike": {
         "grid": {"kind": "radial", "dimension": 3, "radius": 1.0, "cells": 400},
         "initial": {"type": "capped_inverse", "cap": 20.0},
         "tau": 5e-4,
         "t_end": 0.4,
-        "step_ratio": 1e-3,
     },
     "smooth_cosine": {
         "grid": {"kind": "interval", "lo": 0.0, "hi": 1.0, "cells": 200},
@@ -105,7 +97,6 @@ _EXPERIMENTS = {
         "tau": 1e-3,
         "t_end": 2.0,
         "inner_tol": 1e-11,
-        "step_ratio": 3e-3,
     },
     "custom": {},
 }
@@ -130,6 +121,8 @@ class RunConfig:
 
 
 _TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# Settings of the primal-dual loop, which only rectangles run.
+_RECTANGLE_ONLY_KEYS = ("theta", "check_every", "sigma", "s")
 
 
 def load_config(path) -> RunConfig:
@@ -165,6 +158,14 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
             raise ConfigError(f"experiment {experiment!r} needs an explicit {key!r}")
     if not isinstance(merged["grid"], dict):
         raise ConfigError("grid must be a mapping")
+    kind = merged["grid"].get("kind")
+    if kind in ("interval", "radial"):
+        for key in _RECTANGLE_ONLY_KEYS:
+            if key in settings:
+                raise ConfigError(
+                    f"{key!r} steers the rectangle solver only; remove it from "
+                    f"this {kind} config"
+                )
     if not isinstance(merged["initial"], dict):
         raise ConfigError("initial must be a mapping")
     snaps = merged["snapshot_times"]
@@ -201,15 +202,11 @@ def _evolve_inputs(cfg: RunConfig) -> tuple[CellField, SolverConfig]:
     grid, initial value or solver setting fails here, before any write."""
     grid = build_grid(cfg.grid)
     u0 = build_initial(grid, cfg.initial)
-    sigma, s = cfg.sigma, cfg.s
-    ratio = _EXPERIMENTS.get(cfg.experiment, {}).get("step_ratio")
-    if sigma is None and s is None and ratio is not None:
-        sigma, s = balanced_steps(grid, ratio)
     solver_cfg = SolverConfig(
         tau=cfg.tau,
         theta=cfg.theta,
-        sigma=sigma,
-        s=s,
+        sigma=cfg.sigma,
+        s=cfg.s,
         inner_tol=cfg.inner_tol,
         max_inner=cfg.max_inner,
         check_every=cfg.check_every,
@@ -402,14 +399,13 @@ kappa: 0.3            # jump detection threshold; null picks a grid-aware defaul
 
 inner_tol: 1.0e-8     # certificate tolerance of the implicit step solver
 max_inner: 20000      # inner iteration cap per step
-# theta, check_every, sigma and s steer the primal-dual iteration, which
-# only rectangles run; they are validated on every grid
-theta: 1.0            # extrapolation weight of the inner iteration, in [0, 1]
-check_every: 16       # termination check cadence of the inner iteration
-sigma: null           # dual step; null picks 1/L for the grid's bound L,
-                      # except that named presets pick a measured ratio
-                      # s/sigma < 1 (product still 1/L^2) to cut iterations
-s: null               # primal step; set both or neither, s*sigma*L^2 <= 1
+
+# Rectangle grids only; interval and radial configs that set them are
+# rejected, because their Newton solve takes no step sizes:
+#   theta: 1.0        extrapolation weight of the inner iteration, in [0, 1]
+#   check_every: 16   termination check cadence of the inner iteration
+#   sigma: null       dual step; null picks 1/L for the grid's bound L
+#   s: null           primal step; set both or neither, s*sigma*L^2 <= 1
 """
 
 

@@ -1,5 +1,5 @@
-"""Area energy values, the conjugate duality it rests on, and the two
-proximal maps of the inner solver."""
+"""Area energy values, the conjugate duality it rests on, and the dual
+radius and primal proximal map of the rectangle's inner solver."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from pmsflow.energy import (
     _dual_radius,
     area_energy,
-    prox_dual,
     prox_quadratic,
 )
 from pmsflow.grid import CellField, interval_grid, radial_grid, rectangle_grid
@@ -125,14 +124,17 @@ def _radius_by_bisection(m, sigma):
     return 0.5 * (lo + hi)
 
 
-def test_prox_dual_matches_bisection():
+def _radius(m, sigma):
+    return float(_dual_radius(np.array([m]), sigma, np.zeros(1))[0])
+
+
+def test_dual_radius_matches_bisection():
     rng = np.random.default_rng(17)
     for _ in range(50):
         sigma = rng.uniform(0.01, 10.0)
         p_hat = rng.standard_normal(rng.integers(1, 4)) * rng.uniform(0.1, 5.0)
-        out = prox_dual(p_hat, sigma)
         m = float(np.linalg.norm(p_hat))
-        r = float(np.linalg.norm(out))
+        r = _radius(m, sigma)
         assert r < 1.0
         assert r == pytest.approx(_radius_by_bisection(m, sigma), abs=1e-10)
         # defining equation residual at the returned radius
@@ -140,25 +142,14 @@ def test_prox_dual_matches_bisection():
             assert abs(sigma * r / np.sqrt(1 - r * r) + r - m) <= 1e-9 * (1 + m)
 
 
-def test_prox_dual_known_radius():
-    out = prox_dual(np.array([2.0]), 1.0)
-    assert out[0] == pytest.approx(0.7747295739010802, abs=1e-10)
+def test_dual_radius_known_radius():
+    assert _radius(2.0, 1.0) == pytest.approx(0.7747295739010802, abs=1e-10)
 
 
-def test_prox_dual_zero_and_direction():
-    assert np.all(prox_dual(np.zeros(3), 2.0) == 0.0)
-    p_hat = np.array([3.0, 4.0])
-    out = prox_dual(p_hat, 0.5)
-    # output is a positive multiple of the input direction
-    assert out[0] * p_hat[1] == pytest.approx(out[1] * p_hat[0], abs=1e-14)
-    assert np.dot(out, p_hat) > 0
-
-
-def test_prox_dual_beats_radial_scan():
-    # returned point minimizes -sqrt(1-r^2) + (r-m)^2/(2 sigma) on a fine scan
+def test_dual_radius_beats_radial_scan():
+    # the radius minimizes -sqrt(1-r^2) + (r-m)^2/(2 sigma) on a fine scan
     sigma, m = 0.7, 1.3
-    out = prox_dual(np.array([m]), sigma)
-    r_star = float(out[0])
+    r_star = _radius(m, sigma)
 
     def objective(r):
         return -np.sqrt(1.0 - r * r) + (r - m) ** 2 / (2.0 * sigma)
@@ -167,16 +158,10 @@ def test_prox_dual_beats_radial_scan():
     assert objective(r_star) <= np.min(objective(scan)) + 1e-10
 
 
-def test_prox_dual_large_sigma_residual():
-    out = prox_dual(np.array([2.0]), 1000.0)
-    r = float(out[0])
+def test_dual_radius_large_sigma_residual():
+    r = _radius(2.0, 1000.0)
     assert 0.0 < r < 1.0
     assert abs(r * (1.0 + 1000.0 / np.sqrt(1.0 - r * r)) - 2.0) <= 1e-9
-
-
-def test_prox_dual_validation():
-    with pytest.raises(ValueError):
-        prox_dual(np.array([1.0]), 0.0)
 
 
 def _cold_radius(m, sigma):
@@ -248,12 +233,12 @@ def test_dual_radius_extreme_scalar_and_two_dimensional_input():
         assert 0.0 < r[0] <= 1.0
         assert _slope_residual(w, 1e12, sigma)[0] <= 4e-16 * 1e12
     assert _dual_radius(np.array([1e12]), 1e6, np.zeros(1))[0] < 1.0
-    # a 0-d magnitude returns a float and writes the 0-d buffer
-    w0 = np.zeros(())
-    r0 = _dual_radius(np.asarray(2.0), 1.0, w0)
-    assert isinstance(r0, float)
-    assert r0 == pytest.approx(0.7747295739010802, abs=1e-15)
-    assert r0 == w0 / np.sqrt(1.0 + w0 * w0)
+    # a one-entry magnitude returns a one-entry radius and writes its buffer
+    w0 = np.zeros(1)
+    r0 = _dual_radius(np.array([2.0]), 1.0, w0)
+    assert r0.shape == (1,)
+    assert r0[0] == pytest.approx(0.7747295739010802, abs=1e-15)
+    assert np.array_equal(r0, w0 / np.sqrt(1.0 + w0 * w0))
     # a 2-D field, as the rectangle's per-cell magnitudes
     rng = np.random.default_rng(3)
     m2 = rng.uniform(0.0, 3.0, (96, 96))

@@ -10,9 +10,8 @@ import pytest
 
 import pmsflow.runner as runner_module
 from pmsflow.diagnostics import Verdict
-from pmsflow.grid import build_grid
 from pmsflow.runner import ConfigError, RunConfig, load_config, main, run
-from pmsflow.solver import SolverConfig, operator_norm_bound
+from pmsflow.solver import SolverConfig
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -28,6 +27,16 @@ initial: {type: quarter_circles, c: 1.0}
 tau: 5.0e-3
 t_end: 0.02
 snapshot_times: [0.01, 0.02]
+"""
+
+# theta, check_every, sigma and s are rectangle-only keys; their range and
+# finiteness checks are reached on this config.
+RECTANGLE_SMALL = """\
+experiment: custom
+grid: {kind: rectangle, lo: [0.0, 0.0], hi: [1.0, 1.0], cells: [4, 4]}
+initial: {type: cosine}
+tau: 5.0e-3
+t_end: 1.0e-2
 """
 
 
@@ -64,20 +73,11 @@ def test_smooth_preset_tightens_inner_tol(tmp_path):
     assert cfg.kappa is None
 
 
-@pytest.mark.parametrize(
-    "experiment, ratio",
-    [("quarter_circles", 0.03), ("radial_spike", 1e-3), ("smooth_cosine", 3e-3)],
-)
-def test_presets_run_with_their_step_ratio(tmp_path, monkeypatch, experiment, ratio):
-    # the measured s/sigma of each preset, at the largest product s*sigma*L^2 = 1
-    seen = []
-    monkeypatch.setattr(runner_module, "evolve", lambda u0, t_end, cfg, **kw: seen.append(cfg))
-    cfg = load_config(write_config(tmp_path, f"experiment: {experiment}\n"))
-    runner_module._evolve_config(cfg)
-    (solver_cfg,) = seen
-    bound = operator_norm_bound(build_grid(cfg.grid))
-    assert solver_cfg.s / solver_cfg.sigma == pytest.approx(ratio, rel=1e-14)
-    assert solver_cfg.s * solver_cfg.sigma * bound**2 == pytest.approx(1.0, rel=1e-14)
+@pytest.mark.parametrize("experiment", ["quarter_circles", "radial_spike", "smooth_cosine"])
+def test_presets_leave_the_step_sizes_unset(experiment):
+    # every preset is one-axis, whose Newton solve takes no step sizes
+    _, solver_cfg = runner_module._evolve_inputs(runner_module._resolve(experiment, {}))
+    assert solver_cfg.sigma is None and solver_cfg.s is None
 
 
 def test_custom_config_carries_the_solver_defaults(tmp_path):
@@ -297,7 +297,8 @@ def test_cli_rejects_a_bad_config(tmp_path, capsys):
          "inner_tol-nan", "sigma-nan", "snapshot_times-nan", "t_end-huge-int"],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
-    path = write_config(tmp_path, f"experiment: quarter_circles\n{key}: {value}\n")
+    base = RECTANGLE_SMALL if key == "sigma" else "experiment: quarter_circles\n"
+    path = write_config(tmp_path, f"{base}{key}: {value}\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -373,10 +374,34 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, ke
 )
 def test_cli_rejects_bad_solver_settings_before_writing(tmp_path, capsys, key, value):
     # YAML keeps the last value of a repeated key, so these override CUSTOM_SMALL
-    path = write_config(tmp_path, f"{CUSTOM_SMALL}{key}: {value}\n")
+    base = RECTANGLE_SMALL if key in ("theta", "sigma") else CUSTOM_SMALL
+    path = write_config(tmp_path, f"{base}{key}: {value}\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("theta", "0.5"), ("check_every", "8"), ("sigma", "null"), ("s", "null")]
+)
+def test_rectangle_only_keys_are_rejected_on_one_axis_grids(tmp_path, capsys, key, value):
+    one_axis = {
+        "interval": "{kind: interval, lo: 0.0, hi: 1.0, cells: 8}",
+        "radial": "{kind: radial, dimension: 3, radius: 1.0, cells: 8}",
+    }
+    for kind, grid in one_axis.items():
+        path = write_config(
+            tmp_path,
+            f"experiment: custom\ngrid: {grid}\ninitial: {{type: cosine}}\n"
+            f"tau: 5.0e-3\nt_end: 1.0e-2\n{key}: {value}\n",
+        )
+        out = tmp_path / f"out-{kind}"
+        assert main(["run", str(path), "--out", str(out)]) == 2, kind
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and kind in err
+        assert not out.exists()
+    path = write_config(tmp_path, f"{RECTANGLE_SMALL}{key}: {value}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out-rectangle")]) == 0
 
 
 def test_null_position_is_the_midpoint(tmp_path):

@@ -18,7 +18,7 @@ from pmsflow.grid import (
     radial_grid,
     rectangle_grid,
 )
-from pmsflow.initial_data import cosine, quarter_circles
+from pmsflow.initial_data import capped_inverse, cosine, quarter_circles
 from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
@@ -387,6 +387,25 @@ def test_newton_step_agrees_with_the_primal_dual_loop(grid):
     assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
 
 
+@pytest.mark.parametrize(
+    "grid", [interval_grid(0.0, 2.0, 60), radial_grid(3, 1.0, 40)], ids=["interval", "radial3"]
+)
+def test_one_axis_runs_ignore_the_step_sizes(grid):
+    # valid sigma/s pairs steer only the rectangle loop: the Newton solve of
+    # one-axis grids gives the same bits with any of them
+    u0 = quarter_circles(grid, c=1.0) if grid.kind == "interval" else capped_inverse(grid, cap=20.0)
+    runs = [
+        evolve(u0, 0.05, SolverConfig(tau=5e-3, sigma=sigma, s=s), keep="all")
+        for sigma, s in [(None, None), balanced_steps(grid, 1e-3), balanced_steps(grid, 0.5)]
+    ]
+    first = runs[0]
+    for other in runs[1:]:
+        for a, b in zip(first.states, other.states, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(first.inner_iters, other.inner_iters)
+        assert np.array_equal(first.kkt_residuals, other.kkt_residuals)
+
+
 @pytest.mark.parametrize("cells", [4000, 40000])
 def test_newton_certifies_fine_cosine_grids(cells):
     grid = interval_grid(0.0, 1.0, cells)
@@ -421,8 +440,7 @@ def test_random_data_flattens_to_its_mean():
     rng = np.random.default_rng(2024)
     u0 = CellField(grid, rng.uniform(-1.0, 1.0, 50))
     mean = np.sum(grid.cell_volumes * u0.values) / grid.total_volume
-    sigma, s = balanced_steps(grid, 3e-3)
-    cfg = SolverConfig(tau=2e-2, sigma=sigma, s=s)
+    cfg = SolverConfig(tau=2e-2)
     traj = evolve(u0, 5.0, cfg)
     final = traj.records[-1]
     assert final.sup_norm <= abs(mean) + 1e-3
@@ -471,10 +489,9 @@ def test_vertical_shift_commutes_with_the_flow():
 def test_time_step_refinement_is_first_order():
     grid = interval_grid(0.0, 1.0, 64)
     u0 = cosine(grid)
-    sigma, s = balanced_steps(grid, 3e-3)
     states = []
     for tau in (5e-3, 2.5e-3, 1.25e-3, 6.25e-4):
-        cfg = SolverConfig(tau=tau, inner_tol=1e-11, sigma=sigma, s=s)
+        cfg = SolverConfig(tau=tau, inner_tol=1e-11)
         states.append(evolve(u0, 0.05, cfg, snapshot_times=(0.05,)).snapshot_at(0.05)[1])
     diffs = [
         float(np.sqrt(np.sum(grid.cell_volumes * (a.values - b.values) ** 2)))
@@ -563,8 +580,7 @@ def test_radial_spike_conserves_mean_and_stays_steep():
     grid = radial_grid(3, 1.0, 60)
     r = grid.cell_centers[0]
     u0 = CellField(grid, np.minimum(1.0 / r, 20.0))
-    sigma, s = balanced_steps(grid, 1e-3)
-    cfg = SolverConfig(tau=2e-3, sigma=sigma, s=s)
+    cfg = SolverConfig(tau=2e-3)
     traj = evolve(u0, 0.05, cfg)
     mean = traj.series("mean")
     assert np.max(np.abs(mean - mean[0])) <= 1e-8
