@@ -56,7 +56,6 @@ from .solver import (
     SolverConfig,
     StepResult,
     Trajectory,
-    balanced_steps,
     evolve,
     implicit_step,
     kkt_residual,
@@ -93,7 +92,6 @@ __all__ = [
     "Trajectory",
     "NonConvergenceError",
     "operator_norm_bound",
-    "balanced_steps",
     "implicit_step",
     "kkt_residual",
     "evolve",

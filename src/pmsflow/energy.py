@@ -226,8 +226,9 @@ def prox_quadratic(v_hat, u_prev, tau: float, s: float):
     (tau * v_hat + s * u_prev) / (tau + s); the grid weights cancel because
     both terms carry the same ones.
     """
-    if tau <= 0 or s <= 0:
-        raise ValueError(f"tau and s must be positive, got tau={tau}, s={s}")
+    for name, value in (("tau", tau), ("s", s)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     v_hat = np.asarray(v_hat, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
     if v_hat.shape != u_prev.shape:

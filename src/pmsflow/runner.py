@@ -61,18 +61,6 @@ __all__ = [
 ]
 
 
-# Keys every experiment may leave unset: no snapshots, the default jump
-# threshold, and SolverConfig's own inner-iteration defaults.
-_BASE_DEFAULTS = {
-    "snapshot_times": (),
-    "kappa": None,
-    **{
-        f.name: f.default
-        for f in dataclasses.fields(SolverConfig)
-        if f.default is not dataclasses.MISSING
-    },
-}
-
 # Named presets.  The smooth preset is gated on 1e-10 scale monotonicity, so
 # it runs with a tighter inner tolerance than the default.  The acceptance
 # suite evolves these same presets.
@@ -103,7 +91,12 @@ _EXPERIMENTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings of one experiment run."""
+    """Fully resolved settings of one experiment run.
+
+    The fields with defaults steer the rectangle loop and are set through
+    the API only; a config file leaves them at SolverConfig's defaults, so
+    the loop's step sizes follow from tau.
+    """
 
     experiment: str
     grid: dict
@@ -114,15 +107,23 @@ class RunConfig:
     kappa: float | None
     inner_tol: float
     max_inner: int
-    theta: float
-    check_every: int
-    sigma: float | None
-    s: float | None
+    theta: float = SolverConfig.theta
+    check_every: int = SolverConfig.check_every
+    sigma: float | None = SolverConfig.sigma
+    s: float | None = SolverConfig.s
 
 
-_TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
-# Settings of the primal-dual loop, which only rectangles run.
-_RECTANGLE_ONLY_KEYS = ("theta", "check_every", "sigma", "s")
+# A config file sets exactly the RunConfig fields without a default.
+_TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING}
+
+# Keys every experiment may leave unset: no snapshots, the default jump
+# threshold, and SolverConfig's own inner-iteration defaults.
+_BASE_DEFAULTS = {
+    "snapshot_times": (),
+    "kappa": None,
+    "inner_tol": SolverConfig.inner_tol,
+    "max_inner": SolverConfig.max_inner,
+}
 
 
 def load_config(path) -> RunConfig:
@@ -158,22 +159,12 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
             raise ConfigError(f"experiment {experiment!r} needs an explicit {key!r}")
     if not isinstance(merged["grid"], dict):
         raise ConfigError("grid must be a mapping")
-    kind = merged["grid"].get("kind")
-    if kind in ("interval", "radial"):
-        for key in _RECTANGLE_ONLY_KEYS:
-            if key in settings:
-                raise ConfigError(
-                    f"{key!r} steers the rectangle solver only; remove it from "
-                    f"this {kind} config"
-                )
     if not isinstance(merged["initial"], dict):
         raise ConfigError("initial must be a mapping")
     snaps = merged["snapshot_times"]
     if not isinstance(snaps, (list, tuple)):
         raise ConfigError(f"snapshot_times must be a list, got {snaps!r}")
-    optional = {
-        k: None if merged[k] is None else _as_float(merged[k], k) for k in ("kappa", "sigma", "s")
-    }
+    kappa = merged["kappa"]
     return RunConfig(
         experiment=experiment,
         grid=dict(merged["grid"]),
@@ -181,11 +172,9 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
         tau=_as_float(merged["tau"], "tau"),
         t_end=_as_float(merged["t_end"], "t_end"),
         snapshot_times=tuple(_as_float(t, "snapshot_times") for t in snaps),
+        kappa=None if kappa is None else _as_float(kappa, "kappa"),
         inner_tol=_as_float(merged["inner_tol"], "inner_tol"),
         max_inner=_as_count(merged["max_inner"], "max_inner"),
-        theta=_as_float(merged["theta"], "theta"),
-        check_every=_as_count(merged["check_every"], "check_every"),
-        **optional,
     )
 
 
@@ -399,13 +388,10 @@ kappa: 0.3            # jump detection threshold; null picks a grid-aware defaul
 
 inner_tol: 1.0e-8     # certificate tolerance of the implicit step solver
 max_inner: 20000      # inner iteration cap per step
-
-# Rectangle grids only; interval and radial configs that set them are
-# rejected, because their Newton solve takes no step sizes:
-#   theta: 1.0        extrapolation weight of the inner iteration, in [0, 1]
-#   check_every: 16   termination check cadence of the inner iteration
-#   sigma: null       dual step; null picks 1/L for the grid's bound L
-#   s: null           primal step; set both or neither, s*sigma*L^2 <= 1
+# No other solver key exists.  Interval and radial steps run Newton on the
+# step's dual, which takes no step sizes; the rectangle loop derives its
+# pair from tau, the quadratic being (1/tau)- and the conjugate 1-strongly
+# convex: s/sigma = tau with s*sigma*L^2 = 1 for the grid's bound L.
 """
 
 

@@ -268,3 +268,8 @@ def test_prox_quadratic_closed_form():
         prox_quadratic(v_hat, np.zeros(3), 1.0, 1.0)
     with pytest.raises(ValueError):
         prox_quadratic(v_hat, u_prev, -1.0, 1.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            prox_quadratic(v_hat, u_prev, bad, 1.0)
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            prox_quadratic(v_hat, u_prev, 1.0, bad)

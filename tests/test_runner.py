@@ -29,16 +29,6 @@ t_end: 0.02
 snapshot_times: [0.01, 0.02]
 """
 
-# theta, check_every, sigma and s are rectangle-only keys; their range and
-# finiteness checks are reached on this config.
-RECTANGLE_SMALL = """\
-experiment: custom
-grid: {kind: rectangle, lo: [0.0, 0.0], hi: [1.0, 1.0], cells: [4, 4]}
-initial: {type: cosine}
-tau: 5.0e-3
-t_end: 1.0e-2
-"""
-
 
 # ---------------------------------------------------------------- loading
 
@@ -289,16 +279,14 @@ def test_cli_rejects_a_bad_config(tmp_path, capsys):
         ("t_end", ".nan"),
         ("t_end", ".inf"),
         ("inner_tol", ".nan"),
-        ("sigma", ".nan\ns: 1.0e-3"),
         ("snapshot_times", "[0.1, .nan]"),
         ("t_end", "1" + "0" * 400),
     ],
     ids=["kappa-nan", "tau-nan", "tau-inf", "t_end-nan", "t_end-inf",
-         "inner_tol-nan", "sigma-nan", "snapshot_times-nan", "t_end-huge-int"],
+         "inner_tol-nan", "snapshot_times-nan", "t_end-huge-int"],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
-    base = RECTANGLE_SMALL if key == "sigma" else "experiment: quarter_circles\n"
-    path = write_config(tmp_path, f"{base}{key}: {value}\n")
+    path = write_config(tmp_path, f"experiment: quarter_circles\n{key}: {value}\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -366,16 +354,13 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, ke
     "key, value",
     [
         ("tau", "-1.0"),
-        ("theta", "2.0"),
         ("t_end", "-1.0"),
         ("kappa", "-0.5"),
-        pytest.param("sigma", "10.0\ns: 10.0", id="sigma-s"),  # s*sigma*L^2 far above 1
     ],
 )
 def test_cli_rejects_bad_solver_settings_before_writing(tmp_path, capsys, key, value):
     # YAML keeps the last value of a repeated key, so these override CUSTOM_SMALL
-    base = RECTANGLE_SMALL if key in ("theta", "sigma") else CUSTOM_SMALL
-    path = write_config(tmp_path, f"{base}{key}: {value}\n")
+    path = write_config(tmp_path, f"{CUSTOM_SMALL}{key}: {value}\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -384,12 +369,15 @@ def test_cli_rejects_bad_solver_settings_before_writing(tmp_path, capsys, key, v
 @pytest.mark.parametrize(
     "key, value", [("theta", "0.5"), ("check_every", "8"), ("sigma", "null"), ("s", "null")]
 )
-def test_rectangle_only_keys_are_rejected_on_one_axis_grids(tmp_path, capsys, key, value):
-    one_axis = {
+def test_step_size_keys_are_rejected_on_every_grid(tmp_path, capsys, key, value):
+    # the rectangle loop derives its step sizes from tau, and the one-axis
+    # Newton solve takes none: a config file cannot set them on any grid
+    grids = {
         "interval": "{kind: interval, lo: 0.0, hi: 1.0, cells: 8}",
         "radial": "{kind: radial, dimension: 3, radius: 1.0, cells: 8}",
+        "rectangle": "{kind: rectangle, lo: [0.0, 0.0], hi: [1.0, 1.0], cells: [4, 4]}",
     }
-    for kind, grid in one_axis.items():
+    for kind, grid in grids.items():
         path = write_config(
             tmp_path,
             f"experiment: custom\ngrid: {grid}\ninitial: {{type: cosine}}\n"
@@ -398,10 +386,8 @@ def test_rectangle_only_keys_are_rejected_on_one_axis_grids(tmp_path, capsys, ke
         out = tmp_path / f"out-{kind}"
         assert main(["run", str(path), "--out", str(out)]) == 2, kind
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err and kind in err
+        assert err.startswith("error: unknown config keys") and repr(key) in err
         assert not out.exists()
-    path = write_config(tmp_path, f"{RECTANGLE_SMALL}{key}: {value}\n")
-    assert main(["run", str(path), "--out", str(tmp_path / "out-rectangle")]) == 0
 
 
 def test_null_position_is_the_midpoint(tmp_path):
@@ -521,7 +507,7 @@ def test_cli_prints_the_config_reference(capsys):
     for key in (
         "experiment", "quarter_circles", "radial_spike", "smooth_cosine",
         "grid", "initial", "tau", "t_end", "snapshot_times", "kappa",
-        "inner_tol", "max_inner", "theta", "check_every", "sigma",
+        "inner_tol", "max_inner",
     ):
         assert key in text
 

@@ -1,6 +1,8 @@
 """Implicit minimizing steps and trajectories: optimality, conservation,
 dissipation, comparison, refinement order, and error taxonomy."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from pmsflow.initial_data import capped_inverse, cosine, quarter_circles
 from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
-    balanced_steps,
     evolve,
     implicit_step,
     kkt_residual,
@@ -48,6 +49,11 @@ def test_config_validation():
         SolverConfig(tau=0.1, max_inner=0)
     with pytest.raises(ValueError):
         SolverConfig(tau=0.1, check_every=0)
+    for name in ("max_inner", "check_every"):
+        for bad in (2.5, True, "16"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(tau=0.1, **{name: bad})
+        SolverConfig(tau=0.1, **{name: np.int64(3)})
     with pytest.raises(ValueError):
         SolverConfig(tau=0.1, sigma=0.5)  # s missing
     with pytest.raises(ValueError):
@@ -104,13 +110,17 @@ def test_operator_norm_bound_dominates_gradient():
             assert lhs <= rhs * (1.0 + 1e-12)
 
 
-def test_balanced_steps_keep_the_product_at_the_bound():
-    grid = radial_grid(3, 1.0, 20)
-    bound = operator_norm_bound(grid)
-    sigma, s = balanced_steps(grid, 4e-2)
-    assert s / sigma == pytest.approx(4e-2, rel=1e-14)
-    assert s * sigma * bound**2 == pytest.approx(1.0, rel=1e-14)
-    assert balanced_steps(grid, 1.0) == (1.0 / bound, 1.0 / bound)
+def test_default_steps_balance_the_two_moduli():
+    # the step quadratic is (1/tau)-strongly convex, the conjugate 1-strongly
+    # convex: the default pair has s/sigma = tau at the largest product
+    grids = (radial_grid(3, 1.0, 20), rectangle_grid((0.0, 0.0), (1.0, 2.0), (7, 6)))
+    for grid, tau in itertools.product(grids, (1e-5, 1e-3, 0.5, 4.0)):
+        bound = operator_norm_bound(grid)
+        sigma, s = solver._resolve_steps(grid, SolverConfig(tau=tau))
+        assert s / sigma == pytest.approx(tau, rel=1e-14)
+        assert s * sigma * bound**2 == pytest.approx(1.0, rel=1e-14)
+        explicit = SolverConfig(tau=tau, sigma=0.5 / bound, s=1.0 / bound)
+        assert solver._resolve_steps(grid, explicit) == (0.5 / bound, 1.0 / bound)
 
 
 _ALL_GRID_KINDS = [
@@ -197,9 +207,7 @@ def test_warm_start_agrees_with_cold_start():
     cfg = SolverConfig(tau=5e-3, inner_tol=1e-10)
     first = implicit_step(u0, cfg)
     cold = implicit_step(first.u_next, cfg)
-    warm = implicit_step(
-        first.u_next, cfg, warm=(first.u_next.values.copy(), first.dual)
-    )
+    warm = implicit_step(first.u_next, cfg, dual=first.dual)
     assert np.max(np.abs(cold.u_next.values - warm.u_next.values)) <= 1e-7
     assert warm.inner_iters <= cold.inner_iters
 
@@ -280,6 +288,9 @@ def test_kkt_rejects_infeasible_dual_and_wrong_rectangle_input():
         kkt_residual(ur, fr, ur, 0.1)
     res = implicit_step(ur, SolverConfig(tau=0.1))
     assert kkt_residual(res.u_next, res.dual, ur, 0.1) == 0.0
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            kkt_residual(u, FaceField(grid, (np.zeros(9),)), u, bad)
 
 
 @pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
@@ -379,8 +390,8 @@ def test_newton_step_agrees_with_the_primal_dual_loop(grid):
     cfg = SolverConfig(tau=1e-2, inner_tol=1e-9)
     ops = _make_ops(grid)
     newton = implicit_step(CellField(grid, u0), cfg)
-    sigma, s = balanced_steps(grid, 0.03)
-    pdhg = solver._pdhg(ops, u0, cfg, sigma, s, u0.copy(), solver._variational_dual(ops, u0))
+    sigma, s = solver._resolve_steps(grid, cfg)
+    pdhg = solver._pdhg(ops, u0, cfg, sigma, s, solver._variational_dual(ops, u0))
     assert max(newton.kkt_residual, pdhg.kkt_residual) <= cfg.inner_tol
     diff = newton.u_next.values - pdhg.u_next.values
     dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
@@ -394,9 +405,10 @@ def test_one_axis_runs_ignore_the_step_sizes(grid):
     # valid sigma/s pairs steer only the rectangle loop: the Newton solve of
     # one-axis grids gives the same bits with any of them
     u0 = quarter_circles(grid, c=1.0) if grid.kind == "interval" else capped_inverse(grid, cap=20.0)
+    bound = operator_norm_bound(grid)
     runs = [
         evolve(u0, 0.05, SolverConfig(tau=5e-3, sigma=sigma, s=s), keep="all")
-        for sigma, s in [(None, None), balanced_steps(grid, 1e-3), balanced_steps(grid, 0.5)]
+        for sigma, s in [(None, None), (30.0 / bound, 1e-3 / bound), (1.0 / bound, 0.5 / bound)]
     ]
     first = runs[0]
     for other in runs[1:]:
@@ -499,6 +511,45 @@ def test_time_step_refinement_is_first_order():
     ]
     for coarse, fine in zip(diffs, diffs[1:]):
         assert 1.5 <= coarse / fine <= 2.5
+
+
+def test_default_rectangle_steps_cut_the_inner_iterations():
+    # s/sigma = tau against the symmetric pair s = sigma = 1/L: the same
+    # certificates from at most a quarter of the inner iterations
+    grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (24, 24))
+    u0 = cosine(grid, amplitude=0.5)
+    bound = operator_norm_bound(grid)
+    derived = evolve(u0, 3e-3, SolverConfig(tau=1e-3))
+    symmetric = evolve(u0, 3e-3, SolverConfig(tau=1e-3, sigma=1.0 / bound, s=1.0 / bound))
+    assert len(derived.inner_iters) == 3
+    assert 4 * np.sum(derived.inner_iters) <= np.sum(symmetric.inner_iters)
+    for traj in (derived, symmetric):
+        assert np.max(traj.kkt_residuals) <= traj.config.inner_tol
+
+
+def test_default_rectangle_steps_certify_random_cold_steps():
+    # seeded draws over cell counts, data, tau and amplitude: every cold
+    # step with the derived pair certifies and keeps the step's guarantees
+    rng = np.random.default_rng(1104)
+    for _ in range(24):
+        nx, ny = (int(n) for n in rng.integers(2, 25, size=2))
+        grid = rectangle_grid((0.0, 0.0), (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)), (nx, ny))
+        amplitude = 10.0 ** rng.uniform(-2.0, 2.0)
+        if rng.uniform() < 0.5:
+            shape = rng.uniform(-1.0, 1.0, (nx, ny))
+        else:
+            shape = np.where(rng.uniform(size=(nx, ny)) < 0.5, -1.0, 1.0)
+        u = CellField(grid, amplitude * shape)
+        cfg = SolverConfig(tau=10.0 ** rng.uniform(-4.0, np.log10(0.5)))
+        res = implicit_step(u, cfg)
+        assert res.inner_iters <= cfg.max_inner and res.kkt_residual <= cfg.inner_tol
+        vol = grid.cell_volumes
+        drift = abs(np.sum(vol * (res.u_next.values - u.values)))
+        assert drift <= 1e-12 * (1.0 + np.sum(vol * np.abs(u.values)))
+        assert max(float(np.max(np.abs(c))) for c in res.flux.components) < 1.0
+        step_cost = np.sum(vol * (res.u_next.values - u.values) ** 2)
+        lhs = area_energy(res.u_next) + step_cost / (2.0 * cfg.tau)
+        assert lhs <= area_energy(u) + cfg.inner_tol
 
 
 def test_rectangle_run_keeps_all_certificates():
