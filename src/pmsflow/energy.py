@@ -7,11 +7,13 @@ whose pointwise convex conjugate over the closed unit ball is
     sqrt(1 + |q|^2) = sup_{|p| <= 1} [ p.q + sqrt(1 - |p|^2) ]
 
 is what both step solvers exploit.  The primal-dual iteration of
-rectangles applies the exact proximal map of the conjugate per cell: it is
-radial, and ``_dual_radius`` solves for its radius.  Its primal map is
-``prox_quadratic``, the closed form of the implicit-step quadratic.  The
-Newton solve of one-axis grids maximizes the step's dual, whose gradient
-and tridiagonal Hessian ``_OneAxisOps`` supplies.
+rectangles lifts it to sqrt(1 + |q|^2) = max over |(p0, p)| <= 1 of
+p0 + p.q, so its dual proximal map is a projection onto the unit ball of
+R^3; its primal map is ``prox_quadratic``, the closed form of the
+implicit-step quadratic.  ``_dual_radius`` keeps the exact proximal map of
+the unlifted conjugate as a reference for tests.  The Newton solve of
+one-axis grids maximizes the step's dual, whose gradient and tridiagonal
+Hessian ``_OneAxisOps`` supplies.
 
 Discretization: the saddle operator K maps cell values to the dual space,
 and the discrete area, which ``area_energy`` returns as one float, is
@@ -181,6 +183,10 @@ def _dual_radius(m: np.ndarray, sigma: float, w: np.ndarray) -> np.ndarray:
     r is the radius of the proximal map of the conjugate at a point of
     magnitude m: the minimizer of -sqrt(1 - |p|^2) + |p - p_hat|^2 / (2 sigma)
     over the unit ball is r * p_hat / |p_hat|, strictly inside the ball.
+    No solver calls it: the rectangle loop projects a lifted dual instead,
+    and this exact prox is the reference its certified duals are tested
+    against (a solution p with q = K u is the prox's fixed point at
+    p + sigma q).
 
     Solved in the slope variable w = r/sqrt(1-r^2), where the equation
     becomes g(w) = sigma*w + w/sqrt(1+w^2) - m = 0.  ``w`` is a float
