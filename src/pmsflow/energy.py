@@ -10,8 +10,9 @@ is what both step solvers exploit.  The primal-dual iteration of
 rectangles lifts it to sqrt(1 + |q|^2) = max over |(p0, p)| <= 1 of
 p0 + p.q, so its dual proximal map is a projection onto the unit ball of
 R^3; its primal map is ``prox_quadratic``, the closed form of the
-implicit-step quadratic.  ``_dual_radius`` keeps the exact proximal map of
-the unlifted conjugate as a reference for tests.  The Newton solve of
+implicit-step quadratic.  Each ops class also gives that iteration an
+in-place pair of K and div (``loop_kernels``).  ``_dual_radius`` keeps the
+exact proximal map of the unlifted conjugate as a reference for tests.  The Newton solve of
 one-axis grids maximizes the step's dual, whose gradient and tridiagonal
 Hessian ``_OneAxisOps`` supplies.
 
@@ -54,12 +55,29 @@ class _OneAxisOps:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dual_weights = grid.face_weights[0]
+        self.dual_shape = grid.face_shape(0)
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
         return forward_gradient_values(self.grid, v)[0]
 
     def div_dual(self, p: np.ndarray) -> np.ndarray:
         return divergence_values(self.grid, (p,))
+
+    def loop_kernels(self, sigma: float, b: float):
+        """In-place pair (v, out) -> sigma * K v and (p, out) -> b * div p.
+
+        One-axis steps are solved by Newton; only a direct call of the
+        primal-dual loop iterates with these, so they write the public
+        operators into ``out``.
+        """
+
+        def k_into(v: np.ndarray, out: np.ndarray) -> None:
+            np.multiply(self.k_apply(v), sigma, out=out)
+
+        def div_into(p: np.ndarray, out: np.ndarray) -> None:
+            np.multiply(self.div_dual(p), b, out=out)
+
+        return k_into, div_into
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
@@ -139,6 +157,7 @@ class _RectangleOps:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dual_weights = grid.cell_volumes
+        self.dual_shape = (2,) + grid.shape
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
         return colocated_gradient_values(self.grid, v)
@@ -150,6 +169,56 @@ class _RectangleOps:
 
     def div_dual(self, p: np.ndarray) -> np.ndarray:
         return divergence_values(self.grid, self.flux_components(p))
+
+    def loop_kernels(self, sigma: float, b: float):
+        """In-place pair (v, out) -> sigma * K v and (p, out) -> b * div p.
+
+        Per axis, K is the central difference (v[i+1] - v[i-1]) / (2h) with
+        the one-sided half (v[1] - v[0]) / (2h) in a wall cell, as if the
+        walls mirrored v evenly.  Its exact negative adjoint under the
+        equal cell weights is the central difference of p mirrored oddly:
+        (p[1] + p[0]) / (2h) and -(p[-1] + p[-2]) / (2h) in the wall cells.
+        Both write into ``out`` without allocating, and fold the step sizes
+        into one multiplication per array; they agree with ``k_apply`` and
+        ``div_dual`` to rounding.
+
+        All arrays must be C-contiguous.  Along the second axis the kernels
+        difference the flattened arrays, which costs a third of the strided
+        two-dimensional slices; the entries that wrap across a row are wall
+        cells, written afterwards.
+        """
+        hx, hy = self.grid.spacing
+        k_coef = np.array([0.5 * sigma / hx, 0.5 * sigma / hy]).reshape(2, 1, 1)
+        ratio, div_coef = hx / hy, 0.5 * b / hx
+
+        def k_into(v: np.ndarray, out: np.ndarray) -> None:
+            gx, gy = out
+            np.subtract(v[2:], v[:-2], out=gx[1:-1])
+            np.subtract(v[1], v[0], out=gx[0])
+            np.subtract(v[-1], v[-2], out=gx[-1])
+            flat = v.reshape(-1)
+            np.subtract(flat[2:], flat[:-2], out=gy.reshape(-1)[1:-1])
+            np.subtract(v[:, 1], v[:, 0], out=gy[:, 0])
+            np.subtract(v[:, -1], v[:, -2], out=gy[:, -1])
+            out *= k_coef
+
+        def div_into(p: np.ndarray, out: np.ndarray) -> None:
+            px, py = p
+            flat = py.reshape(-1)
+            np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+            np.add(py[:, 0], py[:, 1], out=out[:, 0])
+            np.add(py[:, -2], py[:, -1], out=out[:, -1])
+            out[:, -1] *= -1.0  # numpy 2.4's np.negative miswrites 64-byte strides
+            out *= ratio  # the y differences in units of 1/hx
+            out[1:-1] += px[2:]
+            out[1:-1] -= px[:-2]
+            out[0] += px[0]
+            out[0] += px[1]
+            out[-1] -= px[-2]
+            out[-1] -= px[-1]
+            out *= div_coef
+
+        return k_into, div_into
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:

@@ -31,6 +31,15 @@ primal proximal map is the closed form ``prox_quadratic``:
     v       <- prox_quadratic(v + s * div p, u_prev, tau, s)
     vbar    <- v + theta * (v - v_prev)
 
+The loop carries the increment w = v - u_prev, for which the primal step
+is w <- a w + b div p with a = tau/(tau + s) and b = tau s/(tau + s).  An
+inner iteration allocates no array: its buffers are made once per step,
+and ``loop_kernels`` of the ops class writes sigma K and b div in place,
+as central differences on rectangles with the step sizes folded into
+their coefficients.  They round differently from the public calculus, so
+they steer only the iterates; every certificate evaluation rebuilds div p
+with ``div_dual``.
+
 The grid weights are carried by the pairing, so they cancel inside both
 proximal maps.  The quadratic term is (1/tau)-strongly convex and the
 conjugate -sqrt(1 - |p|^2) of the unlifted dual is 1-strongly convex on
@@ -42,10 +51,10 @@ Both solvers terminate on the same three certificates at tolerance
 ``inner_tol``: the primal stationarity residual, the pointwise dual
 relation residual, and the summed Fenchel gap, which at the finalized
 iterate equals the duality gap of the step problem.  The returned state is
-u_prev + tau * div(flux), so the weighted mean is conserved to machine
-precision and the per-step energy inequality
-E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) + inner_tol holds by
-convex duality rather than by observation.
+exactly u_prev + tau * divergence(flux) in the grid module's calculus, so
+the weighted mean is conserved to machine precision and the per-step
+energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <=
+E(u_prev) + inner_tol holds by convex duality rather than by observation.
 """
 
 from __future__ import annotations
@@ -57,10 +66,11 @@ import numpy as np
 
 from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
 # perfbench/tracer.py finds _dual_radius and the two ops classes here and
-# wraps them to time the inner loop.  No step calls _dual_radius (the tests
-# use it as the exact prox); the name stays bound here until the benchmark
-# drops its dual-radius metrics.
-from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps, prox_quadratic  # noqa: F401
+# wraps them to time the saddle operators, which only certificate
+# evaluations call on rectangles (the loop runs ``loop_kernels``).  No step
+# calls _dual_radius (the tests use it as the exact prox); the name stays
+# bound here until the benchmark drops its dual-radius metrics.
+from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps  # noqa: F401
 from .grid import CellField, FaceField, Grid, cell_norm
 
 __all__ = [
@@ -235,9 +245,11 @@ def implicit_step(
         Step length and inner-iteration settings.
     dual : array, optional
         Dual starting guess, typically ``StepResult.dual`` of the previous
-        step.  Without it the dual starts at the pointwise variational flux
-        of u_prev.  The primal iterate of the rectangle loop starts at
-        u_prev; the Newton solve of one-axis grids needs no primal start.
+        step: finite, of shape (2, nx, ny) on rectangles and of the face
+        shape on one-axis grids.  Without it the dual starts at the
+        pointwise variational flux of u_prev.  The primal iterate of the
+        rectangle loop starts at u_prev; the Newton solve of one-axis grids
+        needs no primal start.
 
     Returns
     -------
@@ -247,6 +259,8 @@ def implicit_step(
 
     Raises
     ------
+    ValueError
+        If ``dual`` has the wrong shape or a non-finite entry.
     NonConvergenceError
         If the three inner certificates (primal stationarity, pointwise dual
         relation, summed Fenchel gap) do not all reach inner_tol within
@@ -256,7 +270,14 @@ def implicit_step(
     ops = _make_ops(grid)
     sigma, s = _resolve_steps(grid, cfg)  # validated on every grid, used on rectangles
     u0 = u_prev.values
-    p = _variational_dual(ops, u0) if dual is None else np.array(dual, dtype=float)
+    if dual is None:
+        p = _variational_dual(ops, u0)
+    else:
+        p = np.array(dual, dtype=float)
+        if p.shape != ops.dual_shape:
+            raise ValueError(f"dual shape {p.shape} != {ops.dual_shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("dual values must be finite")
     if isinstance(ops, _OneAxisOps):
         return _newton(ops, u0, cfg, p)
     return _pdhg(ops, u0, cfg, sigma, s, p)
@@ -284,6 +305,31 @@ def _nonconvergence(what, iterations, residuals, tol):
     )
 
 
+def _prox_coefficients(tau, s):
+    """(a, b) with prox_quadratic(v + s d, u_prev, tau, s) = u_prev + a w + b d
+    for w = v - u_prev."""
+    a = tau / (tau + s)
+    return a, s * a
+
+
+def _primal_update(w, bdivz, a, theta, u0, w_new, vbar):
+    """w_new = a w + b div p and vbar = u0 + w_new + theta (w_new - w), in place.
+
+    w = v - u_prev is the primal iterate's increment and ``bdivz`` holds
+    b div p; with (a, b) from ``_prox_coefficients`` the first line is the
+    primal proximal step, the second the extrapolation.  Iterating on the
+    increment keeps the rounding of u_prev out of it: a fixed point with
+    div p = 0 is w = 0 exactly.
+    """
+    np.multiply(w, a, out=w_new)
+    w_new += bdivz
+    np.subtract(w_new, w, out=vbar)
+    if theta != 1.0:
+        vbar *= theta
+    vbar += w_new
+    vbar += u0
+
+
 def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     """The primal-dual iteration from (u_prev, p), certified every check_every.
 
@@ -292,32 +338,44 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     component p0 (a second on one-axis grids) and the dual proximal step is
     the projection of (p0 + sigma, p + sigma K vbar) onto that unit ball.
     p0 starts at sqrt(1 - |p|^2), its value at the solution.
+
+    An iteration allocates nothing.  Its buffers are made once per step and
+    the two primal increments swap roles.  ``ops.loop_kernels`` writes
+    sigma K and b div in place, with the step sizes folded into their
+    coefficients, and the primal step is ``_primal_update``.  They round
+    differently from the public calculus, so they move the iterates in the
+    last bits only.  Every certificate evaluation rebuilds div p with the
+    public ``ops.div_dual``: the returned pair is exactly
+    u_prev + tau * divergence(flux), certified by ``_residuals`` unchanged.
     """
     tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
-    v = u0.copy()
-    vbar = v.copy()
+    a, b = _prox_coefficients(tau, s)
+    k_into, div_into = ops.loop_kernels(sigma, b)
+    w, vbar = np.zeros(u0.shape), u0.copy()
+    w_new, bdivz = np.empty(u0.shape), np.empty(u0.shape)
     mp = ops.magnitude(p)
     p0 = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
     lifted = np.concatenate((p0[None], np.reshape(p, (-1,) + p0.shape)))
     p = lifted[1:].reshape(np.shape(p))  # a view: updating lifted updates p
+    kv = np.empty(p.shape)
     norm = np.empty(p0.shape)
     residuals = (np.inf, np.inf, np.inf)
     for k in range(1, cfg.max_inner + 1):
-        kv = ops.k_apply(vbar)
-        kv *= sigma
+        k_into(vbar, kv)
         p += kv
         lifted[0] += sigma
         np.einsum("i...,i...->...", lifted, lifted, out=norm)
         np.sqrt(norm, out=norm)
         np.maximum(norm, 1.0, out=norm)
-        lifted /= norm
-        divz = ops.div_dual(p)
-        v_new = prox_quadratic(v + s * divz, u0, tau, s)
-        vbar = v_new + theta * (v_new - v)
-        v = v_new
+        np.divide(1.0, norm, out=norm)
+        lifted *= norm
+        div_into(p, bdivz)
+        _primal_update(w, bdivz, a, theta, u0, w_new, vbar)
+        w, w_new = w_new, w
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
+            divz = ops.div_dual(p)
             u_cand = u0 + tau * divz
-            residuals = _residuals(ops, u0, tau, p, divz, v, u_cand)
+            residuals = _residuals(ops, u0, tau, p, divz, u0 + w, u_cand)
             if all(r <= tol for r in residuals):
                 kkt = max(_residuals(ops, u0, tau, p, divz, u_cand, u_cand)[:2])
                 return _step_result(ops, u_cand, p.copy(), k, kkt)

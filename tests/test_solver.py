@@ -8,7 +8,7 @@ import pytest
 
 from pmsflow import solver
 from pmsflow.acceptance import _descent_oracle
-from pmsflow.energy import _make_ops, _solve_tridiagonal, area_energy
+from pmsflow.energy import _make_ops, _solve_tridiagonal, area_energy, prox_quadratic
 from pmsflow.grid import (
     CellField,
     FaceField,
@@ -149,6 +149,74 @@ def test_saddle_operators_are_the_public_calculus(grid):
     lhs = float(np.sum(ops.dual_weights * ops.dot(ops.k_apply(u.values), p)))
     rhs = float(np.sum(grid.cell_volumes * u.values * ops.div_dual(p)))
     assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+
+
+# The in-place loop kernels may round differently from the public calculus,
+# by at most this many ulps of the largest magnitude involved.
+_KERNEL_ULPS = 8.0
+# Rectangles with hx != hy (a square would hide swapped spacings), a 2-cell
+# axis (empty interior slices) and 8 cells along the second axis, whose
+# 64-byte column stride numpy 2.4's np.negative miswrites.
+_KERNEL_RECTANGLES = [
+    rectangle_grid((0.0, 0.0), (0.6, 1.3), (2, 2)),
+    rectangle_grid((0.0, 0.0), (0.6, 1.3), (2, 7)),
+    rectangle_grid((0.0, 0.0), (1.0, 2.0), (7, 6)),
+    rectangle_grid((0.0, 0.0), (1.7, 0.4), (3, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    _KERNEL_RECTANGLES + _ALL_GRID_KINDS[:-1],
+    ids=["rect2x2", "rect2x7", "rect7x6", "rect3x8", *_ALL_GRID_IDS[:-1]],
+)
+def test_loop_kernels_are_the_public_calculus(grid):
+    # the primal-dual loop's in-place pair writes sigma K and b div: on
+    # rectangles to rounding and exactly adjoint, on one-axis grids bit for bit
+    ops = _make_ops(grid)
+    rng = np.random.default_rng(12)
+    v = 30.0 * rng.standard_normal(grid.shape)
+    p = rng.uniform(-1.0, 1.0, ops.dual_shape)
+    sigma, b = 0.37, 2.3e-3
+    k_into, div_into = ops.loop_kernels(sigma, b)
+    kv, bdivz = np.empty(ops.dual_shape), np.empty(grid.shape)
+    k_into(v, kv)
+    div_into(p, bdivz)
+    if grid.kind == "rectangle":
+        eps, h = np.finfo(float).eps, min(grid.spacing)
+        k_mag = sigma * np.max(np.abs(v)) / h
+        div_mag = b * np.max(np.abs(p)) / h
+        assert np.max(np.abs(kv - sigma * ops.k_apply(v))) <= _KERNEL_ULPS * eps * k_mag
+        assert np.max(np.abs(bdivz - b * ops.div_dual(p))) <= _KERNEL_ULPS * eps * div_mag
+    else:
+        assert np.array_equal(kv, sigma * ops.k_apply(v))
+        assert np.array_equal(bdivz, b * ops.div_dual(p))
+    lhs = float(np.sum(ops.dual_weights * ops.dot(kv, p))) / sigma
+    rhs = float(np.sum(grid.cell_volumes * v * bdivz)) / b
+    assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.4])
+def test_fused_primal_update_is_the_prox_and_extrapolation(theta):
+    # on the increment w = v - u_prev, a w + b div p is
+    # prox_quadratic(v + s div p, u_prev, tau, s) - u_prev, and vbar is its
+    # extrapolation, to rounding
+    grid = _KERNEL_RECTANGLES[2]
+    ops = _make_ops(grid)
+    rng = np.random.default_rng(13)
+    v, u_prev = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    p = rng.uniform(-1.0, 1.0, ops.dual_shape)
+    tau, s = 3e-3, 0.05
+    a, b = solver._prox_coefficients(tau, s)
+    bdivz, w_new, vbar = (np.empty(grid.shape) for _ in range(3))
+    ops.loop_kernels(1.0, b)[1](p, bdivz)
+    solver._primal_update(v - u_prev, bdivz, a, theta, u_prev, w_new, vbar)
+    divz = ops.div_dual(p)
+    want = prox_quadratic(v + s * divz, u_prev, tau, s)
+    mag = max(np.max(np.abs(v)), np.max(np.abs(u_prev)), s * np.max(np.abs(divz)))
+    tol = _KERNEL_ULPS * np.finfo(float).eps * mag
+    assert np.max(np.abs(u_prev + w_new - want)) <= tol
+    assert np.max(np.abs(vbar - (want + theta * (want - v)))) <= (1.0 + theta) * tol
 
 
 # ---------------------------------------------------------------- one step
@@ -295,11 +363,42 @@ def test_kkt_rejects_infeasible_dual_and_wrong_rectangle_input():
 
 @pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
 def test_returned_certificate_is_the_public_one(grid):
+    # whatever the inner loop computes with, the returned pair is exactly
+    # u_prev + tau * divergence(flux) in the grid module's calculus and its
+    # kkt_residual the public one, cold and warm-started
     rng = np.random.default_rng(58)
     u_prev = CellField(grid, rng.uniform(-1.0, 1.0, grid.shape))
-    res = implicit_step(u_prev, SolverConfig(tau=1e-2))
-    assert res.kkt_residual > 0.0
-    assert res.kkt_residual == kkt_residual(res.u_next, res.dual, u_prev, 1e-2)
+    dual = None
+    for _ in range(2):
+        res = implicit_step(u_prev, SolverConfig(tau=1e-2), dual=dual)
+        assert np.array_equal(res.u_next.values, u_prev.values + 1e-2 * divergence(res.flux).values)
+        assert res.kkt_residual > 0.0
+        assert res.kkt_residual == kkt_residual(res.u_next, res.dual, u_prev, 1e-2)
+        u_prev, dual = res.u_next, res.dual
+
+
+_SQUARE8 = rectangle_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+_LINE8 = interval_grid(0.0, 1.0, 8)
+
+
+@pytest.mark.parametrize(
+    "grid, dual, match",
+    [
+        (_SQUARE8, np.full((2, 8, 8), np.nan), "finite"),
+        (_SQUARE8, np.full((2, 8, 8), np.inf), "finite"),
+        (_SQUARE8, np.zeros((8, 8, 2)), r"\(2, 8, 8\)"),
+        (_SQUARE8, np.zeros((3, 8, 8)), r"\(2, 8, 8\)"),
+        (_SQUARE8, np.zeros(128), r"\(2, 8, 8\)"),
+        (_LINE8, np.zeros(8), r"\(7,\)"),
+        (_LINE8, np.full(7, np.nan), "finite"),
+    ],
+    ids=["nan", "inf", "cells-last", "lifted", "flat", "interval-length", "interval-nan"],
+)
+def test_warm_start_dual_is_validated(grid, dual, match):
+    # a warm start of the wrong shape or with non-finite entries is a
+    # ValueError naming the expected shape, raised before any inner iteration
+    with pytest.raises(ValueError, match=match):
+        implicit_step(cosine(grid, amplitude=0.5), SolverConfig(tau=1e-3), dual=dual)
 
 
 def test_rectangle_dual_is_a_fixed_point_of_the_exact_prox():
