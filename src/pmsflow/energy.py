@@ -11,7 +11,8 @@ rectangles lifts it to sqrt(1 + |q|^2) = max over |(p0, p)| <= 1 of
 p0 + p.q, so its dual proximal map is a projection onto the unit ball of
 R^3; its primal map is ``prox_quadratic``, the closed form of the
 implicit-step quadratic.  Each ops class also gives that iteration an
-in-place pair of K and div (``loop_kernels``).  ``_dual_radius`` keeps the
+in-place pair of K and div (``loop_kernels``) and a proved bound on the
+norm of its K (``norm_bound``), from which the step sizes follow.  ``_dual_radius`` keeps the
 exact proximal map of the unlifted conjugate as a reference for tests.  The Newton solve of
 one-axis grids maximizes the step's dual, whose gradient and tridiagonal
 Hessian ``_OneAxisOps`` supplies.
@@ -50,12 +51,21 @@ __all__ = [
 
 
 class _OneAxisOps:
-    """Saddle operators for interval and radial grids; duals live on faces."""
+    """Saddle operators for interval and radial grids; duals live on faces.
+
+    ``norm_bound`` bounds the norm of K from the cell metric
+    sum V u^2 to the face metric sum W q^2.  On an interval it is 2/h, the
+    classical bound of the forward difference.  Radial grids need more: the
+    innermost cell has face-to-volume ratio 2^(N-1), so the bound there is
+    2^(N/2)/h, which reduces to 2/h when N = 2.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dual_weights = grid.face_weights[0]
         self.dual_shape = grid.face_shape(0)
+        scale = 2.0 ** (grid.radial_dim / 2.0) if grid.kind == "radial" else 2.0
+        self.norm_bound = scale / grid.spacing[0]
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
         return forward_gradient_values(self.grid, v)[0]
@@ -152,12 +162,22 @@ class _RectangleOps:
     means), its ball constraint holds per cell, and the face flux is the
     adjoint average of the two adjacent cell duals, so |flux| < 1 per face
     whenever the duals are feasible.
+
+    ``norm_bound`` is sqrt(1/hx^2 + 1/hy^2), the norm of K in the cell
+    metric.  Per axis, K_x is the central difference with the one-sided
+    half in the wall cells (see ``loop_kernels``): every row and every
+    column of it, wall halves included, has absolute sum 1/hx, so by the
+    Schur test |K_x| <= 1/hx, and likewise |K_y| <= 1/hy.  Since
+    |K u|^2 = |K_x u|^2 + |K_y u|^2, |K|^2 <= 1/hx^2 + 1/hy^2.  The dual
+    weights and the cell volumes are the same equal numbers, so they
+    cancel from the ratio.  On a 2 x 2 grid the bound is attained.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dual_weights = grid.cell_volumes
         self.dual_shape = (2,) + grid.shape
+        self.norm_bound = float(np.sqrt(sum(1.0 / h**2 for h in grid.spacing)))
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
         return colocated_gradient_values(self.grid, v)

@@ -45,12 +45,18 @@ proximal maps.  The quadratic term is (1/tau)-strongly convex and the
 conjugate -sqrt(1 - |p|^2) of the unlifted dual is 1-strongly convex on
 its domain; those two moduli fix the default pair: s/sigma = tau with
 s * sigma * L^2 = 1 (Chambolle & Pock 2011, Alg. 3), see
-``_resolve_steps``.
+``_resolve_steps``.  L is the norm bound that each ops class proves for
+its own K (``operator_norm_bound``); on rectangles it is
+sqrt(1/hx^2 + 1/hy^2), which a 2 x 2 grid attains, and the loop's linear
+rate improves as L shrinks.
 
 Both solvers terminate on the same three certificates at tolerance
 ``inner_tol``: the primal stationarity residual, the pointwise dual
 relation residual, and the summed Fenchel gap, which at the finalized
-iterate equals the duality gap of the step problem.  The returned state is
+iterate equals the duality gap of the step problem.  The rectangle loop
+evaluates the primal residual first and the other two only once it
+passes, or at ``max_inner`` so that a failure reports all three; the
+iterates do not depend on the order.  The returned state is
 exactly u_prev + tau * divergence(flux) in the grid module's calculus, so
 the weighted mean is conserved to machine precision and the per-step
 energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <=
@@ -149,15 +155,14 @@ class NonConvergenceError(RuntimeError):
 
 
 def operator_norm_bound(grid: Grid) -> float:
-    """Safe upper bound for the saddle operator norm in the weighted metrics.
+    """Upper bound L on the saddle operator norm in the weighted metrics.
 
-    Uniform grids obey the classical 2 * sqrt(sum 1/h^2) bound.  Radial
-    grids do not: the innermost cell has face-to-volume ratio 2^(N-1), so
-    the bound there is 2^(N/2)/h (which reduces to 2/h when N = 2).
+    Each dual layout of ``energy._make_ops`` carries its own bound, with its
+    proof: 2/h on intervals and 2^(N/2)/h on N-dimensional radial grids
+    (face gradient), sqrt(1/hx^2 + 1/hy^2) on rectangles (co-located
+    central difference), which a 2 x 2 rectangle attains.
     """
-    if grid.kind == "radial":
-        return 2.0 ** (grid.radial_dim / 2.0) / grid.spacing[0]
-    return 2.0 * float(np.sqrt(sum(1.0 / h**2 for h in grid.spacing)))
+    return _make_ops(grid).norm_bound
 
 
 def _resolve_steps(grid: Grid, cfg: SolverConfig) -> tuple[float, float]:
@@ -168,10 +173,12 @@ def _resolve_steps(grid: Grid, cfg: SolverConfig) -> tuple[float, float]:
     convex, so Chambolle & Pock (2011, "A first-order primal-dual algorithm
     for convex problems with applications to imaging", Alg. 3) balance the
     two moduli with s/sigma = tau, and s * sigma * L^2 = 1 takes the largest
-    product the bound L allows: sigma = 1/(L sqrt(tau)), s = sqrt(tau)/L.
-    Over the first five steps of a 96 x 96 cosine (amplitude 0.5, tau 1e-3)
-    that takes 176 inner iterations per step against 3 302 at s = sigma.
-    An explicit pair is checked against s * sigma * L^2 <= 1.
+    product the bound L allows: sigma = 1/(L sqrt(tau)), s = sqrt(tau)/L,
+    with L = ``operator_norm_bound(grid)``.  Over the first five steps of a
+    96 x 96 cosine (amplitude 0.5, tau 1e-3) that takes 96 inner iterations
+    per step against 1 661 at s = sigma = 1/L (176 against 3 302 under the
+    former rectangle bound 2 sqrt(1/hx^2 + 1/hy^2)).  An explicit pair is
+    checked against s * sigma * L^2 <= 1.
     """
     bound = operator_norm_bound(grid)
     if cfg.sigma is None:
@@ -192,16 +199,18 @@ def _variational_dual(ops, values: np.ndarray) -> np.ndarray:
     return q / np.sqrt(1.0 + m * m)
 
 
-def _residuals(ops, u_prev, tau, p, divz, v, u):
-    """The three certificates (primal, dual relation, gap) of a step pair.
+def _primal_residual(ops, u_prev, tau, divz, v) -> float:
+    """Primal stationarity |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p)."""
+    return float(np.sqrt(np.sum(ops.grid.cell_volumes * ((v - u_prev) / tau - divz) ** 2)))
 
-    Primal: |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p).  Dual
-    relation: max |p * sqrt(1 + |q|^2) - q| with q = K u.  Gap: the summed
-    Fenchel gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the
-    duality gap of the step problem at u = u_prev + tau * div(p).
-    A returned pair is certified with v = u.
+
+def _dual_residuals(ops, p, u) -> tuple[float, float]:
+    """Dual relation and gap of the dual p against the state u.
+
+    Dual relation: max |p * sqrt(1 + |q|^2) - q| with q = K u.  Gap: the
+    summed Fenchel gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)),
+    the duality gap of the step problem at u = u_prev + tau * div(p).
     """
-    primal = float(np.sqrt(np.sum(ops.grid.cell_volumes * ((v - u_prev) / tau - divz) ** 2)))
     q = ops.k_apply(u)
     mq = ops.magnitude(q)
     root = np.sqrt(1.0 + mq * mq)
@@ -209,7 +218,16 @@ def _residuals(ops, u_prev, tau, p, divz, v, u):
     mp = ops.magnitude(p)
     conj = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
     gap_terms = np.clip(root - ops.dot(p, q) - conj, 0.0, None)
-    return primal, dual, float(np.sum(ops.dual_weights * gap_terms))
+    return dual, float(np.sum(ops.dual_weights * gap_terms))
+
+
+def _residuals(ops, u_prev, tau, p, divz, v, u):
+    """The three certificates (primal, dual relation, gap) of a step pair.
+
+    ``_primal_residual`` at v followed by ``_dual_residuals`` at u; a
+    returned pair is certified with v = u.
+    """
+    return (_primal_residual(ops, u_prev, tau, divz, v), *_dual_residuals(ops, p, u))
 
 
 @dataclass
@@ -270,17 +288,20 @@ def implicit_step(
     ops = _make_ops(grid)
     sigma, s = _resolve_steps(grid, cfg)  # validated on every grid, used on rectangles
     u0 = u_prev.values
-    if dual is None:
-        p = _variational_dual(ops, u0)
-    else:
-        p = np.array(dual, dtype=float)
-        if p.shape != ops.dual_shape:
-            raise ValueError(f"dual shape {p.shape} != {ops.dual_shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("dual values must be finite")
+    p = _variational_dual(ops, u0) if dual is None else _checked_dual(ops, dual)
     if isinstance(ops, _OneAxisOps):
         return _newton(ops, u0, cfg, p)
     return _pdhg(ops, u0, cfg, sigma, s, p)
+
+
+def _checked_dual(ops, dual) -> np.ndarray:
+    """A float copy of ``dual``, which must be finite and of ``ops.dual_shape``."""
+    p = np.array(dual, dtype=float)
+    if p.shape != ops.dual_shape:
+        raise ValueError(f"dual must have shape {ops.dual_shape}, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"dual of shape {ops.dual_shape} must be finite")
+    return p
 
 
 def _step_result(ops, u, p, iters, kkt):
@@ -346,7 +367,12 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     differently from the public calculus, so they move the iterates in the
     last bits only.  Every certificate evaluation rebuilds div p with the
     public ``ops.div_dual``: the returned pair is exactly
-    u_prev + tau * divergence(flux), certified by ``_residuals`` unchanged.
+    u_prev + tau * divergence(flux), certified by the parts of
+    ``_residuals``.  A check computes the primal residual first; K u, the
+    dual relation and the gap follow only when it passes (or at
+    ``max_inner``, so that NonConvergenceError carries all three).  At
+    acceptance only the primal is recomputed at v = u: the dual relation and
+    the gap already were evaluated at u.
     """
     tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
     a, b = _prox_coefficients(tau, s)
@@ -374,10 +400,14 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
         w, w_new = w_new, w
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
             divz = ops.div_dual(p)
+            primal = _primal_residual(ops, u0, tau, divz, u0 + w)
+            if primal > tol and k < cfg.max_inner:
+                continue  # the step cannot certify; skip the dual side
             u_cand = u0 + tau * divz
-            residuals = _residuals(ops, u0, tau, p, divz, u0 + w, u_cand)
+            residuals = (primal, *_dual_residuals(ops, p, u_cand))
             if all(r <= tol for r in residuals):
-                kkt = max(_residuals(ops, u0, tau, p, divz, u_cand, u_cand)[:2])
+                # v = u_cand changes only the primal; dual and gap stand
+                kkt = max(_primal_residual(ops, u0, tau, divz, u_cand), residuals[1])
                 return _step_result(ops, u_cand, p.copy(), k, kkt)
     raise _nonconvergence("inner iteration", cfg.max_inner, residuals, tol)
 
@@ -478,7 +508,8 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     linearly in perturbations, and stays finite where the dual saturates.
 
     ``p`` is the dual state: a FaceField (or its raw array) on one-axis
-    grids, the (2, nx, ny) per-cell dual on rectangles.
+    grids, the (2, nx, ny) per-cell dual on rectangles.  It must be finite,
+    of that shape and feasible, |p| <= 1; otherwise ValueError.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -486,7 +517,7 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     if not grid.same_layout(u_prev.grid):
         raise ValueError("u and u_prev live on different grids")
     ops = _make_ops(grid)
-    pa = ops.dual_from_flux(p) if isinstance(p, FaceField) else np.asarray(p, dtype=float)
+    pa = _checked_dual(ops, ops.dual_from_flux(p) if isinstance(p, FaceField) else p)
     if float(np.max(ops.magnitude(pa))) > 1.0 + 1e-12:
         raise ValueError("dual state is infeasible: |p| > 1 somewhere")
     divz = ops.div_dual(pa)

@@ -86,28 +86,77 @@ def test_operator_norm_bound_values():
     g = interval_grid(0.0, 1.0, 10)  # h = 0.1
     assert operator_norm_bound(g) == pytest.approx(20.0)
     r = rectangle_grid((0.0, 0.0), (1.0, 2.0), (10, 10))  # hx=0.1, hy=0.2
-    assert operator_norm_bound(r) == pytest.approx(2.0 * np.sqrt(100.0 + 25.0))
+    assert operator_norm_bound(r) == pytest.approx(np.sqrt(100.0 + 25.0))
     rad = radial_grid(3, 1.0, 10)
     assert operator_norm_bound(rad) == pytest.approx(2.0 ** 1.5 / 0.1)
 
 
+def _power_iterated_norm(ops, rng, iterations=200):
+    # -div K is K^T K in the weighted metrics (div is K's negative adjoint),
+    # so power iteration on it finds a unit v with |K v| close to |K|
+    vol = ops.grid.cell_volumes
+    v = rng.standard_normal(ops.grid.shape)
+    for _ in range(iterations):
+        v = -ops.div_dual(ops.k_apply(v))
+        v /= np.sqrt(np.sum(vol * v**2))
+    return float(np.sqrt(np.sum(ops.dual_weights * ops.magnitude(ops.k_apply(v)) ** 2)))
+
+
 def test_operator_norm_bound_dominates_gradient():
-    # |grad u|_w <= L |u|_w on every grid the bound is quoted for
+    # |K u|_W <= L |u|_V on every grid the bound is quoted for, for random u
+    # and for the power-iterated top of the spectrum; on rectangles the
+    # bound is attained on 2 x 2 and nearly so on 96 x 96, so a return to
+    # the loose forward-difference bound fails
     rng = np.random.default_rng(410)
+    tight = [_KERNEL_RECTANGLES[0], rectangle_grid((0.0, 0.0), (1.0, 1.0), (96, 96))]
     grids = [
         interval_grid(0.0, 2.0, 30),
         radial_grid(2, 1.0, 25),
         radial_grid(3, 1.0, 25),
         radial_grid(4, 0.5, 25),
+        *_KERNEL_RECTANGLES,
+        rectangle_grid((0.0, 0.0), (1.0, 0.3), (40, 13)),
+        tight[1],
     ]
     for grid in grids:
+        ops = _make_ops(grid)
         bound = operator_norm_bound(grid)
+        vol = grid.cell_volumes
         for _ in range(10):
-            u = CellField(grid, rng.standard_normal(grid.shape))
-            g = face_differences(u)[0] / grid.spacing[0]
-            lhs = np.sqrt(np.sum(grid.face_weights[0] * g**2))
-            rhs = bound * np.sqrt(np.sum(grid.cell_volumes * u.values**2))
-            assert lhs <= rhs * (1.0 + 1e-12)
+            u = rng.standard_normal(grid.shape)
+            lhs = np.sqrt(np.sum(ops.dual_weights * ops.magnitude(ops.k_apply(u)) ** 2))
+            assert lhs <= bound * np.sqrt(np.sum(vol * u**2)) * (1.0 + 1e-12)
+        norm = _power_iterated_norm(ops, rng)
+        assert norm <= bound * (1.0 + 1e-12)
+        if any(grid is g for g in tight):
+            assert norm >= 0.95 * bound
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_rectangle_steps_certify_at_the_edge_of_the_bound(theta):
+    # on 2 x 2 the bound is |K| itself: pairs with s * sigma * L^2 = 1
+    # exactly still certify cold and warm steps, and a pair 1e-6 above that
+    # limit is rejected with L named
+    grid = _KERNEL_RECTANGLES[0]
+    bound = operator_norm_bound(grid)
+    assert _power_iterated_norm(_make_ops(grid), np.random.default_rng(1)) == pytest.approx(
+        bound, rel=1e-12
+    )
+    rng = np.random.default_rng(2211)
+    for _ in range(10):
+        tau = 10.0 ** rng.uniform(-4.0, 0.0)
+        root = np.sqrt(tau * 10.0 ** rng.uniform(-1.0, 1.0))  # sqrt(s / sigma)
+        sigma, s = 1.0 / (bound * root), root / bound
+        u = CellField(grid, 10.0 ** rng.uniform(-2.0, 1.0) * rng.uniform(-1.0, 1.0, grid.shape))
+        cfg = SolverConfig(tau=tau, theta=theta, sigma=sigma, s=s)
+        dual = None
+        for _ in range(2):
+            res = implicit_step(u, cfg, dual=dual)
+            assert res.kkt_residual <= cfg.inner_tol
+            u, dual = res.u_next, res.dual
+        over = SolverConfig(tau=tau, theta=theta, sigma=sigma * (1.0 + 1e-6), s=s)
+        with pytest.raises(ValueError, match=f"L = {bound:.6g}"):
+            implicit_step(u, over)
 
 
 def test_default_steps_balance_the_two_moduli():
@@ -156,7 +205,8 @@ def test_saddle_operators_are_the_public_calculus(grid):
 _KERNEL_ULPS = 8.0
 # Rectangles with hx != hy (a square would hide swapped spacings), a 2-cell
 # axis (empty interior slices) and 8 cells along the second axis, whose
-# 64-byte column stride numpy 2.4's np.negative miswrites.
+# 64-byte column stride numpy 2.4's np.negative miswrites.  The operator
+# norm bound is checked on them too; 2 x 2 attains it.
 _KERNEL_RECTANGLES = [
     rectangle_grid((0.0, 0.0), (0.6, 1.3), (2, 2)),
     rectangle_grid((0.0, 0.0), (0.6, 1.3), (2, 7)),
@@ -298,6 +348,21 @@ def test_non_convergence_reports_residuals():
     assert str(info.value).startswith("step 1 at t = 0.01: ")
 
 
+def test_rectangle_non_convergence_reports_the_full_triplet():
+    # intermediate checks stop at a failing primal residual; the last one
+    # still evaluates the dual relation and the gap, so all three are named
+    grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (12, 10))
+    with pytest.raises(NonConvergenceError) as info:
+        implicit_step(cosine(grid, amplitude=0.5), SolverConfig(tau=1e-3, max_inner=3))
+    err = info.value
+    assert err.iterations == 3
+    triplet = (err.primal_residual, err.dual_residual, err.gap)
+    assert all(np.isfinite(r) for r in triplet)
+    assert err.primal_residual > 1e-8
+    for name, value in zip(("primal", "dual", "gap"), triplet):
+        assert f"{name} {value:.3e}" in str(err)
+
+
 @pytest.mark.parametrize("height", [1e7, 1e8, 1e10])
 def test_step_below_the_float_floor_fails_fast(height):
     # a jump this tall puts the primal certificate's rounding, about
@@ -379,26 +444,36 @@ def test_returned_certificate_is_the_public_one(grid):
 
 _SQUARE8 = rectangle_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
 _LINE8 = interval_grid(0.0, 1.0, 8)
-
-
-@pytest.mark.parametrize(
+# (grid, dual, message pattern): the message names the expected shape
+_BAD_DUALS = pytest.mark.parametrize(
     "grid, dual, match",
     [
-        (_SQUARE8, np.full((2, 8, 8), np.nan), "finite"),
-        (_SQUARE8, np.full((2, 8, 8), np.inf), "finite"),
+        (_SQUARE8, np.full((2, 8, 8), np.nan), r"\(2, 8, 8\) must be finite"),
+        (_SQUARE8, np.full((2, 8, 8), np.inf), r"\(2, 8, 8\) must be finite"),
         (_SQUARE8, np.zeros((8, 8, 2)), r"\(2, 8, 8\)"),
         (_SQUARE8, np.zeros((3, 8, 8)), r"\(2, 8, 8\)"),
         (_SQUARE8, np.zeros(128), r"\(2, 8, 8\)"),
         (_LINE8, np.zeros(8), r"\(7,\)"),
-        (_LINE8, np.full(7, np.nan), "finite"),
+        (_LINE8, np.full(7, np.nan), r"\(7,\) must be finite"),
     ],
     ids=["nan", "inf", "cells-last", "lifted", "flat", "interval-length", "interval-nan"],
 )
+
+
+@_BAD_DUALS
 def test_warm_start_dual_is_validated(grid, dual, match):
     # a warm start of the wrong shape or with non-finite entries is a
     # ValueError naming the expected shape, raised before any inner iteration
     with pytest.raises(ValueError, match=match):
         implicit_step(cosine(grid, amplitude=0.5), SolverConfig(tau=1e-3), dual=dual)
+
+
+@_BAD_DUALS
+def test_kkt_residual_dual_is_validated(grid, dual, match):
+    # the same check as the warm start: no nan residual, no bare broadcast error
+    u = cosine(grid, amplitude=0.5)
+    with pytest.raises(ValueError, match=match):
+        kkt_residual(u, dual, u, 1e-3)
 
 
 def test_rectangle_dual_is_a_fixed_point_of_the_exact_prox():
