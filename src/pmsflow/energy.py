@@ -12,10 +12,10 @@ p0 + p.q, so its dual proximal map is a projection onto the unit ball of
 R^3; its primal map is ``prox_quadratic``, the closed form of the
 implicit-step quadratic.  Each ops class also gives that iteration an
 in-place pair of K and div (``loop_kernels``) and a proved bound on the
-norm of its K (``norm_bound``), from which the step sizes follow.  ``_dual_radius`` keeps the
-exact proximal map of the unlifted conjugate as a reference for tests.  The Newton solve of
-one-axis grids maximizes the step's dual, whose gradient and tridiagonal
-Hessian ``_OneAxisOps`` supplies.
+norm of its K (``norm_bound``), from which the step sizes follow.  The
+Newton solve of one-axis grids maximizes the step's dual, whose gradient
+and tridiagonal Hessian ``_OneAxisOps`` supplies.  ``_dual_radius``, the
+exact proximal map of the unlifted conjugate, is a test reference only.
 
 Discretization: the saddle operator K maps cell values to the dual space,
 and the discrete area, which ``area_energy`` returns as one float, is
@@ -266,40 +266,30 @@ def area_energy(u: CellField) -> float:
     return float(terms.sum()) + uncovered
 
 
-def _dual_radius(m: np.ndarray, sigma: float, w: np.ndarray) -> np.ndarray:
+def _dual_radius(m: np.ndarray, sigma: float) -> np.ndarray:
     """Solve sigma*r/sqrt(1-r^2) + r = m elementwise for r in [0, 1).
 
     r is the radius of the proximal map of the conjugate at a point of
     magnitude m: the minimizer of -sqrt(1 - |p|^2) + |p - p_hat|^2 / (2 sigma)
     over the unit ball is r * p_hat / |p_hat|, strictly inside the ball.
-    No solver calls it: the rectangle loop projects a lifted dual instead,
-    and this exact prox is the reference its certified duals are tested
-    against (a solution p with q = K u is the prox's fixed point at
-    p + sigma q).
+    No solver calls it; it is the reference the tests check the rectangle
+    loop's certified duals against (a solution p with q = K u is the prox's
+    fixed point at p + sigma q).
 
     Solved in the slope variable w = r/sqrt(1-r^2), where the equation
-    becomes g(w) = sigma*w + w/sqrt(1+w^2) - m = 0.  ``w`` is a float
-    buffer of m's shape holding the starting slopes; it is overwritten with
-    the solved ones, so a caller that passes it back in on the next call
-    starts there (a zero buffer gives the cold start below).
-
-    g is increasing and concave on w >= 0.  The cold start
-    c = max((m-1)/sigma, m/(1+sigma)) lies in [0, root], and each solve
-    starts at max(c, w).  From at or below the root, concavity keeps every
-    Newton iterate at or below it, so Newton climbs to it monotonically,
-    with no bracket and no singular derivative near r = 1.  From above the
-    root, concavity puts the first Newton iterate at or below it (possibly
-    below 0, where g is convex); every update is clamped below by c, which
-    is at most the root, and the climb takes over from there.  An entry is
-    finished when its residual reaches the rounding noise of evaluating it
-    (so downstream certificates can go to 1e-12 and below) or its update
-    falls below the float resolution of w itself.
+    becomes g(w) = sigma*w + w/sqrt(1+w^2) - m = 0.  g is increasing and
+    concave on w >= 0, and the start w = max((m-1)/sigma, m/(1+sigma)) lies
+    in [0, root]; concavity keeps every Newton iterate at or below the
+    root, so Newton climbs to it monotonically, with no bracket and no
+    singular derivative near r = 1.  An entry is finished when its residual
+    reaches the rounding noise of evaluating it (so downstream certificates
+    can go to 1e-12 and below) or its update falls below the float
+    resolution of w itself.
     """
     m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise ValueError("radius equation needs a nonnegative magnitude")
-    cold = np.maximum((m - 1.0) / sigma, m / (1.0 + sigma))
-    np.maximum(cold, w, out=w)
+    w = np.maximum((m - 1.0) / sigma, m / (1.0 + sigma))
     tol = np.maximum(1e-15, 4e-16 * m)
     done = np.zeros(m.shape, dtype=bool)
     for _ in range(60):
@@ -310,7 +300,6 @@ def _dual_radius(m: np.ndarray, sigma: float, w: np.ndarray) -> np.ndarray:
         if np.all(done):
             break
         np.subtract(w, step, out=w, where=~done)  # hold finished entries
-        np.maximum(w, cold, out=w)
     return w / np.sqrt(1.0 + w * w)
 
 

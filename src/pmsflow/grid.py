@@ -298,8 +298,8 @@ class FaceField:
 
 
 # Index tuples of the lower and the upper cell of every interior face, keyed
-# by (ndim, axis).  Built once: the solver indexes with them on every inner
-# iteration.
+# by (ndim, axis).  Built once: the saddle operators index with them at
+# every certificate evaluation and every Newton step.
 _LO, _HI, _ALL = slice(None, -1), slice(1, None), slice(None)
 _FACE_SIDES = {
     (1, 0): ((_LO,), (_HI,)),

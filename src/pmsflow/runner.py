@@ -287,7 +287,7 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
     u0, solver_cfg = _evolve_inputs(cfg)
-    _check_run_settings(u0.grid, cfg.t_end, solver_cfg, cfg.kappa)
+    _check_run_settings(u0.grid, cfg.t_end, solver_cfg, cfg.kappa, cfg.snapshot_times)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
     traj = evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)

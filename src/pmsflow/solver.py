@@ -73,7 +73,7 @@ import numpy as np
 from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
 # perfbench/tracer.py finds _dual_radius and the two ops classes here and
 # wraps them to time the saddle operators, which only certificate
-# evaluations call on rectangles (the loop runs ``loop_kernels``).  No step
+# evaluations call (the rectangle loop runs ``loop_kernels``).  No step
 # calls _dual_radius (the tests use it as the exact prox); the name stays
 # bound here until the benchmark drops its dual-radius metrics.
 from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps  # noqa: F401
@@ -204,14 +204,13 @@ def _primal_residual(ops, u_prev, tau, divz, v) -> float:
     return float(np.sqrt(np.sum(ops.grid.cell_volumes * ((v - u_prev) / tau - divz) ** 2)))
 
 
-def _dual_residuals(ops, p, u) -> tuple[float, float]:
-    """Dual relation and gap of the dual p against the state u.
+def _dual_residuals(ops, p, q) -> tuple[float, float]:
+    """Dual relation and gap of the dual p against q = K u.
 
-    Dual relation: max |p * sqrt(1 + |q|^2) - q| with q = K u.  Gap: the
-    summed Fenchel gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)),
-    the duality gap of the step problem at u = u_prev + tau * div(p).
+    Dual relation: max |p * sqrt(1 + |q|^2) - q|.  Gap: the summed Fenchel
+    gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the duality gap
+    of the step problem at u = u_prev + tau * div(p).
     """
-    q = ops.k_apply(u)
     mq = ops.magnitude(q)
     root = np.sqrt(1.0 + mq * mq)
     dual = float(np.max(ops.magnitude(p * root - q)))
@@ -221,13 +220,13 @@ def _dual_residuals(ops, p, u) -> tuple[float, float]:
     return dual, float(np.sum(ops.dual_weights * gap_terms))
 
 
-def _residuals(ops, u_prev, tau, p, divz, v, u):
-    """The three certificates (primal, dual relation, gap) of a step pair.
+def _residuals(ops, u_prev, tau, p, divz, u, q):
+    """The three certificates (primal, dual relation, gap) of the pair (u, p).
 
-    ``_primal_residual`` at v followed by ``_dual_residuals`` at u; a
-    returned pair is certified with v = u.
+    ``divz`` = div(p) and ``q`` = K u come from the caller, which computes
+    each once per iterate.
     """
-    return (_primal_residual(ops, u_prev, tau, divz, v), *_dual_residuals(ops, p, u))
+    return (_primal_residual(ops, u_prev, tau, divz, u), *_dual_residuals(ops, p, q))
 
 
 @dataclass
@@ -404,7 +403,7 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
             if primal > tol and k < cfg.max_inner:
                 continue  # the step cannot certify; skip the dual side
             u_cand = u0 + tau * divz
-            residuals = (primal, *_dual_residuals(ops, p, u_cand))
+            residuals = (primal, *_dual_residuals(ops, p, ops.k_apply(u_cand)))
             if all(r <= tol for r in residuals):
                 # v = u_cand changes only the primal; dual and gap stand
                 kkt = max(_primal_residual(ops, u0, tau, divz, u_cand), residuals[1])
@@ -462,19 +461,21 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     there a step is accepted when it shrinks the gradient, measured by
     ``_relation_sq``, by ``_RELATION_SHRINK`` instead.  A step that finds
     no acceptable length raises NonConvergenceError at once.
-    ``inner_iters`` counts certificate evaluations: Newton steps + 1.
+    ``inner_iters`` counts certificate evaluations: Newton steps + 1.  Each
+    applies K once, for the certificate and the gradient both.
     """
     tau, tol = cfg.tau, cfg.inner_tol
     p = np.clip(p, -_P_MAX, _P_MAX)
     f, noise, divz = _negative_dual(ops, u0, tau, p)
+    u = u0 + tau * divz
+    q = ops.k_apply(u)
     for k in range(1, cfg.max_inner + 1):
-        u = u0 + tau * divz
-        residuals = _residuals(ops, u0, tau, p, divz, u, u)
+        residuals = _residuals(ops, u0, tau, p, divz, u, q)
         if all(r <= tol for r in residuals):
             return _step_result(ops, u, p, k, max(residuals[:2]))
         if k == cfg.max_inner:
             break
-        grad = ops.dual_gradient(p, ops.k_apply(u))
+        grad = ops.dual_gradient(p, q)
         d = ops.newton_direction(p, grad, tau)
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(d != 0.0, (np.copysign(1.0, d) - p) / d, np.inf)
@@ -484,17 +485,20 @@ def _newton(ops, u0, cfg, p) -> StepResult:
         for _ in range(_MAX_HALVINGS):
             trial = np.clip(p + alpha * d, -_P_MAX, _P_MAX)
             f_t, noise_t, divz_t = _negative_dual(ops, u0, tau, trial)
+            u_t = u0 + tau * divz_t
             if -alpha * slope > noise:
                 if f_t <= f + _ARMIJO * alpha * slope:
+                    q_t = ops.k_apply(u_t)
                     break
             else:
-                g_t = ops.dual_gradient(trial, ops.k_apply(u0 + tau * divz_t))
+                q_t = ops.k_apply(u_t)
+                g_t = ops.dual_gradient(trial, q_t)
                 if _relation_sq(ops, trial, g_t) <= _RELATION_SHRINK * rel_sq:
                     break
             alpha *= 0.5
         else:
             raise _nonconvergence("Newton iteration (line search stalled)", k, residuals, tol)
-        p, f, noise, divz = trial, f_t, noise_t, divz_t
+        p, f, noise, divz, u, q = trial, f_t, noise_t, divz_t, u_t, q_t
     raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)
 
 
@@ -520,8 +524,8 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     pa = _checked_dual(ops, ops.dual_from_flux(p) if isinstance(p, FaceField) else p)
     if float(np.max(ops.magnitude(pa))) > 1.0 + 1e-12:
         raise ValueError("dual state is infeasible: |p| > 1 somewhere")
-    divz = ops.div_dual(pa)
-    return max(_residuals(ops, u_prev.values, tau, pa, divz, u.values, u.values)[:2])
+    v = u.values
+    return max(_residuals(ops, u_prev.values, tau, pa, ops.div_dual(pa), v, ops.k_apply(v))[:2])
 
 
 @dataclass
@@ -567,12 +571,14 @@ class Trajectory:
         return self.states[k]
 
 
-def _check_run_settings(grid: Grid, t_end: float, cfg: SolverConfig, kappa) -> None:
-    """Reject a t_end, kappa or explicit step-size pair that ``evolve`` cannot run."""
+def _check_run_settings(grid: Grid, t_end: float, cfg: SolverConfig, kappa, times) -> None:
+    """Reject a t_end, kappa, snapshot time or step-size pair that ``evolve`` cannot run."""
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if kappa is not None and not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not all(np.isfinite(t) for t in times):
+        raise ValueError(f"snapshot_times must be finite, got {list(times)}")
     _resolve_steps(grid, cfg)
 
 
@@ -613,12 +619,13 @@ def evolve(
     if keep not in ("snapshots", "all"):
         raise ValueError(f"keep must be snapshots or all, got {keep!r}")
     grid = u0.grid
-    _check_run_settings(grid, t_end, cfg, kappa)
+    snapshot_times = [float(t) for t in snapshot_times]
+    _check_run_settings(grid, t_end, cfg, kappa, snapshot_times)
     if kappa is None:
         kappa = default_jump_threshold(u0)
     n_steps = max(1, int(np.ceil(t_end / cfg.tau - 1e-9)))
     times = cfg.tau * np.arange(n_steps + 1)
-    snap_idx = {min(n_steps, max(0, int(round(float(t) / cfg.tau)))) for t in snapshot_times}
+    snap_idx = {min(n_steps, max(0, int(round(t / cfg.tau)))) for t in snapshot_times}
 
     records = [measure(u0, None, 0.0, cfg.tau, kappa)]
     snapshots = []

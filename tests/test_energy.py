@@ -125,7 +125,7 @@ def _radius_by_bisection(m, sigma):
 
 
 def _radius(m, sigma):
-    return float(_dual_radius(np.array([m]), sigma, np.zeros(1))[0])
+    return float(_dual_radius(np.array([m]), sigma)[0])
 
 
 def test_dual_radius_matches_bisection():
@@ -166,7 +166,7 @@ def test_dual_radius_large_sigma_residual():
 
 def _cold_radius(m, sigma):
     # the documented cold start, Newton from max((m-1)/sigma, m/(1+sigma))
-    # with finished entries held, written out independently of the buffer
+    # with finished entries held, written out independently
     w = np.maximum((m - 1.0) / sigma, m / (1.0 + sigma))
     tol = np.maximum(1e-15, 4e-16 * m)
     done = np.zeros(m.shape, dtype=bool)
@@ -190,69 +190,42 @@ def _magnitudes(rng):
     return np.concatenate([special, rng.uniform(0.0, 2.0, 200), 10.0 ** rng.uniform(-8, 4, 200)])
 
 
-def test_dual_radius_zero_buffer_is_the_cold_start():
+def test_dual_radius_is_the_cold_start_newton():
+    # bit for bit the documented Newton climb from the cold start
     rng = np.random.default_rng(5)
     m = _magnitudes(rng)
     for sigma in (1e-4, 2.7e-3, 0.37, 1.0, 50.0):
-        w = np.zeros_like(m)
-        r = _dual_radius(m, sigma, w)
         r_cold, w_cold = _cold_radius(m, sigma)
-        assert np.array_equal(r, r_cold)
-        assert np.array_equal(w, w_cold)
-
-
-def test_dual_radius_converges_from_above_and_below_the_root():
-    rng = np.random.default_rng(11)
-    m = _magnitudes(rng)
-    tol = np.maximum(1e-15, 4e-16 * m)
-    for sigma in (1e-3, 0.37, 20.0):
-        r_cold, w_root = _cold_radius(m, sigma)
-        for start in (0.5 * w_root, 2.0 * w_root + 1.0, w_root + 1e6, w_root * (1 + 1e-12)):
-            w = start.copy()
-            r = _dual_radius(m, sigma, w)
-            # the buffer holds the solved slope, and the radius is its image
-            assert np.array_equal(r, w / np.sqrt(1.0 + w * w))
-            assert np.all(w >= 0.0)
-            # within the residual tolerance, or a few ulps from the cold slope
-            res = _slope_residual(w, m, sigma)
-            close = np.abs(w - w_root) <= 8e-16 * w_root
-            assert np.all((res <= tol) | close)
-            assert np.allclose(r, r_cold, rtol=0.0, atol=1e-14)
+        assert np.array_equal(_dual_radius(m, sigma), r_cold)
 
 
 def test_dual_radius_extreme_scalar_and_two_dimensional_input():
-    # m = 0 gives slope and radius 0, whatever the buffer held
-    w = np.array([0.0, 3.0])
-    assert np.array_equal(_dual_radius(np.zeros(2), 0.5, w), np.zeros(2))
-    assert np.array_equal(w, np.zeros(2))
+    # m = 0 gives radius 0
+    assert np.array_equal(_dual_radius(np.zeros(2), 0.5), np.zeros(2))
     # a huge magnitude keeps the slope finite; the radius rounds to at most 1
     for sigma in (1e-3, 1.0, 1e6):
-        w = np.zeros(1)
-        r = _dual_radius(np.array([1e12]), sigma, w)
-        assert np.all(np.isfinite(w)) and np.all(np.isfinite(r))
+        r = _dual_radius(np.array([1e12]), sigma)
+        r_cold, w_cold = _cold_radius(np.array([1e12]), sigma)
+        assert np.array_equal(r, r_cold)
+        assert np.all(np.isfinite(w_cold)) and np.all(np.isfinite(r))
         assert 0.0 < r[0] <= 1.0
-        assert _slope_residual(w, 1e12, sigma)[0] <= 4e-16 * 1e12
-    assert _dual_radius(np.array([1e12]), 1e6, np.zeros(1))[0] < 1.0
-    # a one-entry magnitude returns a one-entry radius and writes its buffer
-    w0 = np.zeros(1)
-    r0 = _dual_radius(np.array([2.0]), 1.0, w0)
+        assert _slope_residual(w_cold, 1e12, sigma)[0] <= 4e-16 * 1e12
+    assert _dual_radius(np.array([1e12]), 1e6)[0] < 1.0
+    # a one-entry magnitude returns a one-entry radius
+    r0 = _dual_radius(np.array([2.0]), 1.0)
     assert r0.shape == (1,)
     assert r0[0] == pytest.approx(0.7747295739010802, abs=1e-15)
-    assert np.array_equal(r0, w0 / np.sqrt(1.0 + w0 * w0))
     # a 2-D field, as the rectangle's per-cell magnitudes
     rng = np.random.default_rng(3)
     m2 = rng.uniform(0.0, 3.0, (96, 96))
-    w2 = np.zeros((96, 96))
-    r2 = _dual_radius(m2, 2.7e-3, w2)
+    r2 = _dual_radius(m2, 2.7e-3)
     assert r2.shape == (96, 96)
     assert np.array_equal(r2.ravel(), _cold_radius(m2.ravel(), 2.7e-3)[0])
-    again = _dual_radius(m2, 2.7e-3, w2)  # warm from the solved slopes
-    assert np.max(np.abs(again - r2)) <= 1e-15
 
 
 def test_dual_radius_rejects_a_negative_magnitude():
     with pytest.raises(ValueError, match="nonnegative"):
-        _dual_radius(np.array([1.0, -1e-300]), 0.5, np.zeros(2))
+        _dual_radius(np.array([1.0, -1e-300]), 0.5)
 
 
 def test_prox_quadratic_closed_form():

@@ -1,7 +1,10 @@
 """Property tests of the step guarantees over drawn data (hypothesis).
 
 Each example draws a grid, data and solver settings from wide ranges; the
-draws are derandomized so that every run checks the same examples.
+draws are derandomized so that every run checks the same examples.  Single
+steps are checked on rectangles, intervals and radial grids of dimension
+2 to 6; contraction on all three grid kinds; comparison on the one-axis
+grids, where the discrete comparison principle is exact.
 """
 
 import numpy as np
@@ -9,17 +12,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pmsflow.energy import area_energy
-from pmsflow.grid import CellField, rectangle_grid
+from pmsflow.grid import CellField, interval_grid, radial_grid, rectangle_grid
 from pmsflow.solver import SolverConfig, implicit_step
 
 
-def _rectangle_data(grid, kind, rng):
-    """+-1 cells, uniform values in [-1, 1], or the indicator of a disk
-    inside the rectangle [0, a] x [0, b] that ``grid`` covers."""
+def _data(grid, kind, rng):
+    """+-1 cells, uniform values in [-1, 1], or a jump: on rectangles the
+    indicator of a disk inside the rectangle [0, a] x [0, b] that ``grid``
+    covers, on one-axis grids a step of height 1/h at a drawn face."""
     if kind == "sign":
         return np.where(rng.uniform(size=grid.shape) < 0.5, -1.0, 1.0)
     if kind == "uniform":
         return rng.uniform(-1.0, 1.0, grid.shape)
+    if grid.kind != "rectangle":
+        face = rng.integers(1, grid.shape[0])
+        return np.where(np.arange(grid.shape[0]) < face, 0.0, 1.0 / grid.spacing[0])
     x, y = np.meshgrid(*grid.cell_centers, indexing="ij")
     a, b = (n * h for n, h in zip(grid.shape, grid.spacing))
     cx, cy = rng.uniform(0.0, a), rng.uniform(0.0, b)
@@ -27,38 +34,80 @@ def _rectangle_data(grid, kind, rng):
     return np.where((x - cx) ** 2 + (y - cy) ** 2 < radius**2, 1.0, 0.0)
 
 
+def _one_axis_grid(dimension, cells, extent):
+    """The interval (0, extent) for dimension 1, else the ball of radius
+    ``extent`` in that ambient dimension."""
+    if dimension == 1:
+        return interval_grid(0.0, extent, cells)
+    return radial_grid(dimension, extent, cells)
+
+
+_KINDS = st.sampled_from(["sign", "uniform", "jump"])
+_ONE_AXIS_GRIDS = st.builds(
+    _one_axis_grid, st.integers(1, 6), st.integers(2, 48), st.floats(0.5, 2.0)
+)
+_RECTANGLES = st.builds(
+    lambda cells, extent: rectangle_grid((0.0, 0.0), extent, cells),
+    st.tuples(st.integers(2, 24), st.integers(2, 24)),
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+)
+_STEP_SETTINGS = dict(
+    log_amplitude=st.floats(-3.0, 2.0),
+    log_tau=st.floats(-5.0, float(np.log10(0.5))),
+    log_tol=st.floats(-11.0, -8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
 # Safety factor over the rounding floor eps max|u| / tau of the primal
 # certificate; a 2 x 2 +-10 step at tau 1e-5 stalls at 0.17 of that floor.
 _FLOOR_FACTOR = 4.0
+
+
+def _assume_above_the_float_floor(cfg, *fields):
+    # The primal certificate compares (u_next - u)/tau with div(flux), and
+    # u_next is stored in float64, so it cannot go below about
+    # eps max|u| / tau on any solver: a tolerance under that floor asks for
+    # a certificate no step can give, which is not what these tests cover.
+    for u in fields:
+        floor = np.finfo(float).eps * float(np.max(np.abs(u.values))) / cfg.tau
+        assume(cfg.inner_tol > _FLOOR_FACTOR * floor)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     cells=st.tuples(st.integers(2, 24), st.integers(2, 24)),
     extent=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-    kind=st.sampled_from(["sign", "uniform", "disk"]),
-    log_amplitude=st.floats(-3.0, 2.0),
-    log_tau=st.floats(-5.0, float(np.log10(0.5))),
-    log_tol=st.floats(-11.0, -8.0),
-    seed=st.integers(0, 2**32 - 1),
+    kind=_KINDS,
+    **_STEP_SETTINGS,
 )
 def test_rectangle_steps_keep_their_guarantees(
     cells, extent, kind, log_amplitude, log_tau, log_tol, seed
 ):
+    grid = rectangle_grid((0.0, 0.0), extent, cells)
+    rng = np.random.default_rng(seed)
+    u = CellField(grid, 10.0**log_amplitude * _data(grid, kind, rng))
+    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
+    _assume_above_the_float_floor(cfg, u)
+    _check_cold_and_warm_steps(u, cfg)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid=_ONE_AXIS_GRIDS, kind=_KINDS, **_STEP_SETTINGS)
+def test_one_axis_steps_keep_their_guarantees(grid, kind, log_amplitude, log_tau, log_tol, seed):
+    # the same checks for the Newton solve, on intervals and on radial grids
+    # of dimension 2 to 6
+    rng = np.random.default_rng(seed)
+    u = CellField(grid, 10.0**log_amplitude * _data(grid, kind, rng))
+    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
+    _assume_above_the_float_floor(cfg, u)
+    _check_cold_and_warm_steps(u, cfg)
+
+
+def _check_cold_and_warm_steps(u, cfg):
     # every cold step, and a second step warm-started from its dual,
     # certifies, conserves the weighted mean, obeys the energy inequality
     # E(u_next) + |u_next - u|_w^2 / (2 tau) <= E(u) + tol and keeps
     # |flux| < 1 on every face
-    grid = rectangle_grid((0.0, 0.0), extent, cells)
-    rng = np.random.default_rng(seed)
-    u = CellField(grid, 10.0**log_amplitude * _rectangle_data(grid, kind, rng))
-    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
-    # The primal certificate compares (u_next - u)/tau with div(flux), and
-    # u_next is stored in float64, so it cannot go below about
-    # eps max|u| / tau on any solver: a tolerance under that floor asks for
-    # a certificate no step can give, which is not what this test covers.
-    floor = np.finfo(float).eps * float(np.max(np.abs(u.values))) / cfg.tau
-    assume(cfg.inner_tol > _FLOOR_FACTOR * floor)
     first = implicit_step(u, cfg)
     _check_step(u, first, cfg)
     _check_step(first.u_next, implicit_step(first.u_next, cfg, dual=first.dual), cfg)
@@ -73,3 +122,45 @@ def _check_step(u, res, cfg):
     lhs = area_energy(res.u_next) + step_cost / (2.0 * cfg.tau)
     assert lhs <= area_energy(u) + cfg.inner_tol
     assert max(float(np.max(np.abs(c))) for c in res.flux.components) < 1.0
+
+
+def _weighted_distance(u, v):
+    return float(np.sqrt(np.sum(u.grid.cell_volumes * (u.values - v.values) ** 2)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    grid=st.one_of(_ONE_AXIS_GRIDS, _RECTANGLES),
+    kinds=st.tuples(_KINDS, _KINDS),
+    **_STEP_SETTINGS,
+)
+def test_steps_contract_the_weighted_distance(grid, kinds, log_amplitude, log_tau, log_tol, seed):
+    # a certified step lies within sqrt(2 tau tol) of the exact one in the
+    # weighted norm (the step problem is (1/tau)-strongly convex and its
+    # duality gap is at most tol), and the exact step is nonexpansive, so
+    # |u' - v'|_w <= |u - v|_w + 2 sqrt(2 tau tol) on every grid kind
+    rng = np.random.default_rng(seed)
+    u, v = (CellField(grid, 10.0**log_amplitude * _data(grid, k, rng)) for k in kinds)
+    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
+    _assume_above_the_float_floor(cfg, u, v)
+    u_next, v_next = (implicit_step(w, cfg).u_next for w in (u, v))
+    slack = 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+    assert _weighted_distance(u_next, v_next) <= _weighted_distance(u, v) + slack
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grid=_ONE_AXIS_GRIDS, kind=_KINDS, log_lift=st.floats(-3.0, 1.0), **_STEP_SETTINGS)
+def test_one_axis_steps_keep_the_order(grid, kind, log_lift, log_amplitude, log_tau, log_tol, seed):
+    # on one-axis grids the exact step keeps u <= v; a certified state lies
+    # within sqrt(2 tau tol / V_i) of the exact one in cell i, so
+    # u' <= v' + 2 sqrt(2 tau tol / V_i) cell by cell.  About half the
+    # cells of v touch u.
+    rng = np.random.default_rng(seed)
+    u = CellField(grid, 10.0**log_amplitude * _data(grid, kind, rng))
+    lift = 10.0 ** (log_amplitude + log_lift) * np.maximum(rng.uniform(-1.0, 1.0, grid.shape), 0.0)
+    v = CellField(grid, u.values + lift)
+    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
+    _assume_above_the_float_floor(cfg, u, v)
+    u_next, v_next = (implicit_step(w, cfg).u_next for w in (u, v))
+    slack = 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol / grid.cell_volumes)
+    assert np.all(u_next.values <= v_next.values + slack)

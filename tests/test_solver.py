@@ -182,8 +182,10 @@ _ALL_GRID_IDS = ["interval", *(f"radial{n}" for n in range(2, 7)), "rectangle"]
 
 @pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
 def test_saddle_operators_are_the_public_calculus(grid):
-    # the solver iterates with the grid module's calculus, bit for bit, and
-    # K is the exact negative adjoint of div under the pairings it uses
+    # the saddle operators that the certificates and the Newton solve use
+    # are the grid module's calculus, bit for bit, and K is the exact
+    # negative adjoint of div under the pairings it uses (the rectangle
+    # loop's in-place kernels round differently; see the next test)
     ops = _make_ops(grid)
     rng = np.random.default_rng(77)
     u = CellField(grid, rng.standard_normal(grid.shape))
@@ -493,7 +495,7 @@ def test_rectangle_dual_is_a_fixed_point_of_the_exact_prox():
         assert res.kkt_residual <= cfg.inner_tol
         d = res.dual + sigma * ops.k_apply(res.u_next.values)
         m = ops.magnitude(d)
-        radius = solver._dual_radius(m, sigma, np.zeros_like(m))
+        radius = solver._dual_radius(m, sigma)
         prox = radius / np.where(m > 0.0, m, 1.0) * d
         assert np.max(ops.magnitude(prox - res.dual)) <= 2.0 * res.kkt_residual + 1e-14
         u, dual = res.u_next, res.dual
@@ -602,6 +604,27 @@ def test_newton_certifies_fine_cosine_grids(cells):
     traj = evolve(cosine(grid), 5e-3, cfg)
     assert len(traj.inner_iters) == 5
     assert np.max(traj.kkt_residuals) <= cfg.inner_tol
+
+
+@pytest.mark.parametrize(
+    "grid", [interval_grid(0.0, 2.0, 60), radial_grid(3, 1.0, 40)], ids=["interval", "radial3"]
+)
+def test_newton_applies_k_once_per_certificate_evaluation(grid, monkeypatch):
+    # q = K u serves both the certificate and the Newton gradient, so a
+    # warm-started step applies K exactly inner_iters times
+    u0 = quarter_circles(grid, c=1.0) if grid.kind == "interval" else capped_inverse(grid, cap=20.0)
+    cfg = SolverConfig(tau=1e-3)
+    first = implicit_step(u0, cfg)
+    k_apply, calls = solver._OneAxisOps.k_apply, []
+
+    def counted(ops, v):
+        calls.append(v)
+        return k_apply(ops, v)
+
+    monkeypatch.setattr(solver._OneAxisOps, "k_apply", counted)
+    res = implicit_step(first.u_next, cfg, dual=first.dual)
+    assert res.inner_iters > 1
+    assert len(calls) == res.inner_iters
 
 
 # ---------------------------------------------------------------- evolve
@@ -771,6 +794,8 @@ def test_evolve_validation_errors():
             evolve(u0, bad, cfg)
         with pytest.raises(ValueError, match="kappa"):
             evolve(u0, 1.0, cfg, kappa=bad)
+        with pytest.raises(ValueError, match="snapshot_times"):
+            evolve(u0, 1.0, cfg, snapshot_times=[0.5, bad])
     for keep in ("sometimes", "none"):
         with pytest.raises(ValueError):
             evolve(u0, 1.0, cfg, keep=keep)
