@@ -3,17 +3,21 @@
 Each example draws a grid, data and solver settings from wide ranges; the
 draws are derandomized so that every run checks the same examples.  Single
 steps are checked on rectangles, intervals and radial grids of dimension
-2 to 6; contraction on all three grid kinds; comparison on the one-axis
-grids, where the discrete comparison principle is exact.
+2 to 6, cold, warm and from a drawn start dual; short ``evolve`` runs, whose
+later steps start from the extrapolated dual, on all three grid kinds;
+contraction on all three grid kinds; comparison on the one-axis grids,
+where the discrete comparison principle is exact.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pmsflow.energy import area_energy
+from pmsflow.energy import _make_ops, area_energy
 from pmsflow.grid import CellField, interval_grid, radial_grid, rectangle_grid
-from pmsflow.solver import SolverConfig, implicit_step
+from pmsflow.solver import SolverConfig, evolve, implicit_step
 
 
 def _data(grid, kind, rng):
@@ -113,15 +117,62 @@ def _check_cold_and_warm_steps(u, cfg):
     _check_step(first.u_next, implicit_step(first.u_next, cfg, dual=first.dual), cfg)
 
 
-def _check_step(u, res, cfg):
+def _check_step(u, res, cfg, mass=None):
+    # ``mass`` scales the drift bound; by default it is the total |u|
     assert res.kkt_residual <= cfg.inner_tol
     vol = u.grid.cell_volumes
     drift = abs(np.sum(vol * (res.u_next.values - u.values)))
-    assert drift <= 1e-12 * np.sum(vol * np.abs(u.values))
+    if mass is None:
+        mass = np.sum(vol * np.abs(u.values))
+    assert drift <= 1e-12 * mass
     step_cost = np.sum(vol * (res.u_next.values - u.values) ** 2)
     lhs = area_energy(res.u_next) + step_cost / (2.0 * cfg.tau)
     assert lhs <= area_energy(u) + cfg.inner_tol
     assert max(float(np.max(np.abs(c))) for c in res.flux.components) < 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=st.one_of(_ONE_AXIS_GRIDS, _RECTANGLES), kind=_KINDS, **_STEP_SETTINGS)
+def test_runs_keep_their_guarantees_at_every_step(grid, kind, log_amplitude, log_tau, log_tol, seed):
+    # four steps of evolve: cold, warm from the first dual, then twice from
+    # the extrapolated 2 p_k - p_(k-1), which leaves the unit ball on the
+    # steepest data; every step keeps the single-step guarantees
+    rng = np.random.default_rng(seed)
+    u = CellField(grid, 10.0**log_amplitude * _data(grid, kind, rng))
+    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
+    _assume_above_the_float_floor(cfg, u)
+    traj = evolve(u, 4 * cfg.tau, cfg, snapshot_times=cfg.tau * np.arange(1, 5))
+    assert len(traj.snapshots) == 4
+    for (_, u_next, flux), kkt in zip(traj.snapshots, traj.kkt_residuals):
+        _check_step(u, SimpleNamespace(u_next=u_next, flux=flux, kkt_residual=kkt), cfg)
+        u = u_next
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    grid=st.one_of(_ONE_AXIS_GRIDS, _RECTANGLES),
+    kind=_KINDS,
+    dual_scale=st.floats(0.0, 2.0),
+    **_STEP_SETTINGS,
+)
+def test_steps_certify_from_any_finite_start_dual(
+    grid, kind, dual_scale, log_amplitude, log_tau, log_tol, seed
+):
+    # a start dual with random directions and magnitudes up to dual_scale
+    # <= 2, outside the unit ball on many entries, changes only the
+    # iteration count: the step keeps every guarantee
+    rng = np.random.default_rng(seed)
+    u = CellField(grid, 10.0**log_amplitude * _data(grid, kind, rng))
+    cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
+    _assume_above_the_float_floor(cfg, u)
+    ops = _make_ops(grid)
+    direction = rng.normal(size=ops.dual_shape)
+    length = ops.magnitude(direction)
+    dual = direction * (dual_scale * rng.uniform(size=length.shape) / np.maximum(length, 1e-300))
+    res = implicit_step(u, cfg, dual=dual)
+    # the drift is rounding of u and of the increment, and u may be zero
+    vol = grid.cell_volumes
+    _check_step(u, res, cfg, mass=np.sum(vol * (np.abs(u.values) + np.abs(res.u_next.values))))
 
 
 def _weighted_distance(u, v):

@@ -20,7 +20,8 @@ from pmsflow.grid import (
     radial_grid,
     rectangle_grid,
 )
-from pmsflow.initial_data import capped_inverse, cosine, quarter_circles
+from pmsflow.initial_data import capped_inverse, cosine, quarter_circles, random_piecewise
+from pmsflow.runner import _evolve_inputs, _resolve
 from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
@@ -330,6 +331,97 @@ def test_warm_start_agrees_with_cold_start():
     warm = implicit_step(first.u_next, cfg, dual=first.dual)
     assert np.max(np.abs(cold.u_next.values - warm.u_next.values)) <= 1e-7
     assert warm.inner_iters <= cold.inner_iters
+
+
+@pytest.mark.parametrize("cells", [16, 96])
+def test_rectangle_step_from_its_own_dual_certifies_at_once(cells):
+    # the primal iterate starts at u_prev + tau div p, the state the start
+    # dual certifies, so a step re-solved from its own certified dual passes
+    # the first check (started at u_prev it takes 32 iterations on 16 x 16
+    # and 96 on 96 x 96)
+    grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (cells, cells))
+    u = cosine(grid, amplitude=0.5)
+    cfg = SolverConfig(tau=1e-3)
+    first = implicit_step(u, cfg)
+    again = implicit_step(u, cfg, dual=first.dual)
+    assert first.inner_iters > 1
+    assert again.inner_iters == 1
+    assert again.kkt_residual <= cfg.inner_tol
+
+
+@pytest.mark.parametrize(
+    "grid", [interval_grid(0.0, 1.0, 4), rectangle_grid((0.0, 0.0), (1.0, 1.0), (2, 2))]
+)
+def test_extrapolated_dual_keeps_the_last_dual_where_it_leaves_the_ball(grid):
+    # 2 p - prev is written over prev; an entry (a cell's vector on
+    # rectangles) whose prediction leaves the open unit ball keeps p
+    ops = _make_ops(grid)
+    if grid.kind == "interval":
+        p, prev = np.array([0.5, 0.9, -0.9]), np.array([0.4, 0.5, -0.5])
+        expected = np.array([0.6, 0.9, -0.9])
+    else:
+        p = np.array([[[0.5, 0.0], [0.6, 0.1]], [[0.0, 0.1], [0.6, 0.1]]])
+        prev = np.array([[[0.3, 0.0], [0.2, 0.1]], [[0.0, 0.1], [0.2, 0.1]]])
+        expected = np.array([[[0.7, 0.0], [0.6, 0.1]], [[0.0, 0.1], [0.6, 0.1]]])
+    out = solver._extrapolated_dual(ops, p, prev)
+    assert out is prev
+    assert np.allclose(out, expected, rtol=0.0, atol=1e-15)
+
+
+def _previous_dual_counts(u, cfg, n_steps):
+    """Certificate evaluations of n_steps steps that each start from the
+    previous step's dual as it stands, and whether the first extrapolation
+    2 p_2 - p_1 leaves the unit ball."""
+    counts, duals = [], []
+    dual = None
+    for _ in range(n_steps):
+        res = implicit_step(u, cfg, dual=dual)
+        counts.append(res.inner_iters)
+        duals.append(res.dual)
+        u, dual = res.u_next, res.dual
+    ops = _make_ops(u.grid)
+    leaves = float(np.max(ops.magnitude(2.0 * duals[1] - duals[0]))) >= 1.0
+    return np.array(counts), leaves
+
+
+def test_quarter_circles_steps_take_two_evaluations_from_the_third_on():
+    # the extrapolated dual of a smooth flow misses the next dual by
+    # O(tau^2): one Newton step certifies where the last dual takes two
+    u0, cfg = _evolve_inputs(_resolve("quarter_circles", {}))
+    traj = evolve(u0, 0.4, cfg)
+    assert len(traj.inner_iters) == 400
+    assert list(traj.inner_iters[:2]) == [3, 3]
+    assert np.all(traj.inner_iters[2:] == 2)
+
+
+@pytest.mark.parametrize("experiment", ["radial_spike", "smooth_cosine"])
+def test_extrapolated_starts_cut_the_preset_evaluations(experiment):
+    # over the first 100 steps of the steep and the tightly certified preset
+    u0, cfg = _evolve_inputs(_resolve(experiment, {}))
+    traj = evolve(u0, 100 * cfg.tau, cfg)
+    reference, _ = _previous_dual_counts(u0, cfg, 100)
+    assert len(traj.inner_iters) == 100
+    assert np.sum(traj.inner_iters) < np.sum(reference)
+    assert np.max(traj.kkt_residuals) <= cfg.inner_tol
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "grid", [interval_grid(0.0, 1.0, 64), radial_grid(3, 1.0, 64)], ids=["interval", "radial3"]
+)
+def test_extrapolated_starts_that_leave_the_ball_cost_no_evaluations(grid, seed):
+    # on jump data the prediction leaves the unit ball where a flux nears
+    # saturation; those entries keep the last dual, so the run takes no more
+    # evaluations than starting every step from the last dual (scaled back
+    # onto |p| = 1 instead, such a step took about 37)
+    u0 = random_piecewise(grid, np.random.default_rng(seed), pieces=6)
+    cfg = SolverConfig(tau=5e-3, inner_tol=1e-10)
+    traj = evolve(u0, 0.1, cfg)
+    reference, leaves = _previous_dual_counts(u0, cfg, 20)
+    assert leaves
+    assert np.sum(traj.inner_iters) <= np.sum(reference)
+    assert np.max(traj.inner_iters) <= np.max(reference) + 2
+    assert np.max(traj.kkt_residuals) <= cfg.inner_tol
 
 
 def test_non_convergence_reports_residuals():
