@@ -65,10 +65,14 @@ E(u_prev) + inner_tol holds by convex duality rather than by observation.
 Both solvers certify a step from any finite start, so the start only sets
 the number of inner iterations.  ``evolve`` starts the first step from the
 pointwise variational dual of u_0, the second from the first step's dual
-p_1, and every later step from the linear prediction 2 p_k - p_(k-1).  Once
-the flow is smooth the step duals are smooth in time, and the prediction
-misses the next dual by O(tau^2) where p_k alone misses by O(tau); an entry
-whose prediction leaves the open unit ball keeps p_k.  The rectangle loop
+p_1, and every later step from a variable-order prediction: the polynomial
+through the last m step duals, p_k + nabla p_k + ... + nabla^(m-1) p_k in
+backward differences, with m <= 6 the order of the smallest difference
+(``_DualPredictor``).  Once the flow is smooth the step duals are smooth in
+time, and the prediction misses the next dual by O(tau^m) where p_k alone
+misses by O(tau); an entry whose prediction leaves the open unit ball keeps
+p_k.  On one-axis grids a start entry at or beyond |p| = 1 takes the value
+of the cold start.  The rectangle loop
 starts its primal iterate at u_prev + tau * div p, the state its start dual
 certifies (on a cold step, the explicit Euler predictor).
 """
@@ -277,7 +281,8 @@ def implicit_step(
         pointwise variational flux of u_prev.  The primal iterate of the
         rectangle loop starts at u_prev + tau * div(dual), the state the
         start dual certifies; the Newton solve of one-axis grids needs no
-        primal start.
+        primal start, and replaces start entries at or beyond |p| = 1 by
+        those of the variational flux.
 
     Returns
     -------
@@ -481,9 +486,18 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     no acceptable length raises NonConvergenceError at once.
     ``inner_iters`` counts certificate evaluations: Newton steps + 1.  Each
     applies K once, for the certificate and the gradient both.
+
+    A start entry at or beyond |p| = 1 takes the value of the cold start,
+    the variational dual of u_prev.  Clipped to ``_P_MAX`` instead, it would
+    sit at the edge of the domain, whose distance Newton only triples per
+    step: from duals drawn up to +-2 that cost 30-46 evaluations a step
+    where the cold start took 3-7.
     """
     tau, tol = cfg.tau, cfg.inner_tol
-    p = np.clip(p, -_P_MAX, _P_MAX)
+    outside = np.abs(p) >= 1.0
+    if outside.any():
+        p = np.where(outside, _variational_dual(ops, u0), p)
+    p = np.clip(p, -_P_MAX, _P_MAX)  # a copy, never the caller's array
     f, noise, divz = _negative_dual(ops, u0, tau, p)
     u = u0 + tau * divz
     q = ops.k_apply(u)
@@ -589,21 +603,71 @@ class Trajectory:
         return self.states[k]
 
 
-def _extrapolated_dual(ops, p, prev) -> np.ndarray:
-    """The warm start 2 p - prev, written over prev, with p kept wherever
-    the prediction leaves the open unit ball.
+# The dual predictor of ``evolve`` keeps the backward differences of the
+# step duals up to this order, so it predicts with polynomials through at
+# most this many duals.
+_MAX_ORDER = 6
 
-    Once the flow is smooth the step duals are smooth in time, so the linear
-    prediction misses the next dual by O(tau^2) where p alone misses by
-    O(tau).  An entry that leaves the ball is saturating.  Scaled back, it
-    would sit on |p| = 1, the edge of the dual's domain, where Newton's
-    distance to the edge only triples per step: on jump data such a step
-    took about 37 certificate evaluations instead of about 8.
+
+class _DualPredictor:
+    """Variable-order prediction of the next step dual from the last ones.
+
+    ``table[j]`` holds the backward difference nabla^j p_k of the step duals,
+    j = 0 ... min(k - 1, _MAX_ORDER).  The prediction of order m is
+    p_k + nabla p_k + ... + nabla^(m-1) p_k, the polynomial through the last
+    m duals evaluated one step ahead; once the flow is smooth the duals are
+    smooth in time and it misses p_(k+1) by O(tau^m).  The order minimizes
+    the squared L2 norm of nabla^m p_k over the available m >= 1, and moves
+    one order higher while the minimum sits at the top of a table that is
+    not yet full (Shampine & Gordon 1975): the second step starts from p_1,
+    the third from 2 p_2 - p_1.
+
+    An entry (a cell's 2-vector on rectangles) whose prediction leaves the
+    open unit ball is saturating and keeps p_k.  Scaled back, it would sit
+    on |p| = 1, the edge of the dual's domain, where Newton's distance to
+    the edge only triples per step: on jump data such a step took about 37
+    certificate evaluations instead of about 8.
+
+    ``push`` updates the table in place: p_k becomes ``table[0]`` without a
+    copy, so the table holds at most _MAX_ORDER + 1 dual arrays, and the one
+    that falls off the end becomes the buffer of the next prediction.
     """
-    np.subtract(p, prev, out=prev)
-    prev += p
-    np.copyto(prev, p, where=ops.magnitude(prev) >= 1.0)
-    return prev
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.table: list[np.ndarray] = []
+        self.order = 0
+        self._out = None
+
+    def push(self, p: np.ndarray) -> np.ndarray:
+        """Take the step dual ``p`` (no caller may write to it afterwards) and
+        return the start dual of the next step, which only reads it."""
+        carry = p
+        for j, diff in enumerate(self.table):
+            np.subtract(carry, diff, out=diff)
+            self.table[j], carry = carry, diff
+        if len(self.table) <= _MAX_ORDER:
+            self.table.append(carry)
+        else:
+            self._out = carry
+        top = len(self.table) - 1
+        m = 1
+        if top > 0:
+            sizes = [np.dot(d.reshape(-1), d.reshape(-1)) for d in self.table[1:]]
+            m = 1 + int(np.argmin(sizes))
+            if m == top < _MAX_ORDER:
+                m += 1
+        self.order = m
+        if m == 1:
+            return self.table[0]
+        if self._out is None:
+            self._out = np.empty_like(p)
+        out = self._out
+        np.copyto(out, self.table[m - 1])
+        for diff in self.table[m - 2 :: -1]:
+            out += diff
+        np.copyto(out, self.table[0], where=self.ops.magnitude(out) >= 1.0)
+        return out
 
 
 def _check_run_settings(grid: Grid, t_end: float, cfg: SolverConfig, kappa, times) -> None:
@@ -636,7 +700,9 @@ def evolve(
     cfg : SolverConfig
         Step settings, shared by every step.  The first step starts cold,
         the second from the first step's dual, and each later one from the
-        extrapolation 2 p_k - p_(k-1) of the last two step duals.
+        polynomial through the last m step duals, evaluated one step
+        ahead, with the order m <= 6 chosen from the sizes of their
+        backward differences (``_DualPredictor``).
     snapshot_times : iterable of float
         Times at which (state, flux) snapshots are kept, rounded to the
         nearest step.  Time 0 pairs the initial data with its pointwise
@@ -672,7 +738,8 @@ def evolve(
     states = [u0.copy()] if keep == "all" else None
 
     u = u0.copy()
-    dual = prev = None
+    dual = None
+    predictor = _DualPredictor(ops)
     inner_iters = np.zeros(n_steps, dtype=int)
     kkt_residuals = np.zeros(n_steps)
     for k in range(1, n_steps + 1):
@@ -682,8 +749,7 @@ def evolve(
             exc.step, exc.t = k, float(times[k])
             exc.args = (f"step {k} at t = {exc.t:g}: {exc}",)
             raise
-        dual = res.dual if prev is None else _extrapolated_dual(ops, res.dual, prev)
-        prev = res.dual
+        dual = predictor.push(res.dual)
         records.append(measure(res.u_next, u, float(times[k]), cfg.tau, kappa))
         if keep == "all":
             states.append(res.u_next.copy())

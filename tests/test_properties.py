@@ -4,7 +4,7 @@ Each example draws a grid, data and solver settings from wide ranges; the
 draws are derandomized so that every run checks the same examples.  Single
 steps are checked on rectangles, intervals and radial grids of dimension
 2 to 6, cold, warm and from a drawn start dual; short ``evolve`` runs, whose
-later steps start from the extrapolated dual, on all three grid kinds;
+later steps start from the predicted dual, on all three grid kinds;
 contraction on all three grid kinds; comparison on the one-axis grids,
 where the discrete comparison principle is exact.
 """
@@ -134,15 +134,16 @@ def _check_step(u, res, cfg, mass=None):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(grid=st.one_of(_ONE_AXIS_GRIDS, _RECTANGLES), kind=_KINDS, **_STEP_SETTINGS)
 def test_runs_keep_their_guarantees_at_every_step(grid, kind, log_amplitude, log_tau, log_tol, seed):
-    # four steps of evolve: cold, warm from the first dual, then twice from
-    # the extrapolated 2 p_k - p_(k-1), which leaves the unit ball on the
-    # steepest data; every step keeps the single-step guarantees
+    # twelve steps of evolve: cold, warm from the first dual, then from the
+    # variable-order prediction, whose order reaches the top of its table
+    # (six) and which leaves the unit ball on the steepest data; every step
+    # keeps the single-step guarantees
     rng = np.random.default_rng(seed)
     u = CellField(grid, 10.0**log_amplitude * _data(grid, kind, rng))
     cfg = SolverConfig(tau=10.0**log_tau, inner_tol=10.0**log_tol)
     _assume_above_the_float_floor(cfg, u)
-    traj = evolve(u, 4 * cfg.tau, cfg, snapshot_times=cfg.tau * np.arange(1, 5))
-    assert len(traj.snapshots) == 4
+    traj = evolve(u, 12 * cfg.tau, cfg, snapshot_times=cfg.tau * np.arange(1, 13))
+    assert len(traj.snapshots) == 12
     for (_, u_next, flux), kkt in zip(traj.snapshots, traj.kkt_residuals):
         _check_step(u, SimpleNamespace(u_next=u_next, flux=flux, kkt_residual=kkt), cfg)
         u = u_next
