@@ -10,6 +10,7 @@ exactly ``worst_violation <= tolerance``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,28 +77,36 @@ def measure(
     tau: float,
     kappa: float,
 ) -> DiagnosticRecord:
-    """Measure one time level; velocity entries are 0 when u_prev is None."""
-    g = u.grid
+    """Measure one time level; velocity entries are 0 when u_prev is None.
+
+    One pass over the face differences gives both ``max_face_diff`` and the
+    jump count, the size of ``jump_set(u, kappa)``.
+    """
+    _check_threshold(kappa)
+    g, values = u.grid, u.values
     if u_prev is None:
-        ut_l2 = 0.0
-        ut_sup = 0.0
+        ut_l2 = ut_sup = 0.0
     else:
-        du = CellField(g, (u.values - u_prev.values) / tau)
-        ut_l2 = cell_norm(du)
-        ut_sup = float(np.max(np.abs(du.values)))
-    diffs = face_differences(u)
-    max_fd = max(float(np.max(np.abs(d))) if d.size else 0.0 for d in diffs)
+        du = (values - u_prev.values) / tau
+        ut_l2 = math.sqrt((g.cell_volumes * du * du).sum())
+        ut_sup = float(np.abs(du).max())
+    gaps = [np.abs(d) for d in face_differences(u)]
     return DiagnosticRecord(
         t=float(t),
         energy=area_energy(u),
-        mean=float(np.sum(g.cell_volumes * u.values)) / g.total_volume,
-        sup_norm=float(np.max(np.abs(u.values))),
-        lip=float(np.max(colocated_magnitude(u))),
+        mean=float((g.cell_volumes * values).sum()) / g.total_volume,
+        sup_norm=float(np.abs(values).max()),
+        lip=float(colocated_magnitude(u).max()),
         ut_l2=ut_l2,
         ut_sup=ut_sup,
-        max_face_diff=max_fd,
-        jump_count=len(jump_set(u, kappa)),
+        max_face_diff=max(float(d.max()) if d.size else 0.0 for d in gaps),
+        jump_count=sum(int(np.count_nonzero(d >= kappa)) for d in gaps),
     )
+
+
+def _check_threshold(kappa: float) -> None:
+    if kappa <= 0:
+        raise ValueError(f"jump threshold must be positive, got {kappa}")
 
 
 def jump_set(u: CellField, kappa: float):
@@ -107,8 +116,7 @@ def jump_set(u: CellField, kappa: float):
     rectangles.  The threshold applies to the difference, not the difference
     quotient, so it is a jump-height detector.
     """
-    if kappa <= 0:
-        raise ValueError(f"jump threshold must be positive, got {kappa}")
+    _check_threshold(kappa)
     diffs = face_differences(u)
     if u.grid.ndim == 1:
         return [int(i) for i in np.nonzero(np.abs(diffs[0]) >= kappa)[0]]

@@ -10,12 +10,15 @@ is what both step solvers exploit.  The primal-dual iteration of
 rectangles lifts it to sqrt(1 + |q|^2) = max over |(p0, p)| <= 1 of
 p0 + p.q, so its dual proximal map is a projection onto the unit ball of
 R^3; its primal map is ``prox_quadratic``, the closed form of the
-implicit-step quadratic.  Each ops class also gives that iteration an
-in-place pair of K and div (``loop_kernels``) and a proved bound on the
-norm of its K (``norm_bound``), from which the step sizes follow.  The
-Newton solve of one-axis grids maximizes the step's dual, whose gradient
-and tridiagonal Hessian ``_OneAxisOps`` supplies.  ``_dual_radius``, the
-exact proximal map of the unlifted conjugate, is a test reference only.
+implicit-step quadratic.  ``_RectangleOps`` also gives that iteration an
+in-place pair of K and div (``loop_kernels``); each ops class carries a
+proved bound on the norm of its K (``norm_bound``), from which the step
+sizes follow.  The Newton solve of one-axis grids maximizes the step's
+dual, whose Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
+gives the part of it that does not depend on the dual, ``_DualIterate``
+evaluates the dual, its gradient and the rest of the Hessian at one p,
+and ``_solve_tridiagonal`` gives the Newton direction.  ``_dual_radius``,
+the exact proximal map of the unlifted conjugate, is a test reference only.
 
 Discretization: the saddle operator K maps cell values to the dual space,
 and the discrete area, which ``area_energy`` returns as one float, is
@@ -33,6 +36,8 @@ unless the field is constant, and are invariant under adding a constant.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -73,22 +78,6 @@ class _OneAxisOps:
     def div_dual(self, p: np.ndarray) -> np.ndarray:
         return divergence_values(self.grid, (p,))
 
-    def loop_kernels(self, sigma: float, b: float):
-        """In-place pair (v, out) -> sigma * K v and (p, out) -> b * div p.
-
-        One-axis steps are solved by Newton; only a direct call of the
-        primal-dual loop iterates with these, so they write the public
-        operators into ``out``.
-        """
-
-        def k_into(v: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(self.k_apply(v), sigma, out=out)
-
-        def div_into(p: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(self.div_dual(p), b, out=out)
-
-        return k_into, div_into
-
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
         return np.abs(p)
@@ -105,33 +94,76 @@ class _OneAxisOps:
     def dual_from_flux(flux) -> np.ndarray:
         return flux.components[0]
 
-    def hessian_bands(self, p: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of the Hessian of the negative step dual.
+    def hessian_coupling(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of tau * div^T V div, the part of the
+        negative step dual's Hessian that does not depend on the dual.
 
-        The Hessian is diag(W (1 - p^2)^(-3/2)) + tau * div^T V div, and
         <div e_j, div e_k>_V is nonzero only for faces sharing a cell:
         a_j^2 (1/V_j + 1/V_{j+1}) on the diagonal, -a_j a_{j+1} / V_{j+1}
-        beside it, with a the face areas and V the cell volumes.
+        beside it, with a the face areas and V the cell volumes.  The full
+        Hessian adds the conjugate's diagonal W (1 - p^2)^(-3/2).
         """
         a, vol = self.grid.face_areas[0], self.grid.cell_volumes
-        slack = (1.0 - p) * (1.0 + p)
-        diag = self.dual_weights / (slack * np.sqrt(slack))
-        diag += tau * a * a * (1.0 / vol[:-1] + 1.0 / vol[1:])
-        return diag, -tau * a[:-1] * a[1:] / vol[1:-1]
+        return tau * a * a * (1.0 / vol[:-1] + 1.0 / vol[1:]), -tau * a[:-1] * a[1:] / vol[1:-1]
 
-    def dual_gradient(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Gradient W (p / sqrt(1 - p^2) - q) of the negative step dual.
 
-        The negative step dual is -sum W sqrt(1 - p^2) + <u_prev, div p>_V
-        + (tau/2) |div p|_V^2 with ``q`` = K u and u = u_prev + tau div p;
-        its gradient vanishes exactly where the dual relation does.
-        """
-        return self.dual_weights * (p / np.sqrt((1.0 - p) * (1.0 + p)) - q)
+# Rounding noise of -D relative to the sum of its terms' magnitudes: a
+# predicted decrease below it cannot be told from zero.
+_DUAL_NOISE = 1e-13
 
-    def newton_direction(self, p: np.ndarray, grad: np.ndarray, tau: float) -> np.ndarray:
-        """Newton direction -H^(-1) grad of the negative step dual at p."""
-        diag, off = self.hessian_bands(p, tau)
-        return _solve_tridiagonal(diag, off, -grad)
+
+class _DualIterate:
+    """One dual iterate p of the one-axis Newton solve, with the terms that
+    its certificate, gradient, Hessian and line search share.
+
+    Construction makes what every line-search trial needs: slack =
+    (1 - p)(1 + p), conj = sqrt(slack), div p, u = u_prev + tau div p, and
+
+        -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
+
+    the negative dual of the step problem, minimized where u solves the
+    step, with its rounding noise.  q = K u, the gradient and
+    ``relation_sq`` are made on first use and kept: a trial that fails the
+    Armijo test never applies K, and an accepted trial brings whatever it
+    made into the next Newton step.
+    """
+
+    def __init__(self, ops, u0, tau, p):
+        self.ops = ops
+        self.p = p
+        self.slack = (1.0 - p) * (1.0 + p)
+        self.conj = np.sqrt(self.slack)
+        self.divz = divz = ops.div_dual(p)
+        self.u = u0 + tau * divz
+        conj_sum = (ops.dual_weights * self.conj).sum()
+        pair = ops.grid.cell_volumes * divz * (u0 + 0.5 * tau * divz)
+        self.f = float(pair.sum() - conj_sum)
+        self.noise = _DUAL_NOISE * float(conj_sum + np.abs(pair).sum())
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.ops.k_apply(self.u)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """Gradient W (p / sqrt(1 - p^2) - q) of -D; it vanishes exactly where
+        the dual relation does."""
+        return self.ops.dual_weights * (self.p / self.conj - self.q)
+
+    @cached_property
+    def relation_sq(self) -> float:
+        """Squared norm of (1 - p^2) grad / W, which is the dual-relation
+        residual p sqrt(1 + q^2) - q to first order.  Unlike the bare
+        gradient, it does not blow up the rounding of faces near saturation."""
+        r = self.slack * self.grad / self.ops.dual_weights
+        return float(np.dot(r, r))
+
+    def hessian_bands(self, coupling) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the Hessian of -D: the conjugate's
+        W (1 - p^2)^(-3/2) on the diagonal plus ``coupling``, the bands of
+        tau div^T V div (``_OneAxisOps.hessian_coupling``)."""
+        diag, off = coupling
+        return self.ops.dual_weights / (self.slack * self.conj) + diag, off
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -139,19 +171,23 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
 
     ``diag`` holds the n diagonal entries and ``off`` the n - 1 entries
     beside them.  The recurrence is sequential, so it runs over Python
-    floats, which costs less per entry than numpy's per-call dispatch.
+    floats, which costs less per entry than numpy's per-call dispatch.  The
+    running pivot and right-hand side stay in locals; the pivots and the
+    multipliers overwrite the lists of the diagonal and the off-diagonal.
     """
     d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
-    n = len(d)
-    low = [0.0] * n
-    for i in range(1, n):
-        li = e[i - 1] / d[i - 1]
-        d[i] -= li * e[i - 1]
-        x[i] -= li * x[i - 1]
-        low[i] = li
-    x[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = x[i] / d[i] - low[i + 1] * x[i + 1]
+    piv, xi = d[0], x[0]
+    for i in range(1, len(d)):
+        ei = e[i - 1]
+        li = ei / piv
+        piv = d[i] - li * ei
+        xi = x[i] - li * xi
+        d[i], e[i - 1], x[i] = piv, li, xi
+    xi /= piv
+    x[-1] = xi
+    for i in range(len(d) - 2, -1, -1):
+        xi = x[i] / d[i] - e[i] * xi
+        x[i] = xi
     return np.array(x)
 
 

@@ -209,17 +209,18 @@ def _evolve_config(cfg: RunConfig) -> Trajectory:
     return evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_rows(path: Path, header: str, columns) -> None:
-    """Write ``header`` and one row per entry of the equal-length columns,
-    streamed so that no copy of the table is held in memory."""
-    rows = zip(*(np.ravel(c) for c in columns))
+    """Write ``header`` and one row per entry of the equal-length columns.
+
+    Every value is written with 17 significant digits, which round-trips a
+    float.  A row is one ``%``-format over Python floats from ``tolist``;
+    that shares CPython's float formatting with ``format(x, ".17g")``.
+    """
+    columns = [np.ravel(c).tolist() for c in columns]
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with path.open("w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(row_format % row for row in zip(*columns))
 
 
 def _write_series_csv(path: Path, traj: Trajectory) -> None:

@@ -18,7 +18,11 @@ Hessian is tridiagonal.  Damped Newton solves it: each direction is one
 LDL^T solve with the closed-form bands, the step keeps a fixed fraction of
 the distance to |p| = 1 and backtracks until -D decreases (Armijo), or,
 once that decrease is below the rounding of -D, until the scaled gradient
-does.  It certifies within a handful of steps.
+does.  It certifies within a handful of steps.  Each dual it visits, an
+iterate or a line-search trial, is evaluated once (``_DualIterate``):
+sqrt(1 - p^2), div p, u and K u serve the certificate, -D, the gradient
+and the Hessian alike, and the part of the Hessian that does not depend
+on p is made once per step.
 
 On rectangles a primal-dual iteration (PDHG) runs on a lifted dual.  Since
 sqrt(1 + |q|^2) = |(1, q)| = max over |(p0, p)| <= 1 of p0 + p.q, each
@@ -34,11 +38,10 @@ primal proximal map is the closed form ``prox_quadratic``:
 The loop carries the increment w = v - u_prev, for which the primal step
 is w <- a w + b div p with a = tau/(tau + s) and b = tau s/(tau + s).  An
 inner iteration allocates no array: its buffers are made once per step,
-and ``loop_kernels`` of the ops class writes sigma K and b div in place,
-as central differences on rectangles with the step sizes folded into
-their coefficients.  They round differently from the public calculus, so
-they steer only the iterates; every certificate evaluation rebuilds div p
-with ``div_dual``.
+and ``_RectangleOps.loop_kernels`` writes sigma K and b div in place, as
+central differences with the step sizes folded into their coefficients.
+They round differently from the public calculus, so they steer only the
+iterates; every certificate evaluation rebuilds div p with ``div_dual``.
 
 The grid weights are carried by the pairing, so they cancel inside both
 proximal maps.  The quadratic term is (1/tau)-strongly convex and the
@@ -79,6 +82,7 @@ certifies (on a cold step, the explicit Euler predictor).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -91,6 +95,7 @@ from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
 # calls _dual_radius (the tests use it as the exact prox); the name stays
 # bound here until the benchmark drops its dual-radius metrics.
 from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps  # noqa: F401
+from .energy import _DualIterate, _solve_tridiagonal
 from .grid import CellField, FaceField, Grid, cell_norm
 
 __all__ = [
@@ -213,34 +218,40 @@ def _variational_dual(ops, values: np.ndarray) -> np.ndarray:
     return q / np.sqrt(1.0 + m * m)
 
 
+def _conjugate(ops, p) -> np.ndarray:
+    """sqrt(1 - |p|^2) per dual entry (0 where |p| >= 1)."""
+    mp = ops.magnitude(p)
+    return np.sqrt(np.maximum((1.0 - mp) * (1.0 + mp), 0.0))
+
+
 def _primal_residual(ops, u_prev, tau, divz, v) -> float:
     """Primal stationarity |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p)."""
-    return float(np.sqrt(np.sum(ops.grid.cell_volumes * ((v - u_prev) / tau - divz) ** 2)))
+    r = (v - u_prev) / tau - divz
+    return math.sqrt((ops.grid.cell_volumes * (r * r)).sum())
 
 
-def _dual_residuals(ops, p, q) -> tuple[float, float]:
+def _dual_residuals(ops, p, q, conj) -> tuple[float, float]:
     """Dual relation and gap of the dual p against q = K u.
 
     Dual relation: max |p * sqrt(1 + |q|^2) - q|.  Gap: the summed Fenchel
     gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the duality gap
-    of the step problem at u = u_prev + tau * div(p).
+    of the step problem at u = u_prev + tau * div(p); ``conj`` holds
+    sqrt(1 - |p|^2) (``_conjugate``).
     """
     mq = ops.magnitude(q)
     root = np.sqrt(1.0 + mq * mq)
-    dual = float(np.max(ops.magnitude(p * root - q)))
-    mp = ops.magnitude(p)
-    conj = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
-    gap_terms = np.clip(root - ops.dot(p, q) - conj, 0.0, None)
-    return dual, float(np.sum(ops.dual_weights * gap_terms))
+    dual = float(ops.magnitude(p * root - q).max())
+    gap_terms = np.maximum(root - ops.dot(p, q) - conj, 0.0)
+    return dual, float((ops.dual_weights * gap_terms).sum())
 
 
-def _residuals(ops, u_prev, tau, p, divz, u, q):
+def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
     """The three certificates (primal, dual relation, gap) of the pair (u, p).
 
-    ``divz`` = div(p) and ``q`` = K u come from the caller, which computes
-    each once per iterate.
+    ``divz`` = div(p), ``q`` = K u and ``conj`` = sqrt(1 - |p|^2) come from
+    the caller, which computes each once per iterate.
     """
-    return (_primal_residual(ops, u_prev, tau, divz, u), *_dual_residuals(ops, p, q))
+    return (_primal_residual(ops, u_prev, tau, divz, u), *_dual_residuals(ops, p, q, conj))
 
 
 @dataclass
@@ -371,12 +382,13 @@ def _primal_update(w, bdivz, a, theta, u0, w_new, vbar):
 
 
 def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
-    """The primal-dual iteration from (u_prev, p), certified every check_every.
+    """The rectangle primal-dual iteration from (u_prev, p), certified every
+    check_every.
 
     The dual runs lifted: sqrt(1 + |q|^2) = |(1, q)| is the maximum of
-    p0 + p.q over |(p0, p)| <= 1, so each dual entry carries a third
-    component p0 (a second on one-axis grids) and the dual proximal step is
-    the projection of (p0 + sigma, p + sigma K vbar) onto that unit ball.
+    p0 + p.q over |(p0, p)| <= 1, so each cell's dual carries a third
+    component p0 and the dual proximal step is the projection of
+    (p0 + sigma, p + sigma K vbar) onto the unit ball of R^3.
     p0 starts at sqrt(1 - |p|^2), its value at the solution, and the primal
     iterate at v = u_prev + tau * div p, the state the start dual certifies:
     from a dual that already solves the step, the first check passes.
@@ -401,12 +413,10 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     w = tau * ops.div_dual(p)  # the increment the start dual certifies
     vbar = u0 + w
     w_new, bdivz = np.empty(u0.shape), np.empty(u0.shape)
-    mp = ops.magnitude(p)
-    p0 = np.sqrt(np.clip((1.0 - mp) * (1.0 + mp), 0.0, None))
-    lifted = np.concatenate((p0[None], np.reshape(p, (-1,) + p0.shape)))
-    p = lifted[1:].reshape(np.shape(p))  # a view: updating lifted updates p
+    lifted = np.concatenate((_conjugate(ops, p)[None], p))
+    p = lifted[1:]  # a view: updating lifted updates p
     kv = np.empty(p.shape)
-    norm = np.empty(p0.shape)
+    norm = np.empty(u0.shape)
     residuals = (np.inf, np.inf, np.inf)
     for k in range(1, cfg.max_inner + 1):
         k_into(vbar, kv)
@@ -426,7 +436,8 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
             if primal > tol and k < cfg.max_inner:
                 continue  # the step cannot certify; skip the dual side
             u_cand = u0 + tau * divz
-            residuals = (primal, *_dual_residuals(ops, p, ops.k_apply(u_cand)))
+            q = ops.k_apply(u_cand)
+            residuals = (primal, *_dual_residuals(ops, p, q, _conjugate(ops, p)))
             if all(r <= tol for r in residuals):
                 # v = u_cand changes only the primal; dual and gap stand
                 kkt = max(_primal_residual(ops, u0, tau, divz, u_cand), residuals[1])
@@ -440,39 +451,15 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
 _TO_BOUNDARY = 0.995
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# Rounding noise of -D relative to the sum of its terms' magnitudes: a
-# predicted decrease below it cannot be told from zero.
-_DUAL_NOISE = 1e-13
-# Below that noise a step must cut the squared ``_relation_sq`` by this
-# factor, as Newton does near the solution.  A step at that measure's own
+# Below the rounding noise of -D (``_DualIterate.noise``) a step must cut
+# the squared ``relation_sq`` by this factor, as Newton does near the
+# solution.  A step at that measure's own
 # rounding floor cannot, so a step whose certificates lie below the float
 # floor fails within a few iterations instead of running to max_inner.
 _RELATION_SHRINK = 0.25
 # The largest float below 1: iterates are clipped to it so that
 # sqrt(1 - p^2) stays positive.
 _P_MAX = float(np.nextafter(1.0, 0.0))
-
-
-def _negative_dual(ops, u0, tau, p):
-    """-D(p), its rounding noise, and div p.
-
-    -D(p) = -sum W sqrt(1 - p^2) + <u_prev, div p>_V + (tau/2) |div p|_V^2
-    is the negative dual of the step problem on one-axis grids, minimized
-    where u = u_prev + tau div p solves the step.
-    """
-    divz = ops.div_dual(p)
-    conj = ops.dual_weights * np.sqrt((1.0 - p) * (1.0 + p))
-    pair = ops.grid.cell_volumes * divz * (u0 + 0.5 * tau * divz)
-    noise = _DUAL_NOISE * float(conj.sum() + np.abs(pair).sum())
-    return float(pair.sum() - conj.sum()), noise, divz
-
-
-def _relation_sq(ops, p, grad):
-    """Squared norm of (1 - p^2) grad / W, which is the dual-relation
-    residual p sqrt(1 + q^2) - q to first order.  Unlike the bare gradient,
-    it does not blow up the rounding of faces near saturation."""
-    r = (1.0 - p) * (1.0 + p) * grad / ops.dual_weights
-    return float(np.dot(r, r))
 
 
 def _newton(ops, u0, cfg, p) -> StepResult:
@@ -482,10 +469,15 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     halved until -D decreases by the Armijo fraction of its prediction.
     Near the solution that decrease sinks below the rounding noise of -D;
     there a step is accepted when it shrinks the gradient, measured by
-    ``_relation_sq``, by ``_RELATION_SHRINK`` instead.  A step that finds
+    ``relation_sq``, by ``_RELATION_SHRINK`` instead.  A step that finds
     no acceptable length raises NonConvergenceError at once.
-    ``inner_iters`` counts certificate evaluations: Newton steps + 1.  Each
-    applies K once, for the certificate and the gradient both.
+    ``inner_iters`` counts certificate evaluations: Newton steps + 1.
+
+    Every iterate and every line-search trial is one ``_DualIterate``, so
+    each term is made once per dual: div p, u and K u feed the certificate
+    and the gradient both, and the accepted trial becomes the next iterate
+    as it stands.  The Hessian's dual-independent bands are made once per
+    step.
 
     A start entry at or beyond |p| = 1 takes the value of the cold start,
     the variational dual of u_prev.  Clipped to ``_P_MAX`` instead, it would
@@ -497,40 +489,32 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     outside = np.abs(p) >= 1.0
     if outside.any():
         p = np.where(outside, _variational_dual(ops, u0), p)
-    p = np.clip(p, -_P_MAX, _P_MAX)  # a copy, never the caller's array
-    f, noise, divz = _negative_dual(ops, u0, tau, p)
-    u = u0 + tau * divz
-    q = ops.k_apply(u)
+    coupling = ops.hessian_coupling(tau)
+    it = _DualIterate(ops, u0, tau, np.clip(p, -_P_MAX, _P_MAX))  # never the caller's array
     for k in range(1, cfg.max_inner + 1):
-        residuals = _residuals(ops, u0, tau, p, divz, u, q)
+        residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
         if all(r <= tol for r in residuals):
-            return _step_result(ops, u, p, k, max(residuals[:2]))
+            return _step_result(ops, it.u, it.p, k, max(residuals[:2]))
         if k == cfg.max_inner:
             break
-        grad = ops.dual_gradient(p, q)
-        d = ops.newton_direction(p, grad, tau)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(d != 0.0, (np.copysign(1.0, d) - p) / d, np.inf)
-        alpha = min(1.0, _TO_BOUNDARY * float(np.min(room)))
-        slope = float(np.dot(grad, d))
-        rel_sq = _relation_sq(ops, p, grad)
+        d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
+        room = np.full(d.shape, np.inf)
+        np.divide(np.copysign(1.0, d) - it.p, d, out=room, where=d != 0.0)
+        alpha = min(1.0, _TO_BOUNDARY * float(room.min()))
+        slope = float(np.dot(it.grad, d))
         for _ in range(_MAX_HALVINGS):
-            trial = np.clip(p + alpha * d, -_P_MAX, _P_MAX)
-            f_t, noise_t, divz_t = _negative_dual(ops, u0, tau, trial)
-            u_t = u0 + tau * divz_t
-            if -alpha * slope > noise:
-                if f_t <= f + _ARMIJO * alpha * slope:
-                    q_t = ops.k_apply(u_t)
+            trial_p = it.p + alpha * d
+            np.minimum(np.maximum(trial_p, -_P_MAX, out=trial_p), _P_MAX, out=trial_p)
+            trial = _DualIterate(ops, u0, tau, trial_p)
+            if -alpha * slope > it.noise:
+                if trial.f <= it.f + _ARMIJO * alpha * slope:
                     break
-            else:
-                q_t = ops.k_apply(u_t)
-                g_t = ops.dual_gradient(trial, q_t)
-                if _relation_sq(ops, trial, g_t) <= _RELATION_SHRINK * rel_sq:
-                    break
+            elif trial.relation_sq <= _RELATION_SHRINK * it.relation_sq:
+                break
             alpha *= 0.5
         else:
             raise _nonconvergence("Newton iteration (line search stalled)", k, residuals, tol)
-        p, f, noise, divz, u, q = trial, f_t, noise_t, divz_t, u_t, q_t
+        it = trial
     raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)
 
 
@@ -557,7 +541,8 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     if float(np.max(ops.magnitude(pa))) > 1.0 + 1e-12:
         raise ValueError("dual state is infeasible: |p| > 1 somewhere")
     v = u.values
-    return max(_residuals(ops, u_prev.values, tau, pa, ops.div_dual(pa), v, ops.k_apply(v))[:2])
+    divz, q = ops.div_dual(pa), ops.k_apply(v)
+    return max(_residuals(ops, u_prev.values, tau, pa, divz, v, q, _conjugate(ops, pa))[:2])
 
 
 @dataclass

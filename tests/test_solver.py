@@ -9,7 +9,7 @@ import pytest
 
 from pmsflow import solver
 from pmsflow.acceptance import _descent_oracle
-from pmsflow.energy import _make_ops, _solve_tridiagonal, area_energy, prox_quadratic
+from pmsflow.energy import _DualIterate, _make_ops, _solve_tridiagonal, area_energy, prox_quadratic
 from pmsflow.grid import (
     CellField,
     FaceField,
@@ -220,13 +220,11 @@ _KERNEL_RECTANGLES = [
 
 
 @pytest.mark.parametrize(
-    "grid",
-    _KERNEL_RECTANGLES + _ALL_GRID_KINDS[:-1],
-    ids=["rect2x2", "rect2x7", "rect7x6", "rect3x8", *_ALL_GRID_IDS[:-1]],
+    "grid", _KERNEL_RECTANGLES, ids=["rect2x2", "rect2x7", "rect7x6", "rect3x8"]
 )
 def test_loop_kernels_are_the_public_calculus(grid):
-    # the primal-dual loop's in-place pair writes sigma K and b div: on
-    # rectangles to rounding and exactly adjoint, on one-axis grids bit for bit
+    # the rectangle loop's in-place pair writes sigma K and b div to
+    # rounding, and exactly adjoint
     ops = _make_ops(grid)
     rng = np.random.default_rng(12)
     v = 30.0 * rng.standard_normal(grid.shape)
@@ -236,15 +234,11 @@ def test_loop_kernels_are_the_public_calculus(grid):
     kv, bdivz = np.empty(ops.dual_shape), np.empty(grid.shape)
     k_into(v, kv)
     div_into(p, bdivz)
-    if grid.kind == "rectangle":
-        eps, h = np.finfo(float).eps, min(grid.spacing)
-        k_mag = sigma * np.max(np.abs(v)) / h
-        div_mag = b * np.max(np.abs(p)) / h
-        assert np.max(np.abs(kv - sigma * ops.k_apply(v))) <= _KERNEL_ULPS * eps * k_mag
-        assert np.max(np.abs(bdivz - b * ops.div_dual(p))) <= _KERNEL_ULPS * eps * div_mag
-    else:
-        assert np.array_equal(kv, sigma * ops.k_apply(v))
-        assert np.array_equal(bdivz, b * ops.div_dual(p))
+    eps, h = np.finfo(float).eps, min(grid.spacing)
+    k_mag = sigma * np.max(np.abs(v)) / h
+    div_mag = b * np.max(np.abs(p)) / h
+    assert np.max(np.abs(kv - sigma * ops.k_apply(v))) <= _KERNEL_ULPS * eps * k_mag
+    assert np.max(np.abs(bdivz - b * ops.div_dual(p))) <= _KERNEL_ULPS * eps * div_mag
     lhs = float(np.sum(ops.dual_weights * ops.dot(kv, p))) / sigma
     rhs = float(np.sum(grid.cell_volumes * v * bdivz)) / b
     assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
@@ -723,8 +717,8 @@ _ONE_AXIS_SMALL_IDS = ["interval2", "interval3", "interval7", *(f"radial{n}" for
 @pytest.mark.parametrize("grid", _ONE_AXIS_SMALL, ids=_ONE_AXIS_SMALL_IDS)
 def test_hessian_bands_match_the_probed_dense_hessian(grid):
     # tau div^T V div has columns -W * K(div e_k), probed with the saddle
-    # operators themselves; the bands are the closed form of it plus the
-    # conjugate's diagonal W (1 - p^2)^(-3/2)
+    # operators themselves; the bands are its closed form (the ops'
+    # hessian_coupling) plus the conjugate's diagonal W (1 - p^2)^(-3/2)
     ops = _make_ops(grid)
     rng = np.random.default_rng(3)
     n, tau = grid.face_shape(0)[0], 0.37
@@ -732,7 +726,8 @@ def test_hessian_bands_match_the_probed_dense_hessian(grid):
     dense = np.diag(ops.dual_weights * (1.0 - p * p) ** -1.5)
     for k, e in enumerate(np.eye(n)):
         dense[:, k] -= tau * ops.dual_weights * ops.k_apply(ops.div_dual(e))
-    diag, off = ops.hessian_bands(p, tau)
+    iterate = _DualIterate(ops, rng.standard_normal(grid.shape), tau, p)
+    diag, off = iterate.hessian_bands(ops.hessian_coupling(tau))
     banded = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     assert np.allclose(banded, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
     assert np.all(np.linalg.eigvalsh(banded) > 0.0)
@@ -744,11 +739,13 @@ def test_dual_gradient_is_the_derivative_of_the_negative_dual(grid):
     rng = np.random.default_rng(4)
     u0, tau = rng.standard_normal(grid.shape), 0.2
     p = rng.uniform(-0.9, 0.9, grid.face_shape(0))
-    grad = ops.dual_gradient(p, ops.k_apply(u0 + tau * ops.div_dual(p)))
+    iterate = _DualIterate(ops, u0, tau, p)
+    assert np.array_equal(iterate.q, ops.k_apply(u0 + tau * ops.div_dual(p)))
+    grad = iterate.grad
     eps = 1e-6
     numeric = [
-        (solver._negative_dual(ops, u0, tau, p + eps * e)[0]
-         - solver._negative_dual(ops, u0, tau, p - eps * e)[0]) / (2.0 * eps)
+        (_DualIterate(ops, u0, tau, p + eps * e).f
+         - _DualIterate(ops, u0, tau, p - eps * e).f) / (2.0 * eps)
         for e in np.eye(p.size)
     ]
     assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-8)
@@ -768,23 +765,78 @@ def test_tridiagonal_solve_matches_dense_solve(n):
         assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
 
+def _dense_primal_step(grid, u_prev, tau):
+    """Reference minimizer of one one-axis step, sharing no solver code.
+
+    Damped Newton on the primal objective
+    F(v) = sum W sqrt(1 + (D v)^2) + sum V (v - u_prev)^2 / (2 tau), with D
+    the dense face difference quotient built here from the grid's spacing.
+    It stops on its own stationarity residual |grad F / V|_V, which bounds
+    the distance to the minimizer by tau times itself (F is (1/tau)-strongly
+    convex in the V-norm), and returns v with that residual.
+    """
+    n, h = grid.shape[0], grid.spacing[0]
+    diff = (np.eye(n, k=1) - np.eye(n))[:-1] / h
+    w, vol = grid.face_weights[0], grid.cell_volumes
+
+    def objective(v):
+        q = diff @ v
+        return w @ np.sqrt(1.0 + q * q) + vol @ (v - u_prev) ** 2 / (2.0 * tau)
+
+    v = np.array(u_prev, dtype=float)
+    for _ in range(100):
+        q = diff @ v
+        grad = diff.T @ (w * q / np.sqrt(1.0 + q * q)) + vol * (v - u_prev) / tau
+        residual = float(np.sqrt(np.sum(grad * grad / vol)))
+        if residual <= 1e-11:
+            return v, residual
+        hess = diff.T @ ((w / (1.0 + q * q) ** 1.5)[:, None] * diff) + np.diag(vol / tau)
+        step = np.linalg.solve(hess, -grad)
+        decrease = -float(grad @ step)
+        length, f = 1.0, objective(v)
+        # below the rounding of F the Armijo test cannot decide: full steps
+        armijo = decrease > 1e-14 * abs(f)
+        while armijo and objective(v + length * step) > f - 1e-4 * length * decrease:
+            length *= 0.5
+        v = v + length * step
+    raise AssertionError(f"dense primal Newton stalled at residual {residual:.3e}")
+
+
 @pytest.mark.parametrize(
     "grid", [interval_grid(0.0, 2.0, 60), radial_grid(3, 1.0, 40)], ids=["interval", "radial3"]
 )
 def test_newton_step_agrees_with_the_primal_dual_loop(grid):
-    # two certified minimizers of the same (1/tau)-strongly convex step lie
-    # within 2 sqrt(2 tau inner_tol) of each other in the weighted norm
+    # the certified Newton step against an independent reference: a dense
+    # primal Newton that checks its own stationarity.  A certified minimizer
+    # of the (1/tau)-strongly convex step lies within sqrt(2 tau inner_tol)
+    # of the exact one in the weighted norm, the reference within
+    # tau * its residual; the bound is the one for two certified minimizers
     rng = np.random.default_rng(21)
     u0 = np.where(rng.uniform(size=grid.shape) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.0)
     cfg = SolverConfig(tau=1e-2, inner_tol=1e-9)
-    ops = _make_ops(grid)
     newton = implicit_step(CellField(grid, u0), cfg)
-    sigma, s = solver._resolve_steps(grid, cfg)
-    pdhg = solver._pdhg(ops, u0, cfg, sigma, s, solver._variational_dual(ops, u0))
-    assert max(newton.kkt_residual, pdhg.kkt_residual) <= cfg.inner_tol
-    diff = newton.u_next.values - pdhg.u_next.values
+    reference, residual = _dense_primal_step(grid, u0, cfg.tau)
+    assert newton.kkt_residual <= cfg.inner_tol
+    assert cfg.tau * residual <= 1e-3 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+    diff = newton.u_next.values - reference
     dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
     assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+
+
+def test_newton_kkt_is_the_public_certificate():
+    # the residual Newton reports is the one kkt_residual computes from the
+    # returned pair, bit for bit, although Newton shares its intermediates
+    # (div p, K u, sqrt(1 - p^2)) between certificate, gradient and Hessian
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        kind = int(rng.integers(1, 7))
+        cells = int(rng.integers(2, 80))
+        grid = interval_grid(0.0, 1.0, cells) if kind == 1 else radial_grid(kind, 1.0, cells)
+        amplitude = 10.0 ** rng.uniform(-2.0, np.log10(5.0))
+        u = CellField(grid, amplitude * rng.uniform(-1.0, 1.0, grid.shape))
+        tau = 10.0 ** rng.uniform(-4.0, -1.0)
+        res = implicit_step(u, SolverConfig(tau=tau))
+        assert res.kkt_residual == kkt_residual(res.u_next, res.dual, u, tau)
 
 
 @pytest.mark.parametrize(
