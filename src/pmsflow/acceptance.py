@@ -28,7 +28,7 @@ The checks, in order:
  6. smooth_flattening          smooth data: Lipschitz bound and sup velocity
                                nonincreasing, profile nearly flat at the end
  7. small_problem_exactness    implicit steps on random 5-cell problems
-                               match a derivative-free coordinate-descent
+                               match a self-certifying dense primal Newton
                                oracle to 1e-6 per cell
  8. contraction                weighted-L2 distance of random run pairs is
                                nonexpanding up to the inner tolerance
@@ -235,76 +235,57 @@ def _smooth_flattening(ws: _Workspace):
     )
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+def _primal_step_oracle(grid, u_prev: np.ndarray, tau: float):
+    """Reference minimizer of one implicit step on a one-axis grid, sharing
+    no code with the solver: damped Newton on F(v) = sum W sqrt(1 + (D v)^2)
+    + sum V (v - u_prev)^2 / (2 tau), with D the dense face difference
+    quotient, W the face weights and V the cell volumes.  Steps are halved
+    until the stationarity residual |grad F / V|_V falls, and it stops where
+    a full step no longer lowers it.  F is (1/tau)-strongly convex in the
+    V-norm, so the returned v lies within tau times the returned residual
+    of the minimizer.  RuntimeError where the residual misses 1e-11."""
+    n, h = grid.shape[0], grid.spacing[0]
+    diff = (np.eye(n, k=1) - np.eye(n))[:-1] / h
+    w, vol = grid.face_weights[0], grid.cell_volumes
 
+    def evaluate(v):
+        q = diff @ v
+        grad = diff.T @ (w * q / np.sqrt(1.0 + q * q)) + vol * (v - u_prev) / tau
+        return v, q, grad, float(np.sqrt(np.sum(grad * grad / vol)))
 
-def _golden_min(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _descent_oracle(grid, u_prev: np.ndarray, tau: float) -> np.ndarray:
-    """Derivative-free minimizer of the implicit step objective.
-
-    Cyclic coordinate descent with golden-section line searches against an
-    inline face-sum energy; shares no code with the solver.
-    """
-    h = float(grid.spacing[0])
-    w = grid.face_weights[0]
-    vol = grid.cell_volumes
-    n = u_prev.size
-    v = u_prev.copy()
-    lo = float(u_prev.min()) - 2.0
-    hi = float(u_prev.max()) + 2.0
-
-    def line_objective(i, x):
-        val = vol[i] * (x - u_prev[i]) ** 2 / (2.0 * tau)
-        if i > 0:
-            val += w[i - 1] * np.sqrt(1.0 + ((x - v[i - 1]) / h) ** 2)
-        if i < n - 1:
-            val += w[i] * np.sqrt(1.0 + ((v[i + 1] - x) / h) ** 2)
-        return val
-
-    for _ in range(500):
-        moved = 0.0
-        for i in range(n):
-            x_new = _golden_min(lambda x: line_objective(i, x), lo, hi, 1e-12)
-            moved = max(moved, abs(x_new - v[i]))
-            v[i] = x_new
-        if moved <= 1e-11:
-            break
-    return v
+    v, q, grad, residual = evaluate(np.array(u_prev, dtype=float))
+    for _ in range(100):
+        hess = diff.T @ ((w / (1.0 + q * q) ** 1.5)[:, None] * diff) + np.diag(vol / tau)
+        step, length = np.linalg.solve(hess, -grad), 1.0
+        while (trial := evaluate(v + length * step))[3] >= (1.0 - 1e-4 * length) * residual:
+            if residual <= 1e-11:  # a full step no longer helps: rounding
+                return v, residual
+            length *= 0.5
+            if length < 1e-12:
+                raise RuntimeError(f"step oracle stalled at residual {residual:.3e}")
+        v, q, grad, residual = trial
+    raise RuntimeError(f"step oracle still at residual {residual:.3e} after 100 steps")
 
 
 def _small_problem_exactness(ws: _Workspace):
-    """Criterion 7: implicit steps match the coordinate-descent oracle to
-    1e-6 per cell on twenty random 5-cell problems."""
+    """Criterion 7: implicit steps match the dense primal Newton oracle to
+    1e-6 per cell on twenty random 5-cell problems; the detail adds the
+    oracle's own certified per-cell error, tau * residual / sqrt(min V)."""
     grid = interval_grid(0.0, 2.0, 5)
     rng = np.random.default_rng(ws.oracle_seed)
-    devs = []
+    devs, oracle_error = [], 0.0
     for k in range(20):
         tau = 0.05 if k % 2 == 0 else 0.5
         u_prev = CellField(grid, rng.uniform(-1.0, 1.0, size=5))
-        cfg = SolverConfig(tau=tau, inner_tol=1e-12)
-        res = implicit_step(u_prev, cfg)
-        oracle = _descent_oracle(grid, u_prev.values, tau)
+        res = implicit_step(u_prev, SolverConfig(tau=tau, inner_tol=1e-12))
+        oracle, residual = _primal_step_oracle(grid, u_prev.values, tau)
         dev = float(np.max(np.abs(res.u_next.values - oracle)))
         devs.append((dev, f"problem {k} (tau = {tau})"))
+        oracle_error = max(oracle_error, tau * residual / np.sqrt(grid.cell_volumes.min()))
     worst, where = max(devs)
     return worst - 1e-6, where, (
-        f"largest per-cell deviation from the oracle {worst:.3e} (<= 1e-6) at {where}"
+        f"largest per-cell deviation from the oracle {worst:.3e} (<= 1e-6) at {where}; "
+        f"the oracle is certified within {oracle_error:.1e} per cell"
     )
 
 

@@ -48,6 +48,7 @@ from .solver import (
     SolverConfig,
     Trajectory,
     _check_run_settings,
+    _run_steps,
     evolve,
 )
 
@@ -245,6 +246,18 @@ def _write_snapshot_csv(path: Path, grid: Grid, u: CellField, flux: FaceField) -
     _write_rows(path, ",".join([*axes, "u", *fluxes]), [*centers, u.values, *left])
 
 
+def _snapshot_names(cfg: RunConfig) -> list[str]:
+    """The run's snapshot file names in step order; ConfigError on a clash."""
+    _, steps = _run_steps(cfg.t_end, cfg.tau, cfg.snapshot_times)
+    names = {}
+    for t in sorted(cfg.tau * k for k in steps):
+        name = f"snapshot_t{t:.6f}.csv"
+        if name in names:
+            raise ConfigError(f"snapshot_times {names[name]!r} and {t!r} both write {name}")
+        names[name] = t
+    return list(names)
+
+
 def _json_safe(value):
     """A strict JSON value: non-finite floats become null."""
     if value is None or isinstance(value, (bool, int, str)):
@@ -289,6 +302,7 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     started = time.perf_counter()
     u0, solver_cfg = _evolve_inputs(cfg)
     _check_run_settings(u0.grid, cfg.t_end, solver_cfg, cfg.kappa, cfg.snapshot_times)
+    snapshot_names = _snapshot_names(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
     traj = evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
@@ -299,10 +313,9 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
 
     series_path = out / "series.csv"
     _write_series_csv(series_path, traj)
-    snapshot_paths = []
-    for t, u, flux in traj.snapshots:
-        snapshot_paths.append(out / f"snapshot_t{t:.6f}.csv")
-        _write_snapshot_csv(snapshot_paths[-1], traj.grid, u, flux)
+    snapshot_paths = [out / name for name in snapshot_names]
+    for path, (_, u, flux) in zip(snapshot_paths, traj.snapshots, strict=True):
+        _write_snapshot_csv(path, traj.grid, u, flux)
     report_text_path, report_json_path = out / "report.txt", out / "report.json"
 
     final = traj.records[-1]

@@ -666,6 +666,12 @@ def _check_run_settings(grid: Grid, t_end: float, cfg: SolverConfig, kappa, time
     _resolve_steps(grid, cfg)
 
 
+def _run_steps(t_end: float, tau: float, times) -> tuple[int, set[int]]:
+    """Step count to t_end, and each time's nearest step within the run."""
+    n_steps = max(1, int(np.ceil(t_end / tau - 1e-9)))
+    return n_steps, {min(n_steps, max(0, int(round(t / tau)))) for t in times}
+
+
 def evolve(
     u0: CellField,
     t_end: float,
@@ -710,9 +716,8 @@ def evolve(
     _check_run_settings(grid, t_end, cfg, kappa, snapshot_times)
     if kappa is None:
         kappa = default_jump_threshold(u0)
-    n_steps = max(1, int(np.ceil(t_end / cfg.tau - 1e-9)))
+    n_steps, snap_idx = _run_steps(t_end, cfg.tau, snapshot_times)
     times = cfg.tau * np.arange(n_steps + 1)
-    snap_idx = {min(n_steps, max(0, int(round(t / cfg.tau)))) for t in snapshot_times}
 
     ops = _make_ops(grid)
     records = [measure(u0, None, 0.0, cfg.tau, kappa)]

@@ -2,7 +2,7 @@
 
 The suite is executed once per session; each test below reports one
 criterion with a single PASS or FAIL line.  Run with ``-s`` to watch the
-per-criterion progress while the suite executes (about 16 s on one core
+per-criterion progress while the suite executes (about 4.5 s on one core
 of a 2-core Intel Xeon).  The first test checks how ``run_acceptance``
 turns the criteria table into Verdicts, on stub criteria and a stub clock,
 in no time.

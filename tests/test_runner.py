@@ -366,6 +366,18 @@ def test_cli_rejects_bad_solver_settings_before_writing(tmp_path, capsys, key, v
     assert not (tmp_path / "out").exists()
 
 
+def test_snapshots_that_would_share_a_file_are_rejected_before_writing(tmp_path, capsys):
+    # both snapshot times print as 0.000000 in the file name
+    text = f"{CUSTOM_SMALL}tau: 1.0e-7\nt_end: 2.0e-7\nsnapshot_times: [1.0e-7, 2.0e-7]\n"
+    path = write_config(tmp_path, text)
+    message = "snapshot_times 1e-07 and 2e-07 both write snapshot_t0.000000.csv"
+    with pytest.raises(ConfigError, match=message):
+        run(load_config(path), tmp_path / "out")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value", [("theta", "0.5"), ("check_every", "8"), ("sigma", "null"), ("s", "null")]
 )

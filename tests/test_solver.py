@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pmsflow import solver
-from pmsflow.acceptance import _descent_oracle
+from pmsflow.acceptance import _primal_step_oracle
 from pmsflow.energy import _DualIterate, _make_ops, _solve_tridiagonal, area_energy, prox_quadratic
 from pmsflow.grid import (
     CellField,
@@ -284,7 +284,7 @@ def test_five_cell_step_matches_brute_force():
     grid = interval_grid(0.0, 2.0, 5)
     u_prev = CellField(grid, np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
     res = implicit_step(u_prev, SolverConfig(tau=0.1, inner_tol=1e-12))
-    oracle = _descent_oracle(grid, u_prev.values, 0.1)
+    oracle, _ = _primal_step_oracle(grid, u_prev.values, 0.1)
     assert np.max(np.abs(res.u_next.values - oracle)) <= 1e-6
 
 
@@ -765,62 +765,49 @@ def test_tridiagonal_solve_matches_dense_solve(n):
         assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
 
 
-def _dense_primal_step(grid, u_prev, tau):
-    """Reference minimizer of one one-axis step, sharing no solver code.
-
-    Damped Newton on the primal objective
-    F(v) = sum W sqrt(1 + (D v)^2) + sum V (v - u_prev)^2 / (2 tau), with D
-    the dense face difference quotient built here from the grid's spacing.
-    It stops on its own stationarity residual |grad F / V|_V, which bounds
-    the distance to the minimizer by tau times itself (F is (1/tau)-strongly
-    convex in the V-norm), and returns v with that residual.
-    """
-    n, h = grid.shape[0], grid.spacing[0]
-    diff = (np.eye(n, k=1) - np.eye(n))[:-1] / h
-    w, vol = grid.face_weights[0], grid.cell_volumes
-
-    def objective(v):
-        q = diff @ v
-        return w @ np.sqrt(1.0 + q * q) + vol @ (v - u_prev) ** 2 / (2.0 * tau)
-
-    v = np.array(u_prev, dtype=float)
-    for _ in range(100):
-        q = diff @ v
-        grad = diff.T @ (w * q / np.sqrt(1.0 + q * q)) + vol * (v - u_prev) / tau
-        residual = float(np.sqrt(np.sum(grad * grad / vol)))
-        if residual <= 1e-11:
-            return v, residual
-        hess = diff.T @ ((w / (1.0 + q * q) ** 1.5)[:, None] * diff) + np.diag(vol / tau)
-        step = np.linalg.solve(hess, -grad)
-        decrease = -float(grad @ step)
-        length, f = 1.0, objective(v)
-        # below the rounding of F the Armijo test cannot decide: full steps
-        armijo = decrease > 1e-14 * abs(f)
-        while armijo and objective(v + length * step) > f - 1e-4 * length * decrease:
-            length *= 0.5
-        v = v + length * step
-    raise AssertionError(f"dense primal Newton stalled at residual {residual:.3e}")
-
-
 @pytest.mark.parametrize(
     "grid", [interval_grid(0.0, 2.0, 60), radial_grid(3, 1.0, 40)], ids=["interval", "radial3"]
 )
 def test_newton_step_agrees_with_the_primal_dual_loop(grid):
-    # the certified Newton step against an independent reference: a dense
-    # primal Newton that checks its own stationarity.  A certified minimizer
-    # of the (1/tau)-strongly convex step lies within sqrt(2 tau inner_tol)
-    # of the exact one in the weighted norm, the reference within
+    # the certified Newton step against an independent reference: criterion
+    # 7's dense primal Newton, which checks its own stationarity.  A certified
+    # minimizer of the (1/tau)-strongly convex step lies within sqrt(2 tau
+    # inner_tol) of the exact one in the weighted norm, the reference within
     # tau * its residual; the bound is the one for two certified minimizers
     rng = np.random.default_rng(21)
     u0 = np.where(rng.uniform(size=grid.shape) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.0)
     cfg = SolverConfig(tau=1e-2, inner_tol=1e-9)
     newton = implicit_step(CellField(grid, u0), cfg)
-    reference, residual = _dense_primal_step(grid, u0, cfg.tau)
+    reference, residual = _primal_step_oracle(grid, u0, cfg.tau)
     assert newton.kkt_residual <= cfg.inner_tol
     assert cfg.tau * residual <= 1e-3 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
     diff = newton.u_next.values - reference
     dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
     assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [interval_grid(0.0, 0.5, 2), radial_grid(2, 1.0, 2), radial_grid(5, 1.0, 2)],
+    ids=["interval", "radial2", "radial5"],
+)
+@pytest.mark.parametrize("u_prev", [(0.0, 1.0), (3.0, -2.0), (0.2, 0.25)])
+@pytest.mark.parametrize("tau", [0.05, 0.5])
+def test_step_oracle_solves_the_two_cell_step(grid, u_prev, tau):
+    # criterion 7's oracle against bisection.  On two cells stationarity
+    # keeps V1 v1 + V2 v2, and d = v2 - v1 is the root between 0 and
+    # d0 = u2 - u1 of the increasing (W/h) phi(d/h) + V1 V2/(V1 + V2)
+    # (d - d0)/tau, phi(q) = q/sqrt(1 + q^2); every weight enters, none is 1.
+    (h,), w, (vol1, vol2) = grid.spacing, grid.face_weights[0][0], grid.cell_volumes
+    (u1, u2), (lo, hi) = u_prev, sorted((0.0, u_prev[1] - u_prev[0]))
+    while lo < (d := 0.5 * (lo + hi)) < hi:
+        area = w / h * (d / h) / math.sqrt(1.0 + (d / h) ** 2)
+        drift = vol1 * vol2 / (vol1 + vol2) * (d - (u2 - u1)) / tau
+        lo, hi = (lo, d) if area + drift > 0.0 else (d, hi)
+    mass = vol1 * u1 + vol2 * u2
+    exact = np.array([mass - vol2 * d, mass + vol1 * d]) / (vol1 + vol2)
+    oracle, _ = _primal_step_oracle(grid, np.array(u_prev), tau)
+    assert np.max(np.abs(oracle - exact)) <= 1e-12
 
 
 def test_newton_kkt_is_the_public_certificate():
