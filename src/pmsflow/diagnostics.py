@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import area_energy
-from .grid import CellField, cell_norm, colocated_magnitude, face_differences
+from .energy import _area, _make_ops
+from .grid import CellField, cell_norm, colocate, face_differences
 
 __all__ = [
     "DiagnosticRecord",
@@ -79,8 +79,12 @@ def measure(
 ) -> DiagnosticRecord:
     """Measure one time level; velocity entries are 0 when u_prev is None.
 
-    One pass over the face differences gives both ``max_face_diff`` and the
-    jump count, the size of ``jump_set(u, kappa)``.
+    One pass over the face differences serves every gradient quantity: the
+    face gradient follows from them, K u and the co-located gradient from
+    that, so the energy, ``lip``, ``max_face_diff`` and the jump count (the
+    size of ``jump_set(u, kappa)``) agree bit for bit with ``area_energy``,
+    ``colocated_magnitude`` and ``face_differences``.  Where K u is the
+    co-located gradient (rectangles), its magnitude is also ``lip``'s.
     """
     _check_threshold(kappa)
     g, values = u.grid, u.values
@@ -90,18 +94,36 @@ def measure(
         du = (values - u_prev.values) / tau
         ut_l2 = math.sqrt((g.cell_volumes * du * du).sum())
         ut_sup = float(np.abs(du).max())
-    gaps = [np.abs(d) for d in face_differences(u)]
+    diffs = face_differences(u)
+    max_face_diff, jump_count = _face_jumps(diffs, kappa)
+    # the differences are measure's own arrays: they become the face gradient
+    slopes = [np.divide(d, h, out=d) for d, h in zip(diffs, g.spacing)]
+    ops = _make_ops(g)
+    q = ops.k_from_slopes(slopes)
+    mag = ops.magnitude(q)
+    if ops.dual_shape == (g.ndim,) + g.shape:  # per-cell duals: K u is co-located
+        lip = float(mag.max())
+    else:  # one axis: the co-located gradient is one row; sqrt is monotone
+        c = colocate(g, slopes)[0]
+        lip = math.sqrt(float((c * c).max()))
     return DiagnosticRecord(
         t=float(t),
-        energy=area_energy(u),
+        energy=_area(ops, mag),
         mean=float((g.cell_volumes * values).sum()) / g.total_volume,
         sup_norm=float(np.abs(values).max()),
-        lip=float(colocated_magnitude(u).max()),
+        lip=lip,
         ut_l2=ut_l2,
         ut_sup=ut_sup,
-        max_face_diff=max(float(d.max()) if d.size else 0.0 for d in gaps),
-        jump_count=sum(int(np.count_nonzero(d >= kappa)) for d in gaps),
+        max_face_diff=max_face_diff,
+        jump_count=jump_count,
     )
+
+
+def _face_jumps(diffs, kappa: float) -> tuple[float, int]:
+    """Largest |difference| over the faces, and how many reach kappa."""
+    gaps = [np.abs(d) for d in diffs]
+    largest = max(float(d.max()) if d.size else 0.0 for d in gaps)
+    return largest, sum(int(np.count_nonzero(d >= kappa)) for d in gaps)
 
 
 def _check_threshold(kappa: float) -> None:

@@ -11,10 +11,13 @@ rectangles lifts it to sqrt(1 + |q|^2) = max over |(p0, p)| <= 1 of
 p0 + p.q, so its dual proximal map is a projection onto the unit ball of
 R^3; its primal map is ``prox_quadratic``, the closed form of the
 implicit-step quadratic.  ``_RectangleOps`` also gives that iteration an
-in-place pair of K and div (``loop_kernels``); each ops class carries a
-proved bound on the norm of its K (``norm_bound``), from which the step
-sizes follow.  The Newton solve of one-axis grids maximizes the step's
-dual, whose Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
+in-place pair of K and div, bound to its buffers and working on a primal
+carried in units of sigma / (2 hx) (``loop_kernels``).  Each ops class
+carries a proved bound on the norm of its K (``norm_bound``), from which
+the step sizes follow, and makes K u from the face gradient of u
+(``k_from_slopes``), so that ``diagnostics.measure`` differences u once.
+The Newton solve of one-axis grids maximizes the step's dual, whose
+Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
 gives the part of it that does not depend on the dual, ``_DualIterate``
 evaluates the dual, its gradient and the rest of the Hessian at one p,
 and ``_solve_tridiagonal`` gives the Newton direction.  ``_dual_radius``,
@@ -44,7 +47,7 @@ import numpy as np
 from .grid import (
     CellField,
     Grid,
-    colocated_gradient_values,
+    colocate,
     divergence_values,
     forward_gradient_values,
 )
@@ -73,7 +76,12 @@ class _OneAxisOps:
         self.norm_bound = scale / grid.spacing[0]
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
-        return forward_gradient_values(self.grid, v)[0]
+        return self.k_from_slopes(forward_gradient_values(self.grid, v))
+
+    @staticmethod
+    def k_from_slopes(slopes) -> np.ndarray:
+        """K u from the face gradient of u (``forward_gradient_values``)."""
+        return slopes[0]
 
     def div_dual(self, p: np.ndarray) -> np.ndarray:
         return divergence_values(self.grid, (p,))
@@ -216,7 +224,11 @@ class _RectangleOps:
         self.norm_bound = float(np.sqrt(sum(1.0 / h**2 for h in grid.spacing)))
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
-        return colocated_gradient_values(self.grid, v)
+        return self.k_from_slopes(forward_gradient_values(self.grid, v))
+
+    def k_from_slopes(self, slopes) -> np.ndarray:
+        """K u from the face gradient of u (``forward_gradient_values``)."""
+        return colocate(self.grid, slopes)
 
     def flux_components(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
         zx = 0.5 * (p[0, :-1, :] + p[0, 1:, :])
@@ -226,67 +238,104 @@ class _RectangleOps:
     def div_dual(self, p: np.ndarray) -> np.ndarray:
         return divergence_values(self.grid, self.flux_components(p))
 
-    def loop_kernels(self, sigma: float, b: float):
-        """In-place pair (v, out) -> sigma * K v and (p, out) -> b * div p.
+    def loop_kernels(self, sigma: float, b: float, cv, p, scratch, out):
+        """The loop's in-place K and div, on a primal carried in units of c.
+
+        Returns (c, k_add, div_into) with c = sigma / (2 hx).  The loop
+        carries cv = c vbar instead of vbar, so that the two kernels, bound
+        to the loop's buffers, are
+
+            k_add():     p += sigma K vbar,
+            div_into():  out = c b div p.
 
         Per axis, K is the central difference (v[i+1] - v[i-1]) / (2h) with
         the one-sided half (v[1] - v[0]) / (2h) in a wall cell, as if the
         walls mirrored v evenly.  Its exact negative adjoint under the
         equal cell weights is the central difference of p mirrored oddly:
         (p[1] + p[0]) / (2h) and -(p[-1] + p[-2]) / (2h) in the wall cells.
-        Both write into ``out`` without allocating, and fold the step sizes
-        into one multiplication per array; they agree with ``k_apply`` and
-        ``div_dual`` to rounding.
+        In units of c, sigma K_x vbar is the raw difference of cv and
+        sigma K_y vbar that difference times hx/hy: ``k_add`` adds the x
+        differences into p[0] and the y differences into p[1], each through
+        ``scratch``, and multiplies only when hx != hy.  ``div_into`` writes
+        the raw x differences of p[0] into ``out``, adds the y differences
+        of p[1] through ``scratch`` (times hx/hy when hx != hy) and makes one
+        multiplication, by c b / (2 hx).  Neither allocates; they agree with
+        ``k_apply`` and ``div_dual`` to rounding.
 
-        All arrays must be C-contiguous.  Along the second axis the kernels
-        difference the flattened arrays, which costs a third of the strided
-        two-dimensional slices; the entries that wrap across a row are wall
-        cells, written afterwards.
+        All arrays must be C-contiguous and stay in place while the kernels
+        are used: every slice is taken once, here.  Along the second axis
+        the kernels difference the flattened arrays, which costs a third of
+        the strided two-dimensional slices; the entries that wrap across a
+        row are wall cells, written afterwards.  Each axis's two walls are
+        one operation on a two-row (two-column) view.
         """
         hx, hy = self.grid.spacing
-        k_coef = np.array([0.5 * sigma / hx, 0.5 * sigma / hy]).reshape(2, 1, 1)
-        ratio, div_coef = hx / hy, 0.5 * b / hx
+        c = 0.5 * sigma / hx
+        ratio, div_coef = hx / hy, c * (0.5 * b / hx)
+        px, py = p
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        flat_cv, flat_py, flat_scratch = cv.reshape(-1), py.reshape(-1), scratch.reshape(-1)
+        # K: central differences, and v[1] - v[0], v[-1] - v[-2] at the walls
+        kx = (cv[2:], cv[:-2], scratch[1:-1])
+        kx_walls = (_pair(cv, 1, -1, 0), _pair(cv, 0, -2, 0), _pair(scratch, 0, -1, 0))
+        ky = (flat_cv[2:], flat_cv[:-2], flat_scratch[1:-1])
+        ky_walls = (_pair(cv, 1, -1, 1), _pair(cv, 0, -2, 1), _pair(scratch, 0, -1, 1))
+        # div: central differences, and p[0] + p[1], -(p[-2] + p[-1]) at the walls
+        dx = (px[2:], px[:-2], out[1:-1])
+        dx_walls = (_pair(px, 0, -2, 0), _pair(px, 1, -1, 0), _pair(out, 0, -1, 0))
+        dy = (flat_py[2:], flat_py[:-2], flat_scratch[1:-1])
+        dy_walls = (_pair(py, 0, -2, 1), _pair(py, 1, -1, 1), _pair(scratch, 0, -1, 1))
+        top_row, top_column = out[-1:], scratch[:, -1:]
 
-        def k_into(v: np.ndarray, out: np.ndarray) -> None:
-            gx, gy = out
-            np.subtract(v[2:], v[:-2], out=gx[1:-1])
-            np.subtract(v[1], v[0], out=gx[0])
-            np.subtract(v[-1], v[-2], out=gx[-1])
-            flat = v.reshape(-1)
-            np.subtract(flat[2:], flat[:-2], out=gy.reshape(-1)[1:-1])
-            np.subtract(v[:, 1], v[:, 0], out=gy[:, 0])
-            np.subtract(v[:, -1], v[:, -2], out=gy[:, -1])
-            out *= k_coef
+        def k_add() -> None:
+            subtract(*kx)
+            subtract(*kx_walls)
+            add(px, scratch, px)
+            subtract(*ky)
+            subtract(*ky_walls)
+            if ratio != 1.0:
+                multiply(scratch, ratio, scratch)
+            add(py, scratch, py)
 
-        def div_into(p: np.ndarray, out: np.ndarray) -> None:
-            px, py = p
-            flat = py.reshape(-1)
-            np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
-            np.add(py[:, 0], py[:, 1], out=out[:, 0])
-            np.add(py[:, -2], py[:, -1], out=out[:, -1])
-            out[:, -1] *= -1.0  # numpy 2.4's np.negative miswrites 64-byte strides
-            out *= ratio  # the y differences in units of 1/hx
-            out[1:-1] += px[2:]
-            out[1:-1] -= px[:-2]
-            out[0] += px[0]
-            out[0] += px[1]
-            out[-1] -= px[-2]
-            out[-1] -= px[-1]
-            out *= div_coef
+        def div_into() -> None:
+            subtract(*dx)
+            add(*dx_walls)
+            multiply(top_row, -1.0, top_row)
+            subtract(*dy)
+            add(*dy_walls)
+            # not np.negative: numpy 2.4's miswrites 64-byte strides
+            multiply(top_column, -1.0, top_column)
+            if ratio != 1.0:
+                multiply(scratch, ratio, scratch)  # the y differences in units of 1/hx
+            add(out, scratch, out)
+            multiply(out, div_coef, out)
 
-        return k_into, div_into
+        return c, k_add, div_into
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
-        return np.sqrt(p[0] ** 2 + p[1] ** 2)
+        m = np.square(p[0])
+        m += np.square(p[1])
+        return np.sqrt(m, out=m)
 
     @staticmethod
     def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return p[0] * q[0] + p[1] * q[1]
+        d = p[0] * q[0]
+        d += p[1] * q[1]
+        return d
 
     @staticmethod
     def dual_from_flux(flux) -> np.ndarray:
         raise ValueError("rectangle duals are per-cell 2-vectors; pass StepResult.dual")
+
+
+def _pair(a: np.ndarray, i: int, j: int, axis: int) -> np.ndarray:
+    """View of the entries i and j of ``a`` along ``axis`` (i before j), as
+    one strided slice; when they coincide, one entry, which broadcasts."""
+    n = a.shape[axis]
+    i, j = i % n, j % n
+    part = slice(i, j + 1, j - i) if j > i else slice(i, i + 1)
+    return a[(slice(None),) * axis + (part,)]
 
 
 def _make_ops(grid: Grid):
@@ -296,9 +345,14 @@ def _make_ops(grid: Grid):
 def area_energy(u: CellField) -> float:
     """Discrete graph area of a cell field; never below the domain volume."""
     ops = _make_ops(u.grid)
-    mag = ops.magnitude(ops.k_apply(u.values))
+    return _area(ops, ops.magnitude(ops.k_apply(u.values)))
+
+
+def _area(ops, mag: np.ndarray) -> float:
+    """The discrete area at |K u| = ``mag``: sum W sqrt(1 + mag^2) over the
+    dual entries plus the volume no dual weight covers."""
     terms = ops.dual_weights * np.sqrt(1.0 + mag * mag)
-    uncovered = u.grid.total_volume - float(ops.dual_weights.sum())
+    uncovered = ops.grid.total_volume - float(ops.dual_weights.sum())
     return float(terms.sum()) + uncovered
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "forward_gradient_values",
     "divergence_values",
     "colocated_gradient_values",
+    "colocate",
     "colocated_magnitude",
     "face_differences",
     "cell_inner",
@@ -306,6 +307,14 @@ _FACE_SIDES = {
     (2, 0): ((_LO, _ALL), (_HI, _ALL)),
     (2, 1): ((_ALL, _LO), (_ALL, _HI)),
 }
+# The last cell and the inner cells (all but the first and the last) along
+# each axis, keyed the same way; ``colocate`` writes each cell once with them.
+_LAST, _INNER = slice(-1, None), slice(1, -1)
+_AXIS_ENDS = {
+    (1, 0): ((_LAST,), (_INNER,)),
+    (2, 0): ((_LAST, _ALL), (_INNER, _ALL)),
+    (2, 1): ((_ALL, _LAST), (_ALL, _INNER)),
+}
 
 
 def _differences(values: np.ndarray) -> list[np.ndarray]:
@@ -322,15 +331,28 @@ def forward_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray,
     return tuple(d / h for d, h in zip(_differences(values), grid.spacing))
 
 
-def colocated_gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array form of ``colocated_gradient``, stacked as (ndim, *grid.shape)."""
-    out = np.zeros((grid.ndim,) + grid.shape)
-    for axis, gf in enumerate(forward_gradient_values(grid, values)):
-        lower, upper = _FACE_SIDES[grid.ndim, axis]
-        out[axis][lower] += gf
-        out[axis][upper] += gf
+def colocate(grid: Grid, components) -> np.ndarray:
+    """Per-axis face values averaged onto the cells, stacked as (ndim, *grid.shape).
+
+    A cell holds half the sum of its two faces' values, and an absent
+    boundary face enters as zero.  The sum is (0 + upper face) + lower face,
+    so a wall cell next to a -0.0 face holds +0.0.
+    """
+    out = np.empty((grid.ndim,) + grid.shape)
+    for axis, f in enumerate(components):
+        o = out[axis]
+        lower, _ = _FACE_SIDES[grid.ndim, axis]
+        last, inner = _AXIS_ENDS[grid.ndim, axis]
+        np.add(f, 0.0, out=o[lower])  # each cell but the last, from the face above it
+        np.add(f[last], 0.0, out=o[last])  # the last cell, from the face below it
+        o[inner] += f[lower]
     out *= 0.5
     return out
+
+
+def colocated_gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Array form of ``colocated_gradient``, stacked as (ndim, *grid.shape)."""
+    return colocate(grid, forward_gradient_values(grid, values))
 
 
 def divergence_values(grid: Grid, components) -> np.ndarray:

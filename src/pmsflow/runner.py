@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -210,18 +211,26 @@ def _evolve_config(cfg: RunConfig) -> Trajectory:
     return evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
 
 
-def _write_rows(path: Path, header: str, columns) -> None:
+def _write_rows(path: Path, header: str, columns, coordinates=()) -> None:
     """Write ``header`` and one row per entry of the equal-length columns.
 
     Every value is written with 17 significant digits, which round-trips a
     float.  A row is one ``%``-format over Python floats from ``tolist``;
     that shares CPython's float formatting with ``format(x, ".17g")``.
+    ``coordinates`` holds, per grid axis, the cell-centre values that lead
+    the rows in i-major order.  Each of them is formatted once, and the rows
+    take the strings: a 96 x 96 snapshot formats 192 coordinates instead of
+    18 432.
     """
+    labels = [["%.17g," % x for x in np.ravel(c).tolist()] for c in coordinates]
     columns = [np.ravel(c).tolist() for c in columns]
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    row_format = "%s" * len(labels) + ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*columns)
+    if labels:
+        rows = (lead + row for lead, row in zip(itertools.product(*labels), rows))
     with path.open("w") as fh:
         fh.write(header + "\n")
-        fh.writelines(row_format % row for row in zip(*columns))
+        fh.writelines(row_format % row for row in rows)
 
 
 def _write_series_csv(path: Path, traj: Trajectory) -> None:
@@ -242,8 +251,7 @@ def _write_snapshot_csv(path: Path, grid: Grid, u: CellField, flux: FaceField) -
         np.pad(z, [(int(a == k), 0) for a in range(grid.ndim)])
         for k, z in enumerate(flux.components)
     ]
-    centers = np.meshgrid(*grid.cell_centers, indexing="ij")
-    _write_rows(path, ",".join([*axes, "u", *fluxes]), [*centers, u.values, *left])
+    _write_rows(path, ",".join([*axes, "u", *fluxes]), [u.values, *left], grid.cell_centers)
 
 
 def _snapshot_names(cfg: RunConfig) -> list[str]:

@@ -36,11 +36,19 @@ primal proximal map is the closed form ``prox_quadratic``:
     vbar    <- v + theta * (v - v_prev)
 
 The loop carries the increment w = v - u_prev, for which the primal step
-is w <- a w + b div p with a = tau/(tau + s) and b = tau s/(tau + s).  An
+is w <- a w + b div p with a = tau/(tau + s) and b = tau s/(tau + s), and
+it carries w and vbar in units of c = sigma / (2 hx):
+
+    p      += D (c vbar)                 (= sigma * K vbar)
+    (p0, p) <- (p0 + sigma, p) / max(1, |(p0 + sigma, p)|)
+    c w     <- a (c w) + c b div p
+    c vbar  <- c u_prev + c w + theta * (c w - c w_prev)
+
+D takes the raw central differences of c vbar, the y ones times hx/hy, so
+sigma K costs no multiplication on a square grid and c b div one.  An
 inner iteration allocates no array: its buffers are made once per step,
-and ``_RectangleOps.loop_kernels`` writes sigma K and b div in place, as
-central differences with the step sizes folded into their coefficients.
-They round differently from the public calculus, so they steer only the
+and ``_RectangleOps.loop_kernels`` binds D and c b div to them.  They
+round differently from the public calculus, so they steer only the
 iterates; every certificate evaluation rebuilds div p with ``div_dual``.
 
 The grid weights are carried by the pairing, so they cancel inside both
@@ -59,7 +67,11 @@ relation residual, and the summed Fenchel gap, which at the finalized
 iterate equals the duality gap of the step problem.  The rectangle loop
 evaluates the primal residual first and the other two only once it
 passes, or at ``max_inner`` so that a failure reports all three; the
-iterates do not depend on the order.  The returned state is
+iterates do not depend on the order.  Neither solver runs on below the
+float floor of its certificates: Newton fails once no step length shrinks
+them, and the rectangle loop once its primal residual, lying within a few
+times eps max|u_prev| / tau and above ``inner_tol``, stops falling over
+consecutive checks; the error names that floor.  The returned state is
 exactly u_prev + tau * divergence(flux) in the grid module's calculus, so
 the weighted mean is conserved to machine precision and the per-step
 energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <=
@@ -221,13 +233,20 @@ def _variational_dual(ops, values: np.ndarray) -> np.ndarray:
 def _conjugate(ops, p) -> np.ndarray:
     """sqrt(1 - |p|^2) per dual entry (0 where |p| >= 1)."""
     mp = ops.magnitude(p)
-    return np.sqrt(np.maximum((1.0 - mp) * (1.0 + mp), 0.0))
+    slack = np.subtract(1.0, mp)
+    slack *= np.add(mp, 1.0, out=mp)
+    np.maximum(slack, 0.0, out=slack)
+    return np.sqrt(slack, out=slack)
 
 
 def _primal_residual(ops, u_prev, tau, divz, v) -> float:
     """Primal stationarity |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p)."""
-    r = (v - u_prev) / tau - divz
-    return math.sqrt((ops.grid.cell_volumes * (r * r)).sum())
+    r = np.subtract(v, u_prev)
+    r /= tau
+    r -= divz
+    r *= r
+    r *= ops.grid.cell_volumes
+    return math.sqrt(r.sum())
 
 
 def _dual_residuals(ops, p, q, conj) -> tuple[float, float]:
@@ -236,13 +255,22 @@ def _dual_residuals(ops, p, q, conj) -> tuple[float, float]:
     Dual relation: max |p * sqrt(1 + |q|^2) - q|.  Gap: the summed Fenchel
     gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the duality gap
     of the step problem at u = u_prev + tau * div(p); ``conj`` holds
-    sqrt(1 - |p|^2) (``_conjugate``).
+    sqrt(1 - |p|^2) (``_conjugate``).  Like ``_primal_residual`` and
+    ``_conjugate`` it works in place on the arrays it makes, in the order
+    of the formulas, which spares the allocations of a 96 x 96 check.
     """
-    mq = ops.magnitude(q)
-    root = np.sqrt(1.0 + mq * mq)
-    dual = float(ops.magnitude(p * root - q).max())
-    gap_terms = np.maximum(root - ops.dot(p, q) - conj, 0.0)
-    return dual, float((ops.dual_weights * gap_terms).sum())
+    root = ops.magnitude(q)
+    np.multiply(root, root, out=root)
+    root += 1.0
+    np.sqrt(root, out=root)
+    relation = p * root
+    relation -= q
+    dual = float(ops.magnitude(relation).max())
+    gap_terms = np.subtract(root, ops.dot(p, q), out=root)
+    gap_terms -= conj
+    np.maximum(gap_terms, 0.0, out=gap_terms)
+    gap_terms *= ops.dual_weights
+    return dual, float(gap_terms.sum())
 
 
 def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
@@ -363,22 +391,33 @@ def _prox_coefficients(tau, s):
     return a, s * a
 
 
-def _primal_update(w, bdivz, a, theta, u0, w_new, vbar):
-    """w_new = a w + b div p and vbar = u0 + w_new + theta (w_new - w), in place.
+def _primal_update(w, cbdivz, a, theta, cu0, w_new, vbar):
+    """w_new = a w + c b div p and vbar = c u0 + w_new + theta (w_new - w), in place.
 
-    w = v - u_prev is the primal iterate's increment and ``bdivz`` holds
-    b div p; with (a, b) from ``_prox_coefficients`` the first line is the
-    primal proximal step, the second the extrapolation.  Iterating on the
-    increment keeps the rounding of u_prev out of it: a fixed point with
-    div p = 0 is w = 0 exactly.
+    The loop carries its primal in units of c (``loop_kernels``): w is
+    c (v - u_prev), the scaled increment of the primal iterate, ``cbdivz``
+    holds c b div p and ``cu0`` c u_prev.  With (a, b) from
+    ``_prox_coefficients`` the first line is the primal proximal step, the
+    second the extrapolation, both times c.  Iterating on the increment
+    keeps the rounding of u_prev out of it: a fixed point with div p = 0 is
+    w = 0 exactly.
     """
-    np.multiply(w, a, out=w_new)
-    w_new += bdivz
-    np.subtract(w_new, w, out=vbar)
+    np.multiply(w, a, w_new)
+    np.add(w_new, cbdivz, w_new)
+    np.subtract(w_new, w, vbar)
     if theta != 1.0:
-        vbar *= theta
-    vbar += w_new
-    vbar += u0
+        np.multiply(vbar, theta, vbar)
+    np.add(vbar, w_new, vbar)
+    np.add(vbar, cu0, vbar)
+
+
+# A rectangle step stops early at the float floor eps max|u_prev| / tau of
+# its primal certificate: once the primal residual lies within this multiple
+# of the floor and above inner_tol, and this many consecutive checks have not
+# lowered its smallest value, the step raises.  The property tests draw
+# tolerances above four floors, so none of their steps can stop here.
+_FLOOR_MULTIPLE = 4.0
+_STALLED_CHECKS = 4
 
 
 def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
@@ -393,47 +432,63 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     iterate at v = u_prev + tau * div p, the state the start dual certifies:
     from a dual that already solves the step, the first check passes.
 
-    An iteration allocates nothing.  Its buffers are made once per step and
-    the two primal increments swap roles.  ``ops.loop_kernels`` writes
-    sigma K and b div in place, with the step sizes folded into their
-    coefficients, and the primal step is ``_primal_update``.  They round
-    differently from the public calculus, so they move the iterates in the
-    last bits only.  Every certificate evaluation rebuilds div p with the
-    public ``ops.div_dual``: the returned pair is exactly
+    The primal runs in units of c = sigma / (2 hx) (``ops.loop_kernels``):
+    with W = c (v - u_prev) and Vbar = c vbar, one iteration is
+
+        p      += D Vbar                          (``k_add``: sigma K vbar)
+        (p0, p) <- (p0 + sigma, p) / max(1, |(p0 + sigma, p)|)
+        W_new   = a W + c b div p                 (``div_into``)
+        Vbar    = c u_prev + W_new + theta (W_new - W)
+
+    where D takes the raw central differences of Vbar, the y ones times
+    hx/hy.  sigma K thus costs no multiplication on a square grid, and the
+    divergence one.  An iteration allocates nothing: its buffers are made
+    once per step, the two increments swap roles, and ``k_add`` uses the
+    projection's norm array as its scratch.  The kernels round differently
+    from the public calculus, so they move the iterates in the last bits
+    only.  Every certificate evaluation rebuilds div p with the public
+    ``ops.div_dual``: the returned pair is exactly
     u_prev + tau * divergence(flux), certified by the parts of
-    ``_residuals``.  A check computes the primal residual first; K u, the
-    dual relation and the gap follow only when it passes (or at
-    ``max_inner``, so that NonConvergenceError carries all three).  At
-    acceptance only the primal is recomputed at v = u: the dual relation and
-    the gap already were evaluated at u.
+    ``_residuals``.  A check computes the primal residual at
+    v = u_prev + W / c first; K u, the dual relation and the gap follow only
+    when it passes (or at ``max_inner``, so that NonConvergenceError carries
+    all three).  At acceptance only the primal is recomputed at v = u: the
+    dual relation and the gap already were evaluated at u.
+
+    A primal residual cannot fall much below eps max|u_prev| / tau, the
+    rounding of v - u_prev over tau.  When it has stalled there above
+    inner_tol (``_FLOOR_MULTIPLE``, ``_STALLED_CHECKS``) the step raises
+    at once, naming that floor, instead of running to ``max_inner``.
     """
     tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
     a, b = _prox_coefficients(tau, s)
-    k_into, div_into = ops.loop_kernels(sigma, b)
-    w = tau * ops.div_dual(p)  # the increment the start dual certifies
-    vbar = u0 + w
-    w_new, bdivz = np.empty(u0.shape), np.empty(u0.shape)
+    vbar, w_new, cbdivz, norm = (np.empty(u0.shape) for _ in range(4))
     lifted = np.concatenate((_conjugate(ops, p)[None], p))
-    p = lifted[1:]  # a view: updating lifted updates p
-    kv = np.empty(p.shape)
-    norm = np.empty(u0.shape)
+    p0, p = lifted[0], lifted[1:]  # views: updating lifted updates p
+    c, k_add, div_into = ops.loop_kernels(sigma, b, vbar, p, norm, cbdivz)
+    cu0 = c * u0
+    w = (c * tau) * ops.div_dual(p)  # the increment the start dual certifies
+    np.add(cu0, w, vbar)
+    floor = np.finfo(float).eps * float(np.abs(u0).max()) / tau
+    smallest, stalled = np.inf, 0
     residuals = (np.inf, np.inf, np.inf)
     for k in range(1, cfg.max_inner + 1):
-        k_into(vbar, kv)
-        p += kv
-        lifted[0] += sigma
+        k_add()
+        np.add(p0, sigma, p0)
         np.einsum("i...,i...->...", lifted, lifted, out=norm)
-        np.sqrt(norm, out=norm)
+        np.sqrt(norm, norm)
         np.maximum(norm, 1.0, out=norm)
-        np.divide(1.0, norm, out=norm)
-        lifted *= norm
-        div_into(p, bdivz)
-        _primal_update(w, bdivz, a, theta, u0, w_new, vbar)
+        np.divide(1.0, norm, norm)
+        np.multiply(lifted, norm, lifted)
+        div_into()
+        _primal_update(w, cbdivz, a, theta, cu0, w_new, vbar)
         w, w_new = w_new, w
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
             divz = ops.div_dual(p)
-            primal = _primal_residual(ops, u0, tau, divz, u0 + w)
-            if primal > tol and k < cfg.max_inner:
+            primal = _primal_residual(ops, u0, tau, divz, u0 + w / c)
+            smallest, stalled = (primal, 0) if primal < smallest else (smallest, stalled + 1)
+            at_floor = stalled >= _STALLED_CHECKS and tol < primal <= _FLOOR_MULTIPLE * floor
+            if primal > tol and k < cfg.max_inner and not at_floor:
                 continue  # the step cannot certify; skip the dual side
             u_cand = u0 + tau * divz
             q = ops.k_apply(u_cand)
@@ -442,6 +497,9 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
                 # v = u_cand changes only the primal; dual and gap stand
                 kkt = max(_primal_residual(ops, u0, tau, divz, u_cand), residuals[1])
                 return _step_result(ops, u_cand, p.copy(), k, kkt)
+            if at_floor:
+                where = f"the float floor eps max|u| / tau = {floor:.3e}"
+                raise _nonconvergence(f"inner iteration (stalled at {where})", k, residuals, tol)
     raise _nonconvergence("inner iteration", cfg.max_inner, residuals, tol)
 
 

@@ -14,7 +14,15 @@ from pmsflow.diagnostics import (
     measure,
     regularization_time,
 )
-from pmsflow.grid import CellField, interval_grid, rectangle_grid
+from pmsflow.energy import area_energy
+from pmsflow.grid import (
+    CellField,
+    colocated_magnitude,
+    face_differences,
+    interval_grid,
+    radial_grid,
+    rectangle_grid,
+)
 from pmsflow.initial_data import constant, cosine, quarter_circles, step
 from pmsflow.reference import QuarterCircleProfile
 from pmsflow.solver import SolverConfig, evolve
@@ -44,6 +52,40 @@ def test_measure_unit_slope_and_velocity():
         np.sqrt(np.sum(grid.cell_volumes * 0.2**2))
     )
     assert rec.max_face_diff == pytest.approx(1.0 / 50)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        interval_grid(0.0, 2.0, 24),
+        *(radial_grid(n, 1.3, 17) for n in range(2, 7)),
+        rectangle_grid((0.0, 0.0), (1.0, 2.3), (9, 6)),
+        rectangle_grid((0.0, 0.0), (1.7, 0.4), (2, 7)),
+    ],
+    ids=["interval", *(f"radial{n}" for n in range(2, 7)), "rect9x6", "rect2x7"],
+)
+def test_measure_is_the_public_calculus_bit_for_bit(grid):
+    # measure differences u once; its energy, lip, largest face difference
+    # and jump count are those of the separate public calls, to the bit
+    rng = np.random.default_rng(31)
+    draws = (
+        rng.standard_normal(grid.shape),
+        40.0 * rng.uniform(-1.0, 1.0, grid.shape),
+        rng.choice([-0.0, 0.0, 0.5, -2.0], grid.shape),
+    )
+    for values in draws:
+        u = CellField(grid, values)
+        rec = measure(u, None, t=0.0, tau=0.1, kappa=0.3)
+        gaps = [np.abs(d) for d in face_differences(u)]
+        expected = (
+            area_energy(u),
+            float(colocated_magnitude(u).max()),
+            max(float(d.max()) for d in gaps),
+        )
+        got = (rec.energy, rec.lip, rec.max_face_diff)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
+        assert rec.jump_count == sum(int(np.count_nonzero(d >= 0.3)) for d in gaps)
+        assert rec.jump_count == len(jump_set(u, 0.3))
 
 
 def test_record_fields_enumerates_the_csv_columns():

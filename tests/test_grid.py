@@ -11,6 +11,7 @@ from pmsflow.grid import (
     cell_inner,
     cell_norm,
     colocated_gradient,
+    colocated_gradient_values,
     colocated_magnitude,
     divergence,
     face_differences,
@@ -209,6 +210,39 @@ def test_colocated_magnitude_rectangle_isotropy():
     mag = colocated_magnitude(u)
     # interior cells see the full (3, 4) gradient, norm 5
     assert np.allclose(mag[1:-1, 1:-1], 5.0)
+
+
+def _zero_stack_colocated(grid, values):
+    # the co-located gradient accumulated onto zeros, face by face
+    out = np.zeros((grid.ndim,) + grid.shape)
+    for axis, gf in enumerate(forward_gradient(CellField(grid, values)).components):
+        lower = tuple(slice(None, -1) if k == axis else slice(None) for k in range(grid.ndim))
+        upper = tuple(slice(1, None) if k == axis else slice(None) for k in range(grid.ndim))
+        out[axis][lower] += gf
+        out[axis][upper] += gf
+    return 0.5 * out
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        interval_grid(0.0, 1.0, 2),
+        interval_grid(0.0, 2.0, 11),
+        *(radial_grid(n, 1.3, 9) for n in range(2, 7)),
+        rectangle_grid((0.0, 0.0), (0.6, 1.3), (2, 2)),
+        rectangle_grid((0.0, 0.0), (1.0, 2.3), (9, 6)),
+        rectangle_grid((0.0, 0.0), (1.7, 0.4), (3, 8)),
+    ],
+)
+def test_colocated_gradient_is_the_zero_stack_accumulation_bit_for_bit(grid):
+    # the co-located gradient is built without a zero array, in the same
+    # order of additions: every bit agrees, signed zeros included
+    # (0 + (-0.0) is +0.0)
+    rng = np.random.default_rng(41)
+    for values in (rng.standard_normal(grid.shape), rng.choice([-0.0, 0.0, 1.0], grid.shape)):
+        got = colocated_gradient_values(grid, values)
+        want = _zero_stack_colocated(grid, values)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_face_differences_are_raw():

@@ -224,6 +224,43 @@ def test_radial_snapshot_csv_round_trips_the_state(tmp_path):
     assert np.any(flux.components[0] != 0.0)
 
 
+def _per_value_snapshot(grid, u, flux) -> str:
+    # the snapshot layout, every value formatted on its own
+    axes = "xy"[: grid.ndim]
+    fluxes = ["flux_left"] if grid.ndim == 1 else [f"flux_left_{a}" for a in axes]
+    lines = [",".join([*axes, "u", *fluxes])]
+    for index in np.ndindex(*grid.shape):
+        centers = [grid.cell_centers[a][i] for a, i in enumerate(index)]
+        left = []
+        for axis, z in enumerate(flux.components):
+            below = list(index)
+            below[axis] -= 1
+            left.append(z[tuple(below)] if index[axis] > 0 else 0.0)
+        lines.append(",".join("%.17g" % float(x) for x in [*centers, u.values[index], *left]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "grid, initial",
+    [
+        (
+            "{kind: rectangle, lo: [-0.3, 0.1], hi: [1.0, 2.0], cells: [7, 5]}",
+            "{type: cosine, amplitude: 0.5}",
+        ),
+        (
+            "{kind: radial, dimension: 3, radius: 1.0, cells: 12}",
+            "{type: capped_inverse, cap: 5.0}",
+        ),
+    ],
+    ids=["rectangle", "radial"],
+)
+def test_snapshot_csv_is_the_per_value_format(tmp_path, grid, initial):
+    # the writer formats each distinct cell-centre coordinate once; the
+    # bytes are those of formatting every value with %.17g
+    path, grid, u, flux = _run_custom(tmp_path, grid, initial)
+    assert path.read_text() == _per_value_snapshot(grid, u, flux)
+
+
 def test_identical_configs_write_identical_csvs(tmp_path):
     cfg = load_config(write_config(tmp_path, CUSTOM_SMALL))
     first = run(cfg, tmp_path / "a")

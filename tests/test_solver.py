@@ -3,6 +3,7 @@ dissipation, comparison, refinement order, and error taxonomy."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,30 +224,39 @@ _KERNEL_RECTANGLES = [
     "grid", _KERNEL_RECTANGLES, ids=["rect2x2", "rect2x7", "rect7x6", "rect3x8"]
 )
 def test_loop_kernels_are_the_public_calculus(grid):
-    # the rectangle loop's in-place pair writes sigma K and b div to
-    # rounding, and exactly adjoint
+    # on a primal carried in units of c, the rectangle loop's in-place pair,
+    # bound to its buffers, adds sigma K v into the dual and writes
+    # c b div p, to rounding, and is exactly adjoint
     ops = _make_ops(grid)
     rng = np.random.default_rng(12)
     v = 30.0 * rng.standard_normal(grid.shape)
     p = rng.uniform(-1.0, 1.0, ops.dual_shape)
     sigma, b = 0.37, 2.3e-3
-    k_into, div_into = ops.loop_kernels(sigma, b)
-    kv, bdivz = np.empty(ops.dual_shape), np.empty(grid.shape)
-    k_into(v, kv)
-    div_into(p, bdivz)
+    cv, scratch, cbdivz = (np.empty(grid.shape) for _ in range(3))
+    kv = np.zeros(ops.dual_shape)
+    c, k_add, _ = ops.loop_kernels(sigma, b, cv, kv, scratch, cbdivz)
+    assert c == 0.5 * sigma / grid.spacing[0]
+    cv[...] = c * v
+    k_add()
+    c, _, div_into = ops.loop_kernels(sigma, b, cv, p, scratch, cbdivz)
+    div_into()
     eps, h = np.finfo(float).eps, min(grid.spacing)
     k_mag = sigma * np.max(np.abs(v)) / h
-    div_mag = b * np.max(np.abs(p)) / h
+    div_mag = c * b * np.max(np.abs(p)) / h
     assert np.max(np.abs(kv - sigma * ops.k_apply(v))) <= _KERNEL_ULPS * eps * k_mag
-    assert np.max(np.abs(bdivz - b * ops.div_dual(p))) <= _KERNEL_ULPS * eps * div_mag
+    assert np.max(np.abs(cbdivz - c * b * ops.div_dual(p))) <= _KERNEL_ULPS * eps * div_mag
     lhs = float(np.sum(ops.dual_weights * ops.dot(kv, p))) / sigma
-    rhs = float(np.sum(grid.cell_volumes * v * bdivz)) / b
+    rhs = float(np.sum(grid.cell_volumes * v * cbdivz)) / (c * b)
     assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+    # k_add adds into the dual it is bound to: from p it gives p + sigma K v
+    moved = p.copy()
+    ops.loop_kernels(sigma, b, cv, moved, scratch, cbdivz)[1]()
+    assert np.array_equal(moved, p + kv)
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.4])
 def test_fused_primal_update_is_the_prox_and_extrapolation(theta):
-    # on the increment w = v - u_prev, a w + b div p is
+    # in units of c, on the increment w = v - u_prev, a w + b div p is
     # prox_quadratic(v + s div p, u_prev, tau, s) - u_prev, and vbar is its
     # extrapolation, to rounding
     grid = _KERNEL_RECTANGLES[2]
@@ -256,15 +266,16 @@ def test_fused_primal_update_is_the_prox_and_extrapolation(theta):
     p = rng.uniform(-1.0, 1.0, ops.dual_shape)
     tau, s = 3e-3, 0.05
     a, b = solver._prox_coefficients(tau, s)
-    bdivz, w_new, vbar = (np.empty(grid.shape) for _ in range(3))
-    ops.loop_kernels(1.0, b)[1](p, bdivz)
-    solver._primal_update(v - u_prev, bdivz, a, theta, u_prev, w_new, vbar)
+    cbdivz, w_new, vbar, scratch = (np.empty(grid.shape) for _ in range(4))
+    c, _, div_into = ops.loop_kernels(0.37, b, vbar, p, scratch, cbdivz)
+    div_into()
+    solver._primal_update(c * (v - u_prev), cbdivz, a, theta, c * u_prev, w_new, vbar)
     divz = ops.div_dual(p)
     want = prox_quadratic(v + s * divz, u_prev, tau, s)
     mag = max(np.max(np.abs(v)), np.max(np.abs(u_prev)), s * np.max(np.abs(divz)))
     tol = _KERNEL_ULPS * np.finfo(float).eps * mag
-    assert np.max(np.abs(u_prev + w_new - want)) <= tol
-    assert np.max(np.abs(vbar - (want + theta * (want - v)))) <= (1.0 + theta) * tol
+    assert np.max(np.abs(u_prev + w_new / c - want)) <= tol
+    assert np.max(np.abs(vbar / c - (want + theta * (want - v)))) <= (1.0 + theta) * tol
 
 
 # ---------------------------------------------------------------- one step
@@ -580,6 +591,43 @@ def test_step_below_the_float_floor_fails_fast(height):
         implicit_step(u, SolverConfig(tau=1e-3))
     assert info.value.iterations <= 100
     assert max(info.value.primal_residual, info.value.dual_residual) > 1e-8
+
+
+def test_rectangle_step_below_the_float_floor_fails_fast():
+    # the primal residual of this step stalls at 2.1e-11, under the float
+    # floor eps max|u| / tau = 2.2e-10 and above the tolerance: the loop
+    # stops once it no longer falls, and says so, instead of running all
+    # max_inner iterations
+    grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (2, 2))
+    u = CellField(grid, np.array([[10.0, -10.0], [-10.0, 10.0]]))
+    with pytest.raises(NonConvergenceError, match="float floor") as info:
+        implicit_step(u, SolverConfig(tau=1e-5, inner_tol=1e-12))
+    err = info.value
+    assert err.iterations <= 300
+    floor = np.finfo(float).eps * 10.0 / 1e-5
+    assert f"{floor:.3e}" in str(err)
+    assert 1e-12 < err.primal_residual <= solver._FLOOR_MULTIPLE * floor
+    # above the floor the same step certifies at once
+    assert implicit_step(u, SolverConfig(tau=1e-5, inner_tol=1e-9)).inner_iters == 1
+
+
+def test_rectangle_step_memory_does_not_grow_with_its_iterations():
+    # the loop allocates nothing per iteration: a 96 x 96 step that runs
+    # half as long again (64 and 96 iterations) peaks at the same traced
+    # memory, 1.7 MB
+    grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (96, 96))
+    u = cosine(grid, amplitude=0.5)
+    peaks, iters = [], []
+    for tol in (1e-6, 1e-10):
+        implicit_step(u, SolverConfig(tau=1e-3, inner_tol=tol))  # warm the caches
+        tracemalloc.start()
+        try:
+            iters.append(implicit_step(u, SolverConfig(tau=1e-3, inner_tol=tol)).inner_iters)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert iters[1] > iters[0]
+    assert peaks[1] <= peaks[0] + 4096
 
 
 # ------------------------------------------------------------ kkt residual
