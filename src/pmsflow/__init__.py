@@ -16,26 +16,18 @@ from .diagnostics import (
     check_monotone,
     check_ut_decay,
     default_jump_threshold,
-    jump_set,
     measure,
     regularization_time,
     smoothness_gates,
     structural_gates,
 )
-from .energy import area_energy, prox_quadratic
+from .energy import area_energy
 from .grid import (
     CellField,
     FaceField,
     Grid,
     build_grid,
-    cell_inner,
     cell_norm,
-    colocated_gradient,
-    colocated_magnitude,
-    divergence,
-    face_differences,
-    face_inner,
-    forward_gradient,
     interval_grid,
     radial_grid,
     rectangle_grid,
@@ -75,17 +67,9 @@ __all__ = [
     "rectangle_grid",
     "radial_grid",
     "build_grid",
-    "forward_gradient",
-    "divergence",
-    "colocated_gradient",
-    "colocated_magnitude",
-    "face_differences",
-    "cell_inner",
     "cell_norm",
-    "face_inner",
     # energy
     "area_energy",
-    "prox_quadratic",
     # solver
     "SolverConfig",
     "StepResult",
@@ -99,7 +83,6 @@ __all__ = [
     "DiagnosticRecord",
     "Verdict",
     "measure",
-    "jump_set",
     "default_jump_threshold",
     "regularization_time",
     "check_monotone",

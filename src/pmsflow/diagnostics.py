@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _area, _make_ops
-from .grid import CellField, cell_norm, colocate, face_differences
+from .grid import CellField, _differences, cell_norm
 
 __all__ = [
     "DiagnosticRecord",
     "Verdict",
     "measure",
-    "jump_set",
     "default_jump_threshold",
     "regularization_time",
     "check_monotone",
@@ -79,14 +78,14 @@ def measure(
 ) -> DiagnosticRecord:
     """Measure one time level; velocity entries are 0 when u_prev is None.
 
-    One pass over the face differences serves every gradient quantity: the
-    face gradient follows from them, K u and the co-located gradient from
-    that, so the energy, ``lip``, ``max_face_diff`` and the jump count (the
-    size of ``jump_set(u, kappa)``) agree bit for bit with ``area_energy``,
-    ``colocated_magnitude`` and ``face_differences``.  Where K u is the
-    co-located gradient (rectangles), its magnitude is also ``lip``'s.
+    One pass over the face differences (``grid._differences``) gives
+    ``max_face_diff``, ``jump_count`` (the faces whose |difference| reaches
+    kappa) and the face gradient; the grid's ops class makes K u and ``lip``
+    (the largest co-located slope) from it, so the dual layout stays in
+    ``energy``, and the energy is ``area_energy``'s float.
     """
-    _check_threshold(kappa)
+    if kappa <= 0:
+        raise ValueError(f"jump threshold must be positive, got {kappa}")
     g, values = u.grid, u.values
     if u_prev is None:
         ut_l2 = ut_sup = 0.0
@@ -94,24 +93,18 @@ def measure(
         du = (values - u_prev.values) / tau
         ut_l2 = math.sqrt((g.cell_volumes * du * du).sum())
         ut_sup = float(np.abs(du).max())
-    diffs = face_differences(u)
+    diffs = _differences(values)
     max_face_diff, jump_count = _face_jumps(diffs, kappa)
     # the differences are measure's own arrays: they become the face gradient
     slopes = [np.divide(d, h, out=d) for d, h in zip(diffs, g.spacing)]
     ops = _make_ops(g)
-    q = ops.k_from_slopes(slopes)
-    mag = ops.magnitude(q)
-    if ops.dual_shape == (g.ndim,) + g.shape:  # per-cell duals: K u is co-located
-        lip = float(mag.max())
-    else:  # one axis: the co-located gradient is one row; sqrt is monotone
-        c = colocate(g, slopes)[0]
-        lip = math.sqrt(float((c * c).max()))
+    mag = ops.magnitude(ops.k_from_slopes(slopes))
     return DiagnosticRecord(
         t=float(t),
         energy=_area(ops, mag),
         mean=float((g.cell_volumes * values).sum()) / g.total_volume,
         sup_norm=float(np.abs(values).max()),
-        lip=lip,
+        lip=ops.lip(slopes, mag),
         ut_l2=ut_l2,
         ut_sup=ut_sup,
         max_face_diff=max_face_diff,
@@ -119,34 +112,11 @@ def measure(
     )
 
 
-def _face_jumps(diffs, kappa: float) -> tuple[float, int]:
+def _face_jumps(diffs, kappa: float = math.inf) -> tuple[float, int]:
     """Largest |difference| over the faces, and how many reach kappa."""
     gaps = [np.abs(d) for d in diffs]
     largest = max(float(d.max()) if d.size else 0.0 for d in gaps)
     return largest, sum(int(np.count_nonzero(d >= kappa)) for d in gaps)
-
-
-def _check_threshold(kappa: float) -> None:
-    if kappa <= 0:
-        raise ValueError(f"jump threshold must be positive, got {kappa}")
-
-
-def jump_set(u: CellField, kappa: float):
-    """Faces whose raw value difference reaches the threshold kappa.
-
-    Returns face indices (ints) on one-axis grids and (axis, i, j) tuples on
-    rectangles.  The threshold applies to the difference, not the difference
-    quotient, so it is a jump-height detector.
-    """
-    _check_threshold(kappa)
-    diffs = face_differences(u)
-    if u.grid.ndim == 1:
-        return [int(i) for i in np.nonzero(np.abs(diffs[0]) >= kappa)[0]]
-    out = []
-    for axis, d in enumerate(diffs):
-        for idx in zip(*np.nonzero(np.abs(d) >= kappa)):
-            out.append((axis,) + tuple(int(i) for i in idx))
-    return out
 
 
 def default_jump_threshold(u0: CellField) -> float:
@@ -157,15 +127,14 @@ def default_jump_threshold(u0: CellField) -> float:
     """
     h = max(u0.grid.spacing)
     sup = float(np.max(np.abs(u0.values)))
-    diffs = face_differences(u0)
-    max_fd = max(float(np.max(np.abs(d))) if d.size else 0.0 for d in diffs)
+    max_fd, _ = _face_jumps(_differences(u0.values))
     kappa = max(10.0 * np.sqrt(h * sup), 0.1 * max_fd)
     floor = 1e-12 * (1.0 + sup)
     return float(max(kappa, floor))
 
 
 def regularization_time(traj):
-    """First recorded time after which the jump set stays empty.
+    """First recorded time after which no face difference reaches kappa.
 
     Reads the jump counts recorded during the run.  Returns ``times[0]``
     when no record ever jumps and ``None`` when jumps persist through the

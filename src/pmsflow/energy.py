@@ -9,19 +9,23 @@ whose pointwise convex conjugate over the closed unit ball is
 is what both step solvers exploit.  The primal-dual iteration of
 rectangles lifts it to sqrt(1 + |q|^2) = max over |(p0, p)| <= 1 of
 p0 + p.q, so its dual proximal map is a projection onto the unit ball of
-R^3; its primal map is ``prox_quadratic``, the closed form of the
-implicit-step quadratic.  ``_RectangleOps`` also gives that iteration an
-in-place pair of K and div, bound to its buffers and working on a primal
-carried in units of sigma / (2 hx) (``loop_kernels``).  Each ops class
-carries a proved bound on the norm of its K (``norm_bound``), from which
-the step sizes follow, and makes K u from the face gradient of u
-(``k_from_slopes``), so that ``diagnostics.measure`` differences u once.
+R^3; its primal map, the closed form of the step quadratic, is applied in
+``solver``.  ``_RectangleOps`` gives that iteration an in-place pair of K
+and div, bound to its buffers and working on a primal carried in units of
+sigma / (2 hx) (``loop_kernels``).  Each ops class proves a bound on the
+norm of its K (``norm_bound``), from which the step sizes follow, makes
+K u from the face gradient of u (``k_from_slopes``) and the largest
+co-located slope from that gradient and |K u| (``lip``), so that
+``diagnostics.measure`` differences u once and never sees the dual layout.
+``k_apply`` and ``div_dual`` serve the certificates and the Newton solve;
+the benchmark's tracer times them.
 The Newton solve of one-axis grids maximizes the step's dual, whose
 Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
 gives the part of it that does not depend on the dual, ``_DualIterate``
 evaluates the dual, its gradient and the rest of the Hessian at one p,
 and ``_solve_tridiagonal`` gives the Newton direction.  ``_dual_radius``,
-the exact proximal map of the unlifted conjugate, is a test reference only.
+the exact proximal map of the unlifted conjugate, is a test reference; it
+stays here while the benchmark's tracer still wraps it.
 
 Discretization: the saddle operator K maps cell values to the dual space,
 and the discrete area, which ``area_energy`` returns as one float, is
@@ -40,6 +44,7 @@ unless the field is constant, and are invariant under adding a constant.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +59,6 @@ from .grid import (
 
 __all__ = [
     "area_energy",
-    "prox_quadratic",
 ]
 
 
@@ -89,6 +93,10 @@ class _OneAxisOps:
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
         return np.abs(p)
+
+    def lip(self, slopes, mag) -> float:
+        """Largest co-located slope; K u is the face gradient, not that slope."""
+        return math.sqrt(float(np.square(colocate(self.grid, slopes)[0]).max()))
 
     @staticmethod
     def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -313,6 +321,11 @@ class _RectangleOps:
         return c, k_add, div_into
 
     @staticmethod
+    def lip(slopes, mag) -> float:
+        """Largest co-located slope: K u is the co-located gradient, so |K u|."""
+        return float(mag.max())
+
+    @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
         m = np.square(p[0])
         m += np.square(p[1])
@@ -392,19 +405,3 @@ def _dual_radius(m: np.ndarray, sigma: float) -> np.ndarray:
         np.subtract(w, step, out=w, where=~done)  # hold finished entries
     return w / np.sqrt(1.0 + w * w)
 
-
-def prox_quadratic(v_hat, u_prev, tau: float, s: float):
-    """Closed-form proximal map of the implicit-step quadratic.
-
-    Minimizes |v - u_prev|^2 / (2 tau) + |v - v_hat|^2 / (2 s), giving
-    (tau * v_hat + s * u_prev) / (tau + s); the grid weights cancel because
-    both terms carry the same ones.
-    """
-    for name, value in (("tau", tau), ("s", s)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    v_hat = np.asarray(v_hat, dtype=float)
-    u_prev = np.asarray(u_prev, dtype=float)
-    if v_hat.shape != u_prev.shape:
-        raise ValueError(f"shape mismatch {v_hat.shape} vs {u_prev.shape}")
-    return (tau * v_hat + s * u_prev) / (tau + s)

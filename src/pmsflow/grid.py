@@ -15,16 +15,20 @@ operators.  Three kinds share the layout:
   encodes regularity at the origin exactly like the absent boundary faces
   encode zero flux.  The solid-angle constant is dropped throughout.
 
-``divergence`` is the exact negative adjoint of ``forward_gradient`` under
-the weighted pairings ``cell_inner`` and ``face_inner``, so discrete
-summation by parts holds to rounding and the weighted cell sum of any
-divergence telescopes to zero.  Each operator also has an array form
-(``*_values``) on plain arrays, which the step solver calls in its inner
-loop to skip the per-call finiteness checks of the field types.
+The calculus is three array operators and a norm.
+``forward_gradient_values`` takes per-axis face difference quotients,
+``divergence_values`` is its exact negative adjoint under the weighted
+pairings sum V u v over cells (``cell_volumes``) and sum W p q over faces
+(``face_weights``), and ``colocate`` averages face values onto the cells.
+Summation by parts holds to rounding and the weighted cell sum of any
+divergence telescopes to zero.  ``cell_norm`` is the norm of the cell
+pairing.  The solver, ``energy`` and ``diagnostics.measure`` all run on
+these operators and on ``_differences``, the raw face differences.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import sys
@@ -40,18 +44,10 @@ __all__ = [
     "interval_grid",
     "rectangle_grid",
     "radial_grid",
-    "forward_gradient",
-    "divergence",
-    "colocated_gradient",
     "forward_gradient_values",
     "divergence_values",
-    "colocated_gradient_values",
     "colocate",
-    "colocated_magnitude",
-    "face_differences",
-    "cell_inner",
     "cell_norm",
-    "face_inner",
 ]
 
 
@@ -248,9 +244,17 @@ def _as_count(value, key: str) -> int:
 
 
 def _as_float(value, key: str) -> float:
-    """A finite config number; a bool, string or list is rejected."""
+    """A finite config number; a bool, string or list is rejected.  YAML 1.1
+    floats need a dot and a signed exponent, so for a string that ``float``
+    reads as a finite number, such as ``1e-3``, the message says so."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        hint = ""
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                if math.isfinite(float(value)):
+                    hint = (f"; YAML 1.1 reads {value} as a string, write the mantissa"
+                            f" with a dot and the exponent with a sign, as in 1.0e-3")
+        raise ConfigError(f"{key} must be a number, got {value!r}{hint}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
@@ -327,7 +331,7 @@ def _differences(values: np.ndarray) -> list[np.ndarray]:
 
 
 def forward_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Array form of ``forward_gradient``: per-axis face difference quotients."""
+    """Per-axis face difference quotients; boundary faces do not exist."""
     return tuple(d / h for d, h in zip(_differences(values), grid.spacing))
 
 
@@ -350,13 +354,14 @@ def colocate(grid: Grid, components) -> np.ndarray:
     return out
 
 
-def colocated_gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array form of ``colocated_gradient``, stacked as (ndim, *grid.shape)."""
-    return colocate(grid, forward_gradient_values(grid, values))
-
-
 def divergence_values(grid: Grid, components) -> np.ndarray:
-    """Array form of ``divergence`` for per-axis face arrays."""
+    """Exact negative adjoint of ``forward_gradient_values`` under the weighted pairings.
+
+    Per cell: sum over axes of (area * p at the right face minus area * p at
+    the left face), divided by the cell volume; absent boundary faces
+    contribute zero, so the weighted cell sum of the result telescopes to
+    zero for every face field.
+    """
     acc = np.zeros(grid.shape)
     for axis, p in enumerate(components):
         lower, upper = _FACE_SIDES[grid.ndim, axis]
@@ -367,63 +372,6 @@ def divergence_values(grid: Grid, components) -> np.ndarray:
     return acc
 
 
-def forward_gradient(u: CellField) -> FaceField:
-    """Difference quotient across each interior face; boundary faces do not exist."""
-    return FaceField(u.grid, forward_gradient_values(u.grid, u.values))
-
-
-def divergence(p: FaceField) -> CellField:
-    """Exact negative adjoint of ``forward_gradient`` under the weighted pairings.
-
-    Per cell: sum over axes of (area * p at the right face minus area * p at
-    the left face), divided by the cell volume; absent boundary faces
-    contribute zero, so the weighted cell sum of the result telescopes to
-    zero for every face field.
-    """
-    return CellField(p.grid, divergence_values(p.grid, p.components))
-
-
-def colocated_gradient(u: CellField) -> tuple[np.ndarray, ...]:
-    """Per-axis gradient averaged from the face pair onto each cell.
-
-    Missing boundary faces enter as zero-slope samples, so a boundary cell
-    sees half of its single interior face gradient.  Used for diagnostics
-    and for the isotropic coupling of the two axes on rectangles.
-    """
-    return tuple(colocated_gradient_values(u.grid, u.values))
-
-
-def colocated_magnitude(u: CellField) -> np.ndarray:
-    """Euclidean norm over axes of the co-located gradient, one value per cell."""
-    g = colocated_gradient_values(u.grid, u.values)
-    return np.sqrt(np.sum(g * g, axis=0))
-
-
-def face_differences(u: CellField) -> tuple[np.ndarray, ...]:
-    """Raw value differences across interior faces (no division by spacing)."""
-    return tuple(_differences(u.values))
-
-
-def _check_same_grid(a, b):
-    if a.grid is not b.grid and not a.grid.same_layout(b.grid):
-        raise ValueError("fields live on different grids")
-
-
-def cell_inner(u: CellField, v: CellField) -> float:
-    """Volume-weighted inner product of two cell fields."""
-    _check_same_grid(u, v)
-    return float(np.sum(u.grid.cell_volumes * u.values * v.values))
-
-
 def cell_norm(u: CellField) -> float:
     """Volume-weighted L2 norm of a cell field."""
     return float(np.sqrt(np.sum(u.grid.cell_volumes * u.values * u.values)))
-
-
-def face_inner(p: FaceField, q: FaceField) -> float:
-    """Control-volume-weighted inner product of two face fields."""
-    _check_same_grid(p, q)
-    total = 0.0
-    for axis in range(p.grid.ndim):
-        total += float(np.sum(p.grid.face_weights[axis] * p.components[axis] * q.components[axis]))
-    return total

@@ -28,11 +28,12 @@ On rectangles a primal-dual iteration (PDHG) runs on a lifted dual.  Since
 sqrt(1 + |q|^2) = |(1, q)| = max over |(p0, p)| <= 1 of p0 + p.q, each
 cell carries a third dual component p0, started at sqrt(1 - |p|^2), and
 the dual proximal map is the projection onto the unit ball of R^3; the
-primal proximal map is the closed form ``prox_quadratic``:
+primal proximal map of the step quadratic at v_hat is the closed form
+(tau v_hat + s u_prev) / (tau + s):
 
     (p0, p) <- (p0 + sigma, p + sigma * K vbar)
                / max(1, |(p0 + sigma, p + sigma * K vbar)|)   (per cell)
-    v       <- prox_quadratic(v + s * div p, u_prev, tau, s)
+    v       <- (tau (v + s * div p) + s u_prev) / (tau + s)
     vbar    <- v + theta * (v - v_prev)
 
 The loop carries the increment w = v - u_prev, for which the primal step
@@ -72,9 +73,9 @@ float floor of its certificates: Newton fails once no step length shrinks
 them, and the rectangle loop once its primal residual, lying within a few
 times eps max|u_prev| / tau and above ``inner_tol``, stops falling over
 consecutive checks; the error names that floor.  The returned state is
-exactly u_prev + tau * divergence(flux) in the grid module's calculus, so
-the weighted mean is conserved to machine precision and the per-step
-energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <=
+exactly u_prev + tau * divergence_values(flux) in the grid module's
+calculus, so the weighted mean is conserved to machine precision and the
+per-step energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <=
 E(u_prev) + inner_tol holds by convex duality rather than by observation.
 
 Both solvers certify a step from any finite start, so the start only sets
@@ -96,6 +97,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +110,7 @@ from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
 # bound here until the benchmark drops its dual-radius metrics.
 from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps  # noqa: F401
 from .energy import _DualIterate, _solve_tridiagonal
-from .grid import CellField, FaceField, Grid, cell_norm
+from .grid import CellField, FaceField, Grid, cell_norm, forward_gradient_values
 
 __all__ = [
     "SolverConfig",
@@ -135,7 +137,8 @@ class SolverConfig:
     s/sigma = tau with s * sigma * L^2 = 1.  Explicit values must satisfy
     s * sigma * L^2 <= 1.  ``max_inner`` caps inner iterations (PDHG) or
     certificate evaluations, one per Newton step plus the start (one-axis
-    grids); it and ``check_every`` are integers.
+    grids); it and ``check_every`` are integers.  Only the tests and the
+    benchmark set the other four fields, which stay while the benchmark does.
     """
 
     tau: float
@@ -191,7 +194,8 @@ def operator_norm_bound(grid: Grid) -> float:
     Each dual layout of ``energy._make_ops`` carries its own bound, with its
     proof: 2/h on intervals and 2^(N/2)/h on N-dimensional radial grids
     (face gradient), sqrt(1/hx^2 + 1/hy^2) on rectangles (co-located
-    central difference), which a 2 x 2 rectangle attains.
+    central difference), which a 2 x 2 rectangle attains.  The benchmark
+    derives its explicit step pair from it.
     """
     return _make_ops(grid).norm_bound
 
@@ -385,8 +389,8 @@ def _nonconvergence(what, iterations, residuals, tol):
 
 
 def _prox_coefficients(tau, s):
-    """(a, b) with prox_quadratic(v + s d, u_prev, tau, s) = u_prev + a w + b d
-    for w = v - u_prev."""
+    """(a, b) with u_prev + a w + b d the proximal map of the step quadratic
+    at v + s d, (tau (v + s d) + s u_prev) / (tau + s), for w = v - u_prev."""
     a = tau / (tau + s)
     return a, s * a
 
@@ -448,7 +452,7 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     from the public calculus, so they move the iterates in the last bits
     only.  Every certificate evaluation rebuilds div p with the public
     ``ops.div_dual``: the returned pair is exactly
-    u_prev + tau * divergence(flux), certified by the parts of
+    u_prev + tau * divergence_values(flux), certified by the parts of
     ``_residuals``.  A check computes the primal residual at
     v = u_prev + W / c first; K u, the dual relation and the gap follow only
     when it passes (or at ``max_inner``, so that NonConvergenceError carries
@@ -610,7 +614,7 @@ class Trajectory:
     ``times`` has the step times including 0 and is strictly increasing;
     ``records`` holds one DiagnosticRecord per time; ``snapshots`` holds
     (time, state, flux) triples at the requested snapshot times; ``states``
-    holds every state when the run was made with keep="all".
+    holds every state, in step order, when the run was made with keep="all".
     """
 
     grid: Grid
@@ -636,14 +640,6 @@ class Trajectory:
             if abs(ts - t) <= 0.5 * tau:
                 return ts, u, z
         raise KeyError(f"no snapshot within tau/2 of t = {t}")
-
-    def state_at(self, t: float) -> CellField:
-        if self.states is None:
-            raise ValueError("state_at needs a keep='all' trajectory")
-        k = int(round(t / self.config.tau))
-        if not 0 <= k < len(self.states):
-            raise KeyError(f"t = {t} outside the recorded range")
-        return self.states[k]
 
 
 # The dual predictor of ``evolve`` keeps the backward differences of the
@@ -713,15 +709,32 @@ class _DualPredictor:
         return out
 
 
-def _check_run_settings(grid: Grid, t_end: float, cfg: SolverConfig, kappa, times) -> None:
-    """Reject a t_end, kappa, snapshot time or step-size pair that ``evolve`` cannot run."""
+# From this face slope |du|/h on, sqrt(float max), 1 + |K u|^2 overflows.
+_SLOPE_LIMIT = math.sqrt(sys.float_info.max)
+
+
+def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, times):
+    """Reject what ``evolve`` cannot run, initial data that overflows included,
+    without a numpy warning; return kappa (or its default) and the t = 0 record."""
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if kappa is not None and not 0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not all(np.isfinite(t) for t in times):
         raise ValueError(f"snapshot_times must be finite, got {list(times)}")
-    _resolve_steps(grid, cfg)
+    _resolve_steps(u0.grid, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = max(float(np.abs(d).max()) for d in forward_gradient_values(u0.grid, u0.values))
+        if not slope < _SLOPE_LIMIT:
+            raise ValueError(f"initial data too steep: largest face slope |du|/h {slope:.3e} is "
+                             f"at or above sqrt(float max) = {_SLOPE_LIMIT:.3e}")
+        kappa = default_jump_threshold(u0) if kappa is None else kappa
+        record = measure(u0, None, 0.0, cfg.tau, kappa)
+    overflowed = [f for f in record.FIELDS if not math.isfinite(getattr(record, f))]
+    if overflowed:
+        raise ValueError(f"initial data overflows: its t = 0 {', '.join(overflowed)} "
+                         f"exceeds float max = {sys.float_info.max:.3e}")
+    return kappa, record
 
 
 def _run_steps(t_end: float, tau: float, times) -> tuple[int, set[int]]:
@@ -763,6 +776,9 @@ def evolve(
 
     Raises
     ------
+    ValueError
+        Before the first step, for a bad setting or for initial data with a face
+        slope |du|/h of sqrt(float max) ~ 1.34e154 or more or a non-finite t = 0 record.
     NonConvergenceError
         From the first step whose inner iteration fails, with that step's
         index and time in ``step``, ``t`` and the message.
@@ -771,14 +787,12 @@ def evolve(
         raise ValueError(f"keep must be snapshots or all, got {keep!r}")
     grid = u0.grid
     snapshot_times = [float(t) for t in snapshot_times]
-    _check_run_settings(grid, t_end, cfg, kappa, snapshot_times)
-    if kappa is None:
-        kappa = default_jump_threshold(u0)
+    kappa, start = _check_run_settings(u0, t_end, cfg, kappa, snapshot_times)
     n_steps, snap_idx = _run_steps(t_end, cfg.tau, snapshot_times)
     times = cfg.tau * np.arange(n_steps + 1)
 
     ops = _make_ops(grid)
-    records = [measure(u0, None, 0.0, cfg.tau, kappa)]
+    records = [start]
     snapshots = []
     if 0 in snap_idx:
         z0 = _variational_dual(ops, u0.values)

@@ -1,13 +1,13 @@
 """Area energy values, the conjugate duality it rests on, and the dual
-radius and primal proximal map of the rectangle's inner solver."""
+radius the rectangle's certified duals are checked against."""
 
 import numpy as np
 import pytest
 
+import reference_calculus as ref
 from pmsflow.energy import (
     _dual_radius,
     area_energy,
-    prox_quadratic,
 )
 from pmsflow.grid import CellField, interval_grid, radial_grid, rectangle_grid
 
@@ -88,9 +88,7 @@ def test_rectangle_energy_uses_colocated_magnitude():
     g = rectangle_grid((0, 0), (1, 1), (6, 6))
     xs, ys = np.meshgrid(*g.cell_centers, indexing="ij")
     u = CellField(g, 3.0 * xs + 4.0 * ys)
-    from pmsflow.grid import colocated_magnitude
-
-    mag = colocated_magnitude(u)
+    mag = ref.magnitude(ref.colocated(ref.slopes(g, u.values)))
     expected = float(np.sum(g.cell_volumes * np.sqrt(1.0 + mag**2)))
     assert area_energy(u) == pytest.approx(expected)
 
@@ -226,23 +224,3 @@ def test_dual_radius_extreme_scalar_and_two_dimensional_input():
 def test_dual_radius_rejects_a_negative_magnitude():
     with pytest.raises(ValueError, match="nonnegative"):
         _dual_radius(np.array([1.0, -1e-300]), 0.5)
-
-
-def test_prox_quadratic_closed_form():
-    g = interval_grid(0.0, 1.0, 4)
-    v_hat = np.array([4.0, 4.0, 4.0, 4.0])
-    u_prev = np.zeros(4)
-    out = prox_quadratic(v_hat, u_prev, tau=1.0, s=3.0)
-    assert np.allclose(out, 1.0)
-    # fixed point and midpoint cases
-    assert np.allclose(prox_quadratic(u_prev, u_prev, 0.3, 0.9), u_prev)
-    assert np.allclose(prox_quadratic(v_hat, u_prev, 2.0, 2.0), 2.0)
-    with pytest.raises(ValueError):
-        prox_quadratic(v_hat, np.zeros(3), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        prox_quadratic(v_hat, u_prev, -1.0, 1.0)
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="tau must be positive and finite"):
-            prox_quadratic(v_hat, u_prev, bad, 1.0)
-        with pytest.raises(ValueError, match="s must be positive and finite"):
-            prox_quadratic(v_hat, u_prev, 1.0, bad)

@@ -4,19 +4,16 @@ zero-flux setup is built on."""
 import numpy as np
 import pytest
 
+import reference_calculus as ref
 from pmsflow.grid import (
     CellField,
     FaceField,
+    _differences,
     build_grid,
-    cell_inner,
     cell_norm,
-    colocated_gradient,
-    colocated_gradient_values,
-    colocated_magnitude,
-    divergence,
-    face_differences,
-    face_inner,
-    forward_gradient,
+    colocate,
+    divergence_values,
+    forward_gradient_values,
     interval_grid,
     radial_grid,
     rectangle_grid,
@@ -124,52 +121,55 @@ def test_face_field_validation():
 
 def test_forward_gradient_examples():
     g = interval_grid(0.0, 1.0, 4)
-    assert np.allclose(forward_gradient(CellField(g, np.full(4, 5.0))).components[0], 0.0)
-    linear = CellField(g, g.cell_centers[0].copy())
-    assert np.allclose(forward_gradient(linear).components[0], 1.0)
+    assert np.allclose(forward_gradient_values(g, np.full(4, 5.0))[0], 0.0)
+    assert np.allclose(forward_gradient_values(g, g.cell_centers[0].copy())[0], 1.0)
     g2 = interval_grid(0.0, 2.0, 4)
-    stepped = CellField(g2, np.array([0.0, 0.0, 1.0, 1.0]))
-    assert np.allclose(forward_gradient(stepped).components[0], [0.0, 2.0, 0.0])
+    stepped = np.array([0.0, 0.0, 1.0, 1.0])
+    assert np.allclose(forward_gradient_values(g2, stepped)[0], [0.0, 2.0, 0.0])
 
 
 def test_divergence_example():
     g = interval_grid(0.0, 2.0, 4)
-    p = FaceField(g, (np.array([1.0, 0.0, 0.0]),))
-    assert np.allclose(divergence(p).values, [2.0, -2.0, 0.0, 0.0])
+    p = np.array([1.0, 0.0, 0.0])
+    assert np.allclose(divergence_values(g, (p,)), [2.0, -2.0, 0.0, 0.0])
 
 
 def test_divergence_zero_field():
     g = radial_grid(3, 1.0, 8)
-    p = FaceField(g, (np.zeros(7),))
-    assert np.allclose(divergence(p).values, 0.0)
+    assert np.allclose(divergence_values(g, (np.zeros(7),)), 0.0)
 
 
 def _random_fields(grid, rng):
-    u = CellField(grid, rng.standard_normal(grid.shape))
-    p = FaceField(
-        grid, tuple(rng.standard_normal(grid.face_shape(k)) for k in range(grid.ndim))
-    )
+    u = rng.standard_normal(grid.shape)
+    p = tuple(rng.standard_normal(grid.face_shape(k)) for k in range(grid.ndim))
     return u, p
 
 
+_CALCULUS_GRIDS = [
+    interval_grid(0.0, 2.0, 17),
+    rectangle_grid((0.0, 0.0), (1.0, 3.0), (8, 8)),
+    radial_grid(2, 1.0, 13),
+    radial_grid(3, 2.0, 9),
+    radial_grid(4, 1.0, 7),
+]
+
+
 @pytest.mark.parametrize(
-    "grid",
-    [
-        interval_grid(0.0, 2.0, 17),
-        rectangle_grid((0.0, 0.0), (1.0, 3.0), (8, 8)),
-        radial_grid(2, 1.0, 13),
-        radial_grid(3, 2.0, 9),
-        radial_grid(4, 1.0, 7),
-    ],
-    ids=["interval", "rectangle", "radial2", "radial3", "radial4"],
+    "grid", _CALCULUS_GRIDS, ids=["interval", "rectangle", "radial2", "radial3", "radial4"]
 )
 def test_adjointness_property(grid):
-    # <grad u, p>_faces + <u, div p>_cells = 0 for random fields
+    # the gradient and the divergence are the plain-numpy formulas to the
+    # bit, and sum W grad(u) p + sum V u div(p) = 0 for random fields, with
+    # both pairings written out
     rng = np.random.default_rng(1234)
     for _ in range(10):
         u, p = _random_fields(grid, rng)
-        lhs = face_inner(forward_gradient(u), p)
-        rhs = cell_inner(u, divergence(p))
+        grad, div = forward_gradient_values(grid, u), divergence_values(grid, p)
+        for got, want in zip(grad, ref.slopes(grid, u)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(div, ref.divergence(grid, p))
+        lhs = sum(float(np.sum(w * g * q)) for w, g, q in zip(grid.face_weights, grad, p))
+        rhs = float(np.sum(grid.cell_volumes * u * div))
         scale = 1.0 + abs(lhs) + abs(rhs)
         assert abs(lhs + rhs) <= 1e-12 * scale
 
@@ -188,39 +188,29 @@ def test_divergence_weighted_sum_is_zero(grid):
     rng = np.random.default_rng(99)
     for _ in range(10):
         _, p = _random_fields(grid, rng)
-        d = divergence(p)
-        total = float(np.sum(grid.cell_volumes * d.values))
-        scale = 1.0 + float(np.max(np.abs(d.values)))
+        d = divergence_values(grid, p)
+        total = float(np.sum(grid.cell_volumes * d))
+        scale = 1.0 + float(np.max(np.abs(d)))
         assert abs(total) <= 1e-12 * scale
+
+
+def _colocated_gradient(grid, values):
+    return colocate(grid, forward_gradient_values(grid, values))
 
 
 def test_colocated_gradient_interval():
     g = interval_grid(0.0, 1.0, 4)
-    linear = CellField(g, 2.0 * g.cell_centers[0])
-    cg = colocated_gradient(linear)[0]
+    cg = _colocated_gradient(g, 2.0 * g.cell_centers[0])[0]
     # boundary cells see half of their single face gradient
     assert np.allclose(cg, [1.0, 2.0, 2.0, 1.0])
-    assert np.allclose(colocated_magnitude(linear), np.abs(cg))
 
 
 def test_colocated_magnitude_rectangle_isotropy():
     g = rectangle_grid((0.0, 0.0), (1.0, 1.0), (6, 6))
     xs, ys = np.meshgrid(*g.cell_centers, indexing="ij")
-    u = CellField(g, 3.0 * xs + 4.0 * ys)
-    mag = colocated_magnitude(u)
+    mag = ref.magnitude(_colocated_gradient(g, 3.0 * xs + 4.0 * ys))
     # interior cells see the full (3, 4) gradient, norm 5
     assert np.allclose(mag[1:-1, 1:-1], 5.0)
-
-
-def _zero_stack_colocated(grid, values):
-    # the co-located gradient accumulated onto zeros, face by face
-    out = np.zeros((grid.ndim,) + grid.shape)
-    for axis, gf in enumerate(forward_gradient(CellField(grid, values)).components):
-        lower = tuple(slice(None, -1) if k == axis else slice(None) for k in range(grid.ndim))
-        upper = tuple(slice(1, None) if k == axis else slice(None) for k in range(grid.ndim))
-        out[axis][lower] += gf
-        out[axis][upper] += gf
-    return 0.5 * out
 
 
 @pytest.mark.parametrize(
@@ -235,30 +225,27 @@ def _zero_stack_colocated(grid, values):
     ],
 )
 def test_colocated_gradient_is_the_zero_stack_accumulation_bit_for_bit(grid):
-    # the co-located gradient is built without a zero array, in the same
-    # order of additions: every bit agrees, signed zeros included
-    # (0 + (-0.0) is +0.0)
+    # the co-located gradient is built without a zero array, in the order
+    # of additions of the zero-padded face-pair means: every bit agrees,
+    # signed zeros included (0 + (-0.0) is +0.0)
     rng = np.random.default_rng(41)
     for values in (rng.standard_normal(grid.shape), rng.choice([-0.0, 0.0, 1.0], grid.shape)):
-        got = colocated_gradient_values(grid, values)
-        want = _zero_stack_colocated(grid, values)
+        got = _colocated_gradient(grid, values)
+        want = ref.colocated(ref.slopes(grid, values))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_face_differences_are_raw():
     g = interval_grid(0.0, 2.0, 4)
-    u = CellField(g, np.array([0.0, 0.0, 1.0, 1.0]))
-    assert np.allclose(face_differences(u)[0], [0.0, 1.0, 0.0])
+    values = np.array([0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(_differences(values)[0], [0.0, 1.0, 0.0])
 
 
 def test_inner_products_use_weights():
     g = radial_grid(3, 1.0, 8)
-    ones = CellField(g, np.ones(8))
-    assert cell_inner(ones, ones) == pytest.approx(g.total_volume)
-    assert cell_norm(ones) == pytest.approx(np.sqrt(g.total_volume))
-    mismatched = interval_grid(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        cell_inner(ones, CellField(mismatched, np.ones(8)))
+    assert cell_norm(CellField(g, np.ones(8))) == pytest.approx(np.sqrt(g.total_volume))
+    u = np.random.default_rng(5).standard_normal(8)
+    assert cell_norm(CellField(g, u)) == pytest.approx(np.sqrt(np.sum(g.cell_volumes * u * u)))
 
 
 def test_grid_arrays_are_readonly():

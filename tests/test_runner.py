@@ -387,6 +387,58 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, grid, initial, ke
     assert not (tmp_path / "out").exists()
 
 
+_GRID_TEMPLATE = "grid: {{kind: interval, lo: 0.0, hi: {}, cells: 40}}\n"
+
+
+@pytest.mark.parametrize(
+    "key, written, fixed, value",
+    [
+        ("tau", "tau: 1e-3\n", "tau: 1.0e-3\n", 1e-3),
+        ("hi", _GRID_TEMPLATE.format("2e0"), _GRID_TEMPLATE.format("2.0e+0"), 2.0),
+        ("tau", "tau: 1.0e3\n", "tau: 1.0e+3\n", 1e3),
+    ],
+    ids=["tau", "grid-hi", "unsigned-exponent"],
+)
+def test_yaml_1_1_exponent_strings_get_a_hint(tmp_path, capsys, key, written, fixed, value):
+    # YAML 1.1 floats need a dot and a signed exponent; a string that float()
+    # reads is rejected with that hint, and the form it names loads
+    path = write_config(tmp_path, CUSTOM_SMALL + written)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a number" in err and "YAML 1.1 reads" in err
+    assert not (tmp_path / "out").exists()
+    cfg = load_config(write_config(tmp_path, CUSTOM_SMALL + fixed))
+    assert (cfg.grid["hi"] if key == "hi" else cfg.tau) == value
+
+
+@pytest.mark.parametrize("value", ["fast", "nan", "inf"])
+def test_non_numeric_strings_get_no_yaml_hint(tmp_path, value):
+    with pytest.raises(ConfigError, match=f"got '{value}'$"):
+        load_config(write_config(tmp_path, f"experiment: quarter_circles\ntau: {value}\n"))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "{kind: interval, lo: 0.0, hi: 1.0, cells: 8}",
+        "{kind: rectangle, lo: [0.0, 0.0], hi: [1.0, 1.0], cells: [8, 8]}",
+    ],
+    ids=["interval", "rectangle"],
+)
+def test_overflowing_initial_data_is_rejected_before_writing(tmp_path, capsys, grid):
+    # 1 + |K u|^2 overflows from the face slope sqrt(float max) on; such
+    # data exits 2 naming that limit, with no --out and no numpy warning
+    path = write_config(
+        tmp_path,
+        f"experiment: custom\ngrid: {grid}\ninitial: {{type: cosine, amplitude: 1.0e+300}}\n"
+        "tau: 1.0e-3\nt_end: 2.0e-2\n",
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial data too steep") and "sqrt(float max) = 1.341e+154" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

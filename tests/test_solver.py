@@ -10,14 +10,12 @@ import pytest
 
 from pmsflow import solver
 from pmsflow.acceptance import _primal_step_oracle
-from pmsflow.energy import _DualIterate, _make_ops, _solve_tridiagonal, area_energy, prox_quadratic
+import reference_calculus as ref
+from pmsflow.energy import _DualIterate, _make_ops, _solve_tridiagonal, area_energy
 from pmsflow.grid import (
     CellField,
     FaceField,
-    colocated_gradient,
-    divergence,
-    face_differences,
-    forward_gradient,
+    divergence_values,
     interval_grid,
     radial_grid,
     rectangle_grid,
@@ -186,22 +184,28 @@ _ALL_GRID_IDS = ["interval", *(f"radial{n}" for n in range(2, 7)), "rectangle"]
 @pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
 def test_saddle_operators_are_the_public_calculus(grid):
     # the saddle operators that the certificates and the Newton solve use
-    # are the grid module's calculus, bit for bit, and K is the exact
-    # negative adjoint of div under the pairings it uses (the rectangle
-    # loop's in-place kernels round differently; see the next test)
+    # are the plain-numpy calculus, bit for bit: K u is the face gradient on
+    # one-axis grids and its co-located face-pair means on rectangles, and
+    # div p the divergence of the face flux (p itself, or the face-pair
+    # means of the cell duals).  K is the exact negative adjoint of div
+    # under the pairings it uses (the rectangle loop's in-place kernels
+    # round differently; see the next test)
     ops = _make_ops(grid)
     rng = np.random.default_rng(77)
-    u = CellField(grid, rng.standard_normal(grid.shape))
+    u = rng.standard_normal(grid.shape)
+    slopes = ref.slopes(grid, u)
     if grid.kind == "rectangle":
         p = rng.uniform(-1.0, 1.0, (2,) + grid.shape)
-        assert np.array_equal(ops.k_apply(u.values), np.stack(colocated_gradient(u)))
+        k_want = ref.colocated(slopes)
+        flux = (0.5 * (p[0, :-1, :] + p[0, 1:, :]), 0.5 * (p[1, :, :-1] + p[1, :, 1:]))
     else:
         p = rng.uniform(-1.0, 1.0, grid.face_shape(0))
-        assert np.array_equal(ops.k_apply(u.values), forward_gradient(u).components[0])
-    flux = FaceField(grid, ops.flux_components(p))
-    assert np.array_equal(ops.div_dual(p), divergence(flux).values)
-    lhs = float(np.sum(ops.dual_weights * ops.dot(ops.k_apply(u.values), p)))
-    rhs = float(np.sum(grid.cell_volumes * u.values * ops.div_dual(p)))
+        k_want, flux = slopes[0], (p,)
+    assert np.array_equal(ops.k_apply(u), k_want)
+    assert all(np.array_equal(a, b) for a, b in zip(ops.flux_components(p), flux, strict=True))
+    assert np.array_equal(ops.div_dual(p), ref.divergence(grid, flux))
+    lhs = float(np.sum(ops.dual_weights * ops.dot(ops.k_apply(u), p)))
+    rhs = float(np.sum(grid.cell_volumes * u * ops.div_dual(p)))
     assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
@@ -257,8 +261,9 @@ def test_loop_kernels_are_the_public_calculus(grid):
 @pytest.mark.parametrize("theta", [1.0, 0.4])
 def test_fused_primal_update_is_the_prox_and_extrapolation(theta):
     # in units of c, on the increment w = v - u_prev, a w + b div p is
-    # prox_quadratic(v + s div p, u_prev, tau, s) - u_prev, and vbar is its
-    # extrapolation, to rounding
+    # prox(v + s div p) - u_prev, with prox(v_hat) = (tau v_hat + s u_prev)
+    # / (tau + s) the minimizer of |v - u_prev|^2 / (2 tau) + |v - v_hat|^2
+    # / (2 s), and vbar is its extrapolation, to rounding
     grid = _KERNEL_RECTANGLES[2]
     ops = _make_ops(grid)
     rng = np.random.default_rng(13)
@@ -271,7 +276,7 @@ def test_fused_primal_update_is_the_prox_and_extrapolation(theta):
     div_into()
     solver._primal_update(c * (v - u_prev), cbdivz, a, theta, c * u_prev, w_new, vbar)
     divz = ops.div_dual(p)
-    want = prox_quadratic(v + s * divz, u_prev, tau, s)
+    want = (tau * (v + s * divz) + s * u_prev) / (tau + s)
     mag = max(np.max(np.abs(v)), np.max(np.abs(u_prev)), s * np.max(np.abs(divz)))
     tol = _KERNEL_ULPS * np.finfo(float).eps * mag
     assert np.max(np.abs(u_prev + w_new / c - want)) <= tol
@@ -683,14 +688,15 @@ def test_kkt_rejects_infeasible_dual_and_wrong_rectangle_input():
 @pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
 def test_returned_certificate_is_the_public_one(grid):
     # whatever the inner loop computes with, the returned pair is exactly
-    # u_prev + tau * divergence(flux) in the grid module's calculus and its
+    # u_prev + tau * divergence_values(flux) in the grid module's calculus and its
     # kkt_residual the public one, cold and warm-started
     rng = np.random.default_rng(58)
     u_prev = CellField(grid, rng.uniform(-1.0, 1.0, grid.shape))
     dual = None
     for _ in range(2):
         res = implicit_step(u_prev, SolverConfig(tau=1e-2), dual=dual)
-        assert np.array_equal(res.u_next.values, u_prev.values + 1e-2 * divergence(res.flux).values)
+        div = divergence_values(grid, res.flux.components)
+        assert np.array_equal(res.u_next.values, u_prev.values + 1e-2 * div)
         assert res.kkt_residual > 0.0
         assert res.kkt_residual == kkt_residual(res.u_next, res.dual, u_prev, 1e-2)
         u_prev, dual = res.u_next, res.dual
@@ -1076,7 +1082,7 @@ def test_initial_snapshot_carries_the_variational_flux():
     u0 = CellField(grid, np.linspace(0.0, 1.0, 16))
     traj = evolve(u0, 0.1, SolverConfig(tau=0.05), snapshot_times=(0.0,))
     _, u, flux = traj.snapshot_at(0.0)
-    g = face_differences(u0)[0] / grid.spacing[0]
+    g = np.diff(u0.values) / grid.spacing[0]
     assert np.allclose(flux.components[0], g / np.sqrt(1.0 + g**2))
 
 
@@ -1100,6 +1106,26 @@ def test_evolve_validation_errors():
         evolve(u0, 1.0, cfg, kappa=0.0)
 
 
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_evolve_rejects_initial_data_that_overflows(kind):
+    # from the face slope sqrt(float max) on, 1 + |K u|^2 overflows; below
+    # it the t = 0 record can still overflow (the rectangle's |K u|^2 sums
+    # two squares, the mean sums values near float max).  Either raises
+    # ValueError before the first step, and no numpy warning
+    if kind == "rectangle":
+        grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (8, 8))
+        xs, ys = np.meshgrid(*grid.cell_centers, indexing="ij")
+        near, field = 1.2e154 * (xs + ys), "energy, lip"
+    else:
+        grid = interval_grid(0.0, 2.0, 8)
+        near, field = np.full(8, 1.7e308), "mean"
+    cfg = SolverConfig(tau=1e-3)
+    with pytest.raises(ValueError, match=r"too steep: .* sqrt\(float max\) = 1\.341e\+154"):
+        evolve(cosine(grid, 1e300), 1e-2, cfg)
+    with pytest.raises(ValueError, match=f"initial data overflows: its t = 0 {field} exceeds"):
+        evolve(CellField(grid, near), 1e-2, cfg)
+
+
 def test_trajectory_accessors_validate_requests():
     grid = interval_grid(0.0, 1.0, 10)
     u0 = CellField(grid, np.zeros(10))
@@ -1108,11 +1134,6 @@ def test_trajectory_accessors_validate_requests():
         traj.series("entropy")
     with pytest.raises(KeyError):
         traj.snapshot_at(0.1)  # no snapshot was requested there
-    with pytest.raises(ValueError):
-        traj.state_at(0.1)  # needs keep="all"
-    kept = evolve(u0, 0.2, SolverConfig(tau=0.1), keep="all")
-    with pytest.raises(KeyError):
-        kept.state_at(5.0)  # outside the recorded range
 
 
 # ---------------------------------------------------------------- radial
