@@ -102,7 +102,7 @@ def measure(
     return DiagnosticRecord(
         t=float(t),
         energy=_area(ops, mag),
-        mean=float((g.cell_volumes * values).sum()) / g.total_volume,
+        mean=float((g.cell_volumes * values).sum()) / ops.total_volume,
         sup_norm=float(np.abs(values).max()),
         lip=ops.lip(slopes, mag),
         ut_l2=ut_l2,

@@ -23,7 +23,11 @@ The Newton solve of one-axis grids maximizes the step's dual, whose
 Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
 gives the part of it that does not depend on the dual, ``_DualIterate``
 evaluates the dual, its gradient and the rest of the Hessian at one p,
-and ``_solve_tridiagonal`` gives the Newton direction.  ``_dual_radius``,
+and ``_solve_tridiagonal`` gives the Newton direction: odd-even reduction
+in array passes down to at most ``_REDUCE_ABOVE`` unknowns, then an LDL^T
+loop over Python floats.  ``_make_ops`` keeps one ops object per live
+grid, and with it the run invariants: the domain volume, the volume no
+dual weight covers, and the coupling bands of the last tau.  ``_dual_radius``,
 the exact proximal map of the unlifted conjugate, is a test reference; it
 stays here while the benchmark's tracer still wraps it.
 
@@ -44,7 +48,7 @@ unless the field is constant, and are invariant under adding a constant.
 
 from __future__ import annotations
 
-import math
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -62,7 +66,28 @@ __all__ = [
 ]
 
 
-class _OneAxisOps:
+class _GridOps:
+    """What both ops classes keep of their grid: the dual weights W and
+    shape, and the run invariants that ``measure`` would otherwise sum at
+    every step, the domain volume and the volume no dual weight covers.
+
+    ``grid`` is held through a weak reference, so that ``_make_ops``'s table
+    of ops objects keeps no grid alive.
+    """
+
+    def __init__(self, grid: Grid, dual_weights: np.ndarray, dual_shape: tuple[int, ...]):
+        self._grid = weakref.ref(grid)
+        self.dual_weights = dual_weights
+        self.dual_shape = dual_shape
+        self.total_volume = grid.total_volume
+        self.uncovered = self.total_volume - float(dual_weights.sum())
+
+    @property
+    def grid(self) -> Grid:
+        return self._grid()
+
+
+class _OneAxisOps(_GridOps):
     """Saddle operators for interval and radial grids; duals live on faces.
 
     ``norm_bound`` bounds the norm of K from the cell metric
@@ -73,11 +98,10 @@ class _OneAxisOps:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
-        self.dual_weights = grid.face_weights[0]
-        self.dual_shape = grid.face_shape(0)
+        super().__init__(grid, grid.face_weights[0], grid.face_shape(0))
         scale = 2.0 ** (grid.radial_dim / 2.0) if grid.kind == "radial" else 2.0
         self.norm_bound = scale / grid.spacing[0]
+        self._coupling = None, None  # (tau, bands) of the last hessian_coupling
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
         return self.k_from_slopes(forward_gradient_values(self.grid, v))
@@ -94,9 +118,17 @@ class _OneAxisOps:
     def magnitude(p: np.ndarray) -> np.ndarray:
         return np.abs(p)
 
-    def lip(self, slopes, mag) -> float:
-        """Largest co-located slope; K u is the face gradient, not that slope."""
-        return math.sqrt(float(np.square(colocate(self.grid, slopes)[0]).max()))
+    @staticmethod
+    def lip(slopes, mag) -> float:
+        """Largest co-located slope; K u is the face gradient, not that slope.
+
+        ``colocate`` gives a cell half the sum of its two face slopes and a
+        wall cell half its one face slope, so the largest of them is half
+        the largest of |f[i] + f[i+1]| and the two wall slopes.
+        """
+        f = slopes[0]
+        inner = float(np.abs(f[1:] + f[:-1]).max(initial=0.0))
+        return 0.5 * max(inner, abs(float(f[0])), abs(float(f[-1])))
 
     @staticmethod
     def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -118,9 +150,19 @@ class _OneAxisOps:
         a_j^2 (1/V_j + 1/V_{j+1}) on the diagonal, -a_j a_{j+1} / V_{j+1}
         beside it, with a the face areas and V the cell volumes.  The full
         Hessian adds the conjugate's diagonal W (1 - p^2)^(-3/2).
+
+        The bands of the last tau are kept, read-only: a run steps with one
+        tau, and a caller that changes it gets bands made for the new one.
         """
-        a, vol = self.grid.face_areas[0], self.grid.cell_volumes
-        return tau * a * a * (1.0 / vol[:-1] + 1.0 / vol[1:]), -tau * a[:-1] * a[1:] / vol[1:-1]
+        kept, bands = self._coupling
+        if tau != kept:
+            a, vol = self.grid.face_areas[0], self.grid.cell_volumes
+            bands = (tau * a * a * (1.0 / vol[:-1] + 1.0 / vol[1:]),
+                     -tau * a[:-1] * a[1:] / vol[1:-1])
+            for band in bands:
+                band.setflags(write=False)
+            self._coupling = tau, bands  # one store: a reader sees both or neither
+        return bands
 
 
 # Rounding noise of -D relative to the sum of its terms' magnitudes: a
@@ -182,14 +224,64 @@ class _DualIterate:
         return self.ops.dual_weights / (self.slack * self.conj) + diag, off
 
 
+# Odd-even reduction halves a tridiagonal system while it has more unknowns
+# than this; the rest go to the LDL^T loop.  A level costs about twenty numpy
+# calls, and the loop about 0.25 us per unknown, so a level pays from about
+# a hundred unknowns on.  Measured as the min of 7 x 500 solves of
+# diagonally dominant systems (2-core Xeon, numpy 2.4.6): at 128, systems of
+# 160 / 399 / 1 599 unknowns took 35 / 57 / 96 us, against 42 / 107 / 477
+# unreduced; thresholds from 64 to 192 stayed within 15 % of 128 from 100
+# to 1 599 unknowns, while 48 and 256 were up to 35 % slower.
+_REDUCE_ABOVE = 128
+
+
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite tridiagonal system by LDL^T.
+    """Solve a symmetric positive definite tridiagonal system.
 
     ``diag`` holds the n diagonal entries and ``off`` the n - 1 entries
-    beside them.  The recurrence is sequential, so it runs over Python
-    floats, which costs less per entry than numpy's per-call dispatch.  The
-    running pivot and right-hand side stay in locals; the pivots and the
-    multipliers overwrite the lists of the diagonal and the off-diagonal.
+    beside them; none of the three arrays is written to.  While more than
+    ``_REDUCE_ABOVE`` unknowns are left, odd-even reduction (Buzbee, Golub
+    & Nielson 1970) eliminates the odd-indexed unknowns in a few array
+    passes: the even ones keep a tridiagonal system, their Schur
+    complement, which is again symmetric positive definite, so no pivoting
+    is needed.  The reduced system goes to ``_ldl_solve``, and the odd
+    unknowns of each level follow from their two even neighbours.
+    """
+    levels = []
+    while diag.size > _REDUCE_ABOVE:
+        # odd unknown k couples to the even unknowns k (``left``) and k + 1
+        # (``right``, absent after the last odd unknown when n is even); a and
+        # c are its two multipliers, y its right-hand side over its pivot
+        odd, left, right = diag[1::2], off[0::2], off[1::2]
+        m = right.size
+        a, c, y = left / odd, right / odd[:m], rhs[1::2] / odd
+        diag, rhs = diag[0::2].copy(), rhs[0::2].copy()
+        diag[: a.size] -= a * left
+        diag[1 : m + 1] -= c * right
+        rhs[: a.size] -= left * y
+        rhs[1 : m + 1] -= right * y[:m]
+        off = a[:m] * right
+        np.negative(off, out=off)
+        levels.append((a, c, y))
+    x = _ldl_solve(diag, off, rhs)
+    for a, c, y in reversed(levels):
+        m = c.size
+        odd = y - a * x[: a.size]
+        odd[:m] -= c * x[1 : m + 1]
+        full = np.empty(x.size + odd.size)
+        full[0::2], full[1::2] = x, odd
+        x = full
+    return x
+
+
+def _ldl_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_solve_tridiagonal`` by LDL^T, on the at most ``_REDUCE_ABOVE``
+    unknowns that odd-even reduction leaves.
+
+    The recurrence is sequential, so it runs over Python floats, which
+    costs less per entry than numpy's per-call dispatch.  The running pivot
+    and right-hand side stay in locals; the pivots and the multipliers
+    overwrite the lists of the diagonal and the off-diagonal.
     """
     d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
     piv, xi = d[0], x[0]
@@ -207,7 +299,7 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
     return np.array(x)
 
 
-class _RectangleOps:
+class _RectangleOps(_GridOps):
     """Saddle operators for rectangles; duals are 2-vectors per cell.
 
     The dual pairs against the co-located gradient (per-axis face-pair
@@ -226,9 +318,7 @@ class _RectangleOps:
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
-        self.dual_weights = grid.cell_volumes
-        self.dual_shape = (2,) + grid.shape
+        super().__init__(grid, grid.cell_volumes, (2,) + grid.shape)
         self.norm_bound = float(np.sqrt(sum(1.0 / h**2 for h in grid.spacing)))
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
@@ -351,8 +441,18 @@ def _pair(a: np.ndarray, i: int, j: int, axis: int) -> np.ndarray:
     return a[(slice(None),) * axis + (part,)]
 
 
+# One ops object per live grid (``Grid`` hashes by identity); an ops object
+# refers to its grid weakly, so this table keeps no grid alive.
+_OPS = weakref.WeakKeyDictionary()
+
+
 def _make_ops(grid: Grid):
-    return _RectangleOps(grid) if grid.kind == "rectangle" else _OneAxisOps(grid)
+    """The ops object of ``grid``, made on its first use and kept with it."""
+    ops = _OPS.get(grid)
+    if ops is None:
+        ops = _RectangleOps(grid) if grid.kind == "rectangle" else _OneAxisOps(grid)
+        _OPS[grid] = ops
+    return ops
 
 
 def area_energy(u: CellField) -> float:
@@ -365,8 +465,7 @@ def _area(ops, mag: np.ndarray) -> float:
     """The discrete area at |K u| = ``mag``: sum W sqrt(1 + mag^2) over the
     dual entries plus the volume no dual weight covers."""
     terms = ops.dual_weights * np.sqrt(1.0 + mag * mag)
-    uncovered = ops.grid.total_volume - float(ops.dual_weights.sum())
-    return float(terms.sum()) + uncovered
+    return float(terms.sum()) + ops.uncovered
 
 
 def _dual_radius(m: np.ndarray, sigma: float) -> np.ndarray:

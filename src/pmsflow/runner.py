@@ -22,7 +22,6 @@ time.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import itertools
 import json
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .diagnostics import (
     DiagnosticRecord,
@@ -130,6 +128,8 @@ _BASE_DEFAULTS = {
 
 def load_config(path) -> RunConfig:
     """Parse and resolve a YAML run config; unknown keys are errors."""
+    import yaml  # imported here: runs built through the API parse no YAML
+
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
@@ -449,6 +449,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # imported here: only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="pmsflow",
         description="Implicit finite-volume solver for the parabolic minimal "

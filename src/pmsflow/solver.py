@@ -15,14 +15,18 @@ On one-axis grids (interval, radial) the step's dual
 
 with u = u_prev + tau * div p, is smooth and strictly concave, and its
 Hessian is tridiagonal.  Damped Newton solves it: each direction is one
-LDL^T solve with the closed-form bands, the step keeps a fixed fraction of
-the distance to |p| = 1 and backtracks until -D decreases (Armijo), or,
-once that decrease is below the rounding of -D, until the scaled gradient
-does.  It certifies within a handful of steps.  Each dual it visits, an
+tridiagonal solve with the closed-form bands (``energy._solve_tridiagonal``:
+odd-even reduction in array passes down to at most 128 unknowns, then an
+LDL^T loop), the step keeps a fixed fraction of the distance to |p| = 1
+and backtracks until -D decreases (Armijo), or, once that decrease is
+below the rounding of -D, until the scaled gradient does.  It certifies
+within a handful of steps.  Each dual it visits, an
 iterate or a line-search trial, is evaluated once (``_DualIterate``):
 sqrt(1 - p^2), div p, u and K u serve the certificate, -D, the gradient
-and the Hessian alike, and the part of the Hessian that does not depend
-on p is made once per step.
+and the Hessian alike.  The part of the Hessian that does not depend on
+p is a run invariant: the grid's ops object (``energy._make_ops``, one
+per live grid) keeps it for the last tau, with the domain volume and the
+volume no dual weight covers that every ``measure`` uses.
 
 On rectangles a primal-dual iteration (PDHG) runs on a lifted dual.  Since
 sqrt(1 + |q|^2) = |(1, q)| = max over |(p0, p)| <= 1 of p0 + p.q, each
@@ -538,8 +542,8 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     Every iterate and every line-search trial is one ``_DualIterate``, so
     each term is made once per dual: div p, u and K u feed the certificate
     and the gradient both, and the accepted trial becomes the next iterate
-    as it stands.  The Hessian's dual-independent bands are made once per
-    step.
+    as it stands.  The Hessian's dual-independent bands come from the
+    grid's ops object, which keeps them for the last tau.
 
     A start entry at or beyond |p| = 1 takes the value of the cold start,
     the variational dual of u_prev.  Clipped to ``_P_MAX`` instead, it would
@@ -560,8 +564,8 @@ def _newton(ops, u0, cfg, p) -> StepResult:
         if k == cfg.max_inner:
             break
         d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
-        room = np.full(d.shape, np.inf)
-        np.divide(np.copysign(1.0, d) - it.p, d, out=room, where=d != 0.0)
+        with np.errstate(divide="ignore"):  # d = +-0 leaves room +inf
+            room = np.divide(np.copysign(1.0, d) - it.p, d)
         alpha = min(1.0, _TO_BOUNDARY * float(room.min()))
         slope = float(np.dot(it.grad, d))
         for _ in range(_MAX_HALVINGS):
@@ -692,8 +696,8 @@ class _DualPredictor:
         top = len(self.table) - 1
         m = 1
         if top > 0:
-            sizes = [np.dot(d.reshape(-1), d.reshape(-1)) for d in self.table[1:]]
-            m = 1 + int(np.argmin(sizes))
+            sizes = [np.vdot(d, d) for d in self.table[1:]]
+            m = 1 + sizes.index(min(sizes))
             if m == top < _MAX_ORDER:
                 m += 1
         self.order = m

@@ -1,12 +1,16 @@
 """Area energy values, the conjugate duality it rests on, and the dual
 radius the rectangle's certified duals are checked against."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import reference_calculus as ref
 from pmsflow.energy import (
     _dual_radius,
+    _make_ops,
     area_energy,
 )
 from pmsflow.grid import CellField, interval_grid, radial_grid, rectangle_grid
@@ -91,6 +95,36 @@ def test_rectangle_energy_uses_colocated_magnitude():
     mag = ref.magnitude(ref.colocated(ref.slopes(g, u.values)))
     expected = float(np.sum(g.cell_volumes * np.sqrt(1.0 + mag**2)))
     assert area_energy(u) == pytest.approx(expected)
+
+
+def test_each_grid_keeps_one_ops_object_and_does_not_outlive_it():
+    grid = radial_grid(3, 1.0, 12)
+    ops = _make_ops(grid)
+    assert _make_ops(grid) is ops
+    # ops hash grids by identity: an equal layout is another grid
+    assert _make_ops(radial_grid(3, 1.0, 12)) is not ops
+    assert ops.total_volume == grid.total_volume
+    assert ops.uncovered == grid.total_volume - float(np.sum(grid.face_weights[0]))
+    alive = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert alive() is None  # the table of ops objects keeps no grid alive
+
+
+def test_two_taus_on_one_grid_get_their_own_coupling_bands():
+    grid = radial_grid(3, 1.0, 12)
+    ops = _make_ops(grid)
+    a, vol = grid.face_areas[0], grid.cell_volumes
+
+    def closed_form(tau):
+        return tau * a * a * (1.0 / vol[:-1] + 1.0 / vol[1:]), -tau * a[:-1] * a[1:] / vol[1:-1]
+
+    for tau in (0.1, 0.3, 0.1):
+        bands = ops.hessian_coupling(tau)
+        for band, expected in zip(bands, closed_form(tau)):
+            assert np.array_equal(band, expected)
+            with pytest.raises(ValueError):
+                band[0] = 0.0  # kept bands are read-only
 
 
 def test_conjugate_duality_sup():

@@ -805,18 +805,44 @@ def test_dual_gradient_is_the_derivative_of_the_negative_dual(grid):
     assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 257])
+def _tridiagonal_system(rng, n, kind):
+    """Bands and right-hand side of an SPD tridiagonal system of n unknowns.
+
+    "dominant": diagonally dominant.  "saturated": the dominant diagonal's
+    margin times up to 1e12, as the conjugate's W (1 - p^2)^(-3/2) gives
+    faces near |p| = 1.  "radial": D S D with S dominant and D^2 = j^5,
+    as the face areas r^5 of a six-dimensional radial grid scale the rows of
+    its Hessian (past 1e12 from about 250 unknowns on), and the right-hand side,
+    a gradient, scaled by D^2.
+    """
+    off = rng.standard_normal(n - 1)
+    pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
+    margin = rng.uniform(1e-3, 2.0, n)
+    rhs = rng.standard_normal(n)
+    if kind == "saturated":
+        margin *= 10.0 ** rng.uniform(0.0, 12.0, n)
+    diag = pad + margin  # diagonally dominant, hence SPD
+    if kind == "radial":
+        scale = np.arange(1.0, n + 1.0) ** 5
+        diag, off, rhs = diag * scale, off * np.sqrt(scale[:-1] * scale[1:]), rhs * scale
+    return diag, off, rhs
+
+
+# 1 to 128 unknowns go to the LDL^T loop as they stand; 129 and more are
+# halved by odd-even reduction until at most 128 are left (4097: six levels,
+# every one of odd size).
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 127, 128, 129, 130, 257, 1000, 4097])
 def test_tridiagonal_solve_matches_dense_solve(n):
     rng = np.random.default_rng(n)
-    for _ in range(5):
-        off = rng.standard_normal(n - 1)
-        pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
-        diag = pad + rng.uniform(1e-3, 2.0, n)  # diagonally dominant, hence SPD
-        rhs = rng.standard_normal(n)
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = _solve_tridiagonal(diag, off, rhs)
-        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
-        assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
+    for kind in ("dominant", "saturated", "radial"):
+        for _ in range(5 if n <= 1000 else 1):  # a dense solve of 4097 takes about a second
+            diag, off, rhs = _tridiagonal_system(rng, n, kind)
+            inputs = [a.copy() for a in (diag, off, rhs)]
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            x = _solve_tridiagonal(diag, off, rhs)
+            assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
+            assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, (diag, off, rhs)))
 
 
 @pytest.mark.parametrize(
@@ -834,6 +860,25 @@ def test_newton_step_agrees_with_the_primal_dual_loop(grid):
     newton = implicit_step(CellField(grid, u0), cfg)
     reference, residual = _primal_step_oracle(grid, u0, cfg.tau)
     assert newton.kkt_residual <= cfg.inner_tol
+    assert cfg.tau * residual <= 1e-3 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+    diff = newton.u_next.values - reference
+    dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
+    assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+
+
+def test_newton_step_through_reduced_solves_agrees_with_the_step_oracle():
+    # 999 faces: every Newton direction passes three levels of odd-even
+    # reduction before the LDL^T loop, and jumps at every cell drive faces
+    # to |p| = 1 - 2e-6, so the Hessian's diagonal spans five decades.  The
+    # bound is the one of test_newton_step_agrees_with_the_primal_dual_loop.
+    grid = interval_grid(0.0, 2.0, 1000)
+    rng = np.random.default_rng(21)
+    u0 = np.where(rng.uniform(size=grid.shape) < 0.5, -0.7, 0.7)
+    cfg = SolverConfig(tau=1e-3, inner_tol=1e-9)
+    newton = implicit_step(CellField(grid, u0), cfg)
+    reference, residual = _primal_step_oracle(grid, u0, cfg.tau)
+    assert newton.kkt_residual <= cfg.inner_tol
+    assert np.max(np.abs(newton.dual)) > 1.0 - 1e-5
     assert cfg.tau * residual <= 1e-3 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
     diff = newton.u_next.values - reference
     dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
@@ -940,6 +985,25 @@ def test_constant_trajectory_stays_constant():
     for state in traj.states:
         assert np.array_equal(state.values, u0.values)
     assert np.allclose(traj.series("energy"), grid.total_volume)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: radial_grid(3, 1.0, 150), lambda: rectangle_grid((0.0, 0.0), (1.0, 1.0), (6, 5))],
+    ids=["radial", "rectangle"],
+)
+def test_runs_on_one_grid_object_match_runs_on_fresh_grids(build):
+    # each grid keeps its ops object, and with it the run invariants and the
+    # coupling bands of the last tau; changing tau on the same grid object
+    # must leave no stale invariant behind
+    def run(grid, tau):
+        return evolve(cosine(grid, 0.8), 4 * tau, SolverConfig(tau=tau), keep="all")
+
+    shared = build()
+    for tau in (1e-3, 2e-3, 1e-3):
+        again, fresh = run(shared, tau), run(build(), tau)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(again.states, fresh.states))
+        assert again.records == fresh.records
 
 
 def test_energy_series_nonincreasing_on_jump_data():
