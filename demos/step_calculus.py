@@ -51,7 +51,7 @@ def main() -> None:
     print(f"face flux:        {res.flux.components[0]}")
     print(f"\ninner iterations: {res.inner_iters}")
     print(f"returned certificate:   {res.kkt_residual:.3e} (tolerance {cfg.inner_tol:g})")
-    recheck = kkt_residual(res.u_next, res.flux, u_prev, args.tau)
+    recheck = kkt_residual(res.u_next, res.dual, u_prev, args.tau)
     print(f"recomputed certificate: {recheck:.3e}")
 
     flux = res.flux.components[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _area, _make_ops
-from .grid import CellField, _differences, cell_norm
+from .grid import CellField, _as_float, _differences, cell_norm
 
 __all__ = [
     "DiagnosticRecord",
@@ -82,8 +82,11 @@ def measure(
     ``max_face_diff``, ``jump_count`` (the faces whose |difference| reaches
     kappa) and the face gradient; the grid's ops class makes K u and ``lip``
     (the largest co-located slope) from it, so the dual layout stays in
-    ``energy``, and the energy is ``area_energy``'s float.
+    ``energy``, and the energy is ``area_energy``'s float.  ``tau`` must be
+    a positive finite number, else ValueError.
     """
+    if _as_float(tau, "tau") <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if kappa <= 0:
         raise ValueError(f"jump threshold must be positive, got {kappa}")
     g, values = u.grid, u.values

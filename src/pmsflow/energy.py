@@ -136,11 +136,9 @@ class _OneAxisOps(_GridOps):
 
     @staticmethod
     def flux_components(p: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The face flux is the dual itself, copied: a flux never shares an
+        array with a dual that ``evolve``'s predictor later overwrites."""
         return (p.copy(),)
-
-    @staticmethod
-    def dual_from_flux(flux) -> np.ndarray:
-        return flux.components[0]
 
     def hessian_coupling(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of tau * div^T V div, the part of the
@@ -426,10 +424,6 @@ class _RectangleOps(_GridOps):
         d = p[0] * q[0]
         d += p[1] * q[1]
         return d
-
-    @staticmethod
-    def dual_from_flux(flux) -> np.ndarray:
-        raise ValueError("rectangle duals are per-cell 2-vectors; pass StepResult.dual")
 
 
 def _pair(a: np.ndarray, i: int, j: int, axis: int) -> np.ndarray:

@@ -105,6 +105,7 @@ class Grid:
 
 def interval_grid(lo: float, hi: float, cells: int) -> Grid:
     """Uniform cells on the open interval (lo, hi)."""
+    lo, hi, cells = _as_float(lo, "lo"), _as_float(hi, "hi"), _as_count(cells, "cells")
     if cells < 2:
         raise ValueError(f"need at least 2 cells, got {cells}")
     if not hi > lo:
@@ -115,7 +116,7 @@ def interval_grid(lo: float, hi: float, cells: int) -> Grid:
         kind="interval",
         shape=(cells,),
         spacing=(h,),
-        lo=(float(lo),),
+        lo=(lo,),
         radial_dim=None,
         cell_volumes=_readonly(np.full(cells, h)),
         face_areas=(_readonly(np.ones(cells - 1)),),
@@ -128,7 +129,9 @@ def rectangle_grid(
     lo: tuple[float, float], hi: tuple[float, float], cells: tuple[int, int]
 ) -> Grid:
     """Tensor-product cells on the open rectangle (lo[0], hi[0]) x (lo[1], hi[1])."""
-    nx, ny = int(cells[0]), int(cells[1])
+    lo = (_as_float(lo[0], "lo"), _as_float(lo[1], "lo"))
+    hi = (_as_float(hi[0], "hi"), _as_float(hi[1], "hi"))
+    nx, ny = _as_count(cells[0], "cells"), _as_count(cells[1], "cells")
     if nx < 2 or ny < 2:
         raise ValueError(f"need at least 2 cells per axis, got {cells}")
     if not (hi[0] > lo[0] and hi[1] > lo[1]):
@@ -140,7 +143,7 @@ def rectangle_grid(
         kind="rectangle",
         shape=(nx, ny),
         spacing=(hx, hy),
-        lo=(float(lo[0]), float(lo[1])),
+        lo=lo,
         radial_dim=None,
         cell_volumes=_readonly(np.full((nx, ny), vol)),
         face_areas=(
@@ -160,6 +163,8 @@ def rectangle_grid(
 
 def radial_grid(dimension: int, radius: float, cells: int) -> Grid:
     """Radial grid on the ball of the given radius in the given ambient dimension."""
+    dimension, radius = _as_count(dimension, "dimension"), _as_float(radius, "radius")
+    cells = _as_count(cells, "cells")
     if dimension < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {dimension}")
     if radius <= 0:
@@ -175,7 +180,7 @@ def radial_grid(dimension: int, radius: float, cells: int) -> Grid:
         shape=(cells,),
         spacing=(h,),
         lo=(0.0,),
-        radial_dim=int(dimension),
+        radial_dim=dimension,
         cell_volumes=_readonly(centers ** (dimension - 1) * h),
         face_areas=(_readonly(areas),),
         face_weights=(_readonly(areas * h),),
@@ -219,15 +224,12 @@ def build_grid(spec: dict) -> Grid:
             shape = (_as_count(spec["cells"], "cells"),)
         if math.prod(shape) > _MAX_CELLS:
             raise ConfigError(f"cells must total at most {_MAX_CELLS}, got {shape}")
+        # the constructors check each number under its config key
         if kind == "interval":
-            lo, hi = _as_float(spec["lo"], "lo"), _as_float(spec["hi"], "hi")
-            return interval_grid(lo, hi, *shape)
+            return interval_grid(spec["lo"], spec["hi"], *shape)
         if kind == "rectangle":
-            lo = tuple(_as_float(v, "lo") for v in lo)
-            hi = tuple(_as_float(v, "hi") for v in hi)
             return rectangle_grid(lo, hi, shape)
-        dimension = _as_count(spec["dimension"], "dimension")
-        return radial_grid(dimension, _as_float(spec["radius"], "radius"), *shape)
+        return radial_grid(spec["dimension"], spec["radius"], *shape)
     except KeyError as exc:
         raise ValueError(f"grid spec missing key {exc}") from exc
 
@@ -297,9 +299,6 @@ class FaceField:
             if not np.all(np.isfinite(c)):
                 raise ValueError("face values must be finite")
         self.components = comps
-
-    def copy(self) -> "FaceField":
-        return FaceField(self.grid, tuple(c.copy() for c in self.components))
 
 
 # Index tuples of the lower and the upper cell of every interior face, keyed

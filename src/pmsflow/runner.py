@@ -405,7 +405,7 @@ initial:              # initial profile sampled at cell centers
 
 tau: 1.0e-3           # time step (> 0)
 t_end: 0.4            # final time; steps = ceil(t_end / tau)
-snapshot_times: [0.1, 0.2, 0.3, 0.4]   # each rounded to the nearest step
+snapshot_times: [0.1, 0.2, 0.3, 0.4]   # each rounded to the nearest step, which must lie in the run
 kappa: 0.3            # jump detection threshold; null picks a grid-aware default
 
 inner_tol: 1.0e-8     # certificate tolerance of the implicit step solver

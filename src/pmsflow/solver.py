@@ -40,20 +40,9 @@ primal proximal map of the step quadratic at v_hat is the closed form
     v       <- (tau (v + s * div p) + s u_prev) / (tau + s)
     vbar    <- v + theta * (v - v_prev)
 
-The loop carries the increment w = v - u_prev, for which the primal step
-is w <- a w + b div p with a = tau/(tau + s) and b = tau s/(tau + s), and
-it carries w and vbar in units of c = sigma / (2 hx):
-
-    p      += D (c vbar)                 (= sigma * K vbar)
-    (p0, p) <- (p0 + sigma, p) / max(1, |(p0 + sigma, p)|)
-    c w     <- a (c w) + c b div p
-    c vbar  <- c u_prev + c w + theta * (c w - c w_prev)
-
-D takes the raw central differences of c vbar, the y ones times hx/hy, so
-sigma K costs no multiplication on a square grid and c b div one.  An
-inner iteration allocates no array: its buffers are made once per step,
-and ``_RectangleOps.loop_kernels`` binds D and c b div to them.  They
-round differently from the public calculus, so they steer only the
+The loop carries the increment v - u_prev and vbar in units of
+sigma / (2 hx), through in-place kernels bound to buffers made once per
+step (``_pdhg``, ``_RectangleOps.loop_kernels``).  They steer only the
 iterates; every certificate evaluation rebuilds div p with ``div_dual``.
 
 The grid weights are carried by the pairing, so they cancel inside both
@@ -294,18 +283,27 @@ def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
 class StepResult:
     """One accepted implicit step.
 
-    ``flux`` satisfies |flux| < 1 on every face; ``dual`` is the raw dual
-    state, the warm start of the next step's ``implicit_step`` (identical to
-    the flux on one-axis grids, the per-cell 2-vector field on rectangles);
-    ``kkt_residual`` is evaluated at the returned pair and is at most
-    ``inner_tol``.
+    ``dual`` is the certified dual, the one stored form of the step's
+    solution and the warm start of the next step's ``implicit_step``: of
+    the face shape on one-axis grids, the per-cell (2, nx, ny) field on
+    rectangles.  ``flux`` is its face flux, made anew at each read, with
+    |flux| < 1 on every face.  ``kkt_residual`` is evaluated at the
+    returned pair and is at most ``inner_tol``.
     """
 
     u_next: CellField
-    flux: FaceField
+    dual: np.ndarray
     inner_iters: int
     kkt_residual: float
-    dual: np.ndarray
+
+    @property
+    def flux(self) -> FaceField:
+        return _face_flux(_make_ops(self.u_next.grid), self.dual)
+
+
+def _face_flux(ops, p) -> FaceField:
+    """The face flux of the dual ``p``, in arrays of its own."""
+    return FaceField(ops.grid, ops.flux_components(p))
 
 
 def implicit_step(
@@ -362,22 +360,16 @@ def _checked_dual(ops, dual) -> np.ndarray:
     No caller writes to it: both solvers and ``kkt_residual`` only read
     their start dual, so a float array is used as it stands.
     """
-    p = np.asarray(dual, dtype=float)
+    try:
+        p = np.asarray(dual, dtype=float)
+    except (TypeError, ValueError):  # not an array: a FaceField, a ragged list
+        raise ValueError(f"dual must have shape {ops.dual_shape}, "
+                         f"got a {type(dual).__name__}") from None
     if p.shape != ops.dual_shape:
         raise ValueError(f"dual must have shape {ops.dual_shape}, got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"dual of shape {ops.dual_shape} must be finite")
     return p
-
-
-def _step_result(ops, u, p, iters, kkt):
-    return StepResult(
-        u_next=CellField(ops.grid, u),
-        flux=FaceField(ops.grid, ops.flux_components(p)),
-        inner_iters=iters,
-        kkt_residual=kkt,
-        dual=p,
-    )
 
 
 def _nonconvergence(what, iterations, residuals, tol):
@@ -441,7 +433,7 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     from a dual that already solves the step, the first check passes.
 
     The primal runs in units of c = sigma / (2 hx) (``ops.loop_kernels``):
-    with W = c (v - u_prev) and Vbar = c vbar, one iteration is
+    with W = c (v - u_prev), Vbar = c vbar and (a, b) of ``_prox_coefficients``:
 
         p      += D Vbar                          (``k_add``: sigma K vbar)
         (p0, p) <- (p0 + sigma, p) / max(1, |(p0 + sigma, p)|)
@@ -504,7 +496,7 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
             if all(r <= tol for r in residuals):
                 # v = u_cand changes only the primal; dual and gap stand
                 kkt = max(_primal_residual(ops, u0, tau, divz, u_cand), residuals[1])
-                return _step_result(ops, u_cand, p.copy(), k, kkt)
+                return StepResult(CellField(ops.grid, u_cand), p.copy(), k, kkt)
             if at_floor:
                 where = f"the float floor eps max|u| / tau = {floor:.3e}"
                 raise _nonconvergence(f"inner iteration (stalled at {where})", k, residuals, tol)
@@ -560,7 +552,7 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     for k in range(1, cfg.max_inner + 1):
         residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
         if all(r <= tol for r in residuals):
-            return _step_result(ops, it.u, it.p, k, max(residuals[:2]))
+            return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
         if k == cfg.max_inner:
             break
         d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
@@ -584,18 +576,19 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)
 
 
-def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
+def kkt_residual(u: CellField, p: np.ndarray, u_prev: CellField, tau: float) -> float:
     """Optimality residual of a (state, dual) pair for one implicit step.
 
     Maximum of (a) the weighted-L2 stationarity residual
-    |(u - u_prev)/tau - div(flux)|_w and (b) the largest pointwise dual
+    |(u - u_prev)/tau - div p|_w and (b) the largest pointwise dual
     relation residual |p * sqrt(1 + |q|^2) - q| with q the gradient the dual
     pairs against.  Form (b) vanishes exactly at the optimum, scales
     linearly in perturbations, and stays finite where the dual saturates.
 
-    ``p`` is the dual state: a FaceField (or its raw array) on one-axis
-    grids, the (2, nx, ny) per-cell dual on rectangles.  It must be finite,
-    of that shape and feasible, |p| <= 1; otherwise ValueError.
+    ``p`` is the dual array, as ``StepResult.dual`` holds it: of the face
+    shape on one-axis grids, the (2, nx, ny) per-cell dual on rectangles.
+    It must be finite, of that shape and feasible, |p| <= 1; otherwise
+    ValueError, also for a ``FaceField``.
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -603,7 +596,7 @@ def kkt_residual(u: CellField, p, u_prev: CellField, tau: float) -> float:
     if not grid.same_layout(u_prev.grid):
         raise ValueError("u and u_prev live on different grids")
     ops = _make_ops(grid)
-    pa = _checked_dual(ops, ops.dual_from_flux(p) if isinstance(p, FaceField) else p)
+    pa = _checked_dual(ops, p)
     if float(np.max(ops.magnitude(pa))) > 1.0 + 1e-12:
         raise ValueError("dual state is infeasible: |p| > 1 somewhere")
     v = u.values
@@ -617,8 +610,11 @@ class Trajectory:
 
     ``times`` has the step times including 0 and is strictly increasing;
     ``records`` holds one DiagnosticRecord per time; ``snapshots`` holds
-    (time, state, flux) triples at the requested snapshot times; ``states``
-    holds every state, in step order, when the run was made with keep="all".
+    (time, state, flux) triples at the requested snapshot times, each flux
+    made from its step's certified dual; ``states`` holds every state, in
+    step order, when the run was made with keep="all".  Each state is
+    recorded once: ``states[k]`` and the snapshot state of step k are the
+    same object (at k = 0 the run's one copy of u0).
     """
 
     grid: Grid
@@ -726,6 +722,7 @@ def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, t
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not all(np.isfinite(t) for t in times):
         raise ValueError(f"snapshot_times must be finite, got {list(times)}")
+    _run_steps(t_end, cfg.tau, times)
     _resolve_steps(u0.grid, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         slope = max(float(np.abs(d).max()) for d in forward_gradient_values(u0.grid, u0.values))
@@ -742,9 +739,16 @@ def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, t
 
 
 def _run_steps(t_end: float, tau: float, times) -> tuple[int, set[int]]:
-    """Step count to t_end, and each time's nearest step within the run."""
+    """Step count to t_end, and each time's nearest step, which must lie in the run."""
     n_steps = max(1, int(np.ceil(t_end / tau - 1e-9)))
-    return n_steps, {min(n_steps, max(0, int(round(t / tau)))) for t in times}
+    steps = set()
+    for t in times:
+        k = float(t) / tau  # inf for a finite time far beyond the run
+        if not (math.isfinite(k) and 0 <= round(k) <= n_steps):
+            raise ValueError(f"snapshot time {t!r} lies outside the run: its nearest step is "
+                             f"not in 0 ... {n_steps}, the last at t = {n_steps * tau:g}")
+        steps.add(round(k))
+    return n_steps, steps
 
 
 def evolve(
@@ -771,8 +775,8 @@ def evolve(
         backward differences (``_DualPredictor``).
     snapshot_times : iterable of float
         Times at which (state, flux) snapshots are kept, rounded to the
-        nearest step.  Time 0 pairs the initial data with its pointwise
-        variational flux.
+        nearest step, which must lie in the run (0 ... n_steps).  Time 0
+        pairs the initial data with its pointwise variational flux.
     kappa : float, optional
         Jump detection threshold; default per ``default_jump_threshold``.
     keep : "snapshots" | "all"
@@ -781,8 +785,9 @@ def evolve(
     Raises
     ------
     ValueError
-        Before the first step, for a bad setting or for initial data with a face
-        slope |du|/h of sqrt(float max) ~ 1.34e154 or more or a non-finite t = 0 record.
+        Before the first step, for a bad setting, a snapshot time outside the
+        run, or initial data with a face slope |du|/h of sqrt(float max)
+        ~ 1.34e154 or more or a non-finite t = 0 record.
     NonConvergenceError
         From the first step whose inner iteration fails, with that step's
         index and time in ``step``, ``t`` and the message.
@@ -796,14 +801,12 @@ def evolve(
     times = cfg.tau * np.arange(n_steps + 1)
 
     ops = _make_ops(grid)
+    u = u0.copy()  # the caller's; every later state is the run's own
     records = [start]
     snapshots = []
     if 0 in snap_idx:
-        z0 = _variational_dual(ops, u0.values)
-        snapshots.append((0.0, u0.copy(), FaceField(grid, ops.flux_components(z0))))
-    states = [u0.copy()] if keep == "all" else None
-
-    u = u0.copy()
+        snapshots.append((0.0, u, _face_flux(ops, _variational_dual(ops, u.values))))
+    states = [u] if keep == "all" else None
     dual = None
     predictor = _DualPredictor(ops)
     inner_iters = np.zeros(n_steps, dtype=int)
@@ -815,12 +818,12 @@ def evolve(
             exc.step, exc.t = k, float(times[k])
             exc.args = (f"step {k} at t = {exc.t:g}: {exc}",)
             raise
+        if k in snap_idx:  # before the predictor takes the dual and reuses it
+            snapshots.append((float(times[k]), res.u_next, _face_flux(ops, res.dual)))
         dual = predictor.push(res.dual)
         records.append(measure(res.u_next, u, float(times[k]), cfg.tau, kappa))
         if keep == "all":
-            states.append(res.u_next.copy())
-        if k in snap_idx:
-            snapshots.append((float(times[k]), res.u_next.copy(), res.flux.copy()))
+            states.append(res.u_next)
         inner_iters[k - 1] = res.inner_iters
         kkt_residuals[k - 1] = res.kkt_residual
         u = res.u_next

@@ -123,6 +123,13 @@ def test_jump_set_rejects_nonpositive_threshold():
     grid = interval_grid(0.0, 1.0, 10)
     with pytest.raises(ValueError, match="jump threshold must be positive"):
         _jumps(constant(grid, 1.0), 0.0)
+    # the velocity divides by tau, which must be a positive finite number
+    u = cosine(grid)
+    for tau, match in ((0.0, "tau must be positive"), (-0.1, "tau must be positive"),
+                       (np.nan, "tau must be finite"), (np.inf, "tau must be finite"),
+                       ("0.1", "tau must be a number")):
+        with pytest.raises(ValueError, match=match):
+            measure(u, u, t=0.1, tau=tau, kappa=0.5)
 
 
 def test_default_threshold_separates_jumps_from_steepness():

@@ -74,6 +74,24 @@ def test_grid_factory_validation():
         radial_grid(3, -1.0, 4)
     with pytest.raises(ValueError):
         radial_grid(3, 1.0, 1)
+    # a value the constructor would misuse (truncate, or keep as a
+    # non-integer dimension or a non-finite spacing) is a ValueError naming it
+    for build, name in (
+        (lambda: radial_grid(2.5, 1.0, 4), "dimension"),
+        (lambda: radial_grid(True, 1.0, 4), "dimension"),
+        (lambda: radial_grid(3, np.nan, 4), "radius"),
+        (lambda: radial_grid(3, 1.0, 4.0), "cells"),
+        (lambda: rectangle_grid((0, 0), (1, 1), (2.7, 3.9)), "cells"),
+        (lambda: rectangle_grid((0, np.inf), (1, 1), (4, 4)), "lo"),
+        (lambda: rectangle_grid((0, 0), (1, "1"), (4, 4)), "hi"),
+        (lambda: interval_grid(0, 1, 3.5), "cells"),
+        (lambda: interval_grid(-np.inf, 1, 4), "lo"),
+        (lambda: interval_grid(0, np.inf, 4), "hi"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build()
+    g = radial_grid(np.int64(3), 1, np.int64(4))
+    assert g.radial_dim == 3 and type(g.radial_dim) is int and g.spacing == (0.25,)
 
 
 def test_build_grid_round_trip():

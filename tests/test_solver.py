@@ -1,8 +1,10 @@
 """Implicit minimizing steps and trajectories: optimality, conservation,
 dissipation, comparison, refinement order, and error taxonomy."""
 
+import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from pmsflow.grid import (
     rectangle_grid,
 )
 from pmsflow.initial_data import capped_inverse, cosine, quarter_circles, random_piecewise
-from pmsflow.runner import _evolve_inputs, _resolve
+from pmsflow.runner import _evolve_inputs, _resolve, main
 from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
@@ -331,6 +333,14 @@ def test_step_dissipates_energy_and_keeps_flux_feasible(grid):
     assert lhs <= area_energy(u) + cfg.inner_tol
     assert max(float(np.max(np.abs(c))) for c in res.flux.components) < 1.0
     assert res.kkt_residual <= cfg.inner_tol
+    # the step keeps only its dual; each read of the flux makes it from that
+    # dual, bit for bit, in arrays of its own
+    assert [f.name for f in dataclasses.fields(res)] == ["u_next", "dual", "inner_iters",
+                                                         "kkt_residual"]
+    flux = res.flux
+    for got, want in zip(flux.components, _make_ops(grid).flux_components(res.dual), strict=True):
+        assert np.array_equal(got, want) and not np.shares_memory(got, res.dual)
+    assert res.flux is not flux
 
 
 def test_warm_start_agrees_with_cold_start():
@@ -641,14 +651,14 @@ def test_rectangle_step_memory_does_not_grow_with_its_iterations():
 def test_kkt_zero_at_exact_stationary_pair():
     grid = interval_grid(0.0, 1.0, 30)
     u = CellField(grid, np.full(30, 0.4))
-    p = FaceField(grid, (np.zeros(29),))
+    p = np.zeros(29)
     assert kkt_residual(u, p, u, tau=0.2) == 0.0
 
 
 def test_kkt_scales_linearly_in_the_perturbation():
     grid = interval_grid(0.0, 1.0, 30)
     base = CellField(grid, np.full(30, 0.4))
-    p = FaceField(grid, (np.zeros(29),))
+    p = np.zeros(29)
     bump = np.sin(np.linspace(0.0, 3.0, 30))
 
     def res(eps):
@@ -663,26 +673,28 @@ def test_kkt_of_converged_step_is_within_tolerance():
     u = quarter_circles(grid, c=1.0)
     cfg = SolverConfig(tau=1e-2, inner_tol=1e-9)
     res = implicit_step(u, cfg)
-    assert kkt_residual(res.u_next, res.flux, u, cfg.tau) <= cfg.inner_tol
+    # on one-axis grids the face flux array is the dual
+    assert kkt_residual(res.u_next, res.flux.components[0], u, cfg.tau) <= cfg.inner_tol
     assert kkt_residual(res.u_next, res.dual, u, cfg.tau) <= cfg.inner_tol
 
 
 def test_kkt_rejects_infeasible_dual_and_wrong_rectangle_input():
     grid = interval_grid(0.0, 1.0, 10)
     u = CellField(grid, np.zeros(10))
-    bad = FaceField(grid, (np.full(9, 1.5),))
+    bad = np.full(9, 1.5)
     with pytest.raises(ValueError):
         kkt_residual(u, bad, u, 0.1)
     rect = rectangle_grid((0.0, 0.0), (1.0, 1.0), (4, 4))
     ur = CellField(rect, np.zeros((4, 4)))
-    fr = FaceField(rect, (np.zeros((3, 4)), np.zeros((4, 3))))
+    # the arrays of a rectangle's face flux are not its per-cell dual
+    fr = (np.zeros((3, 4)), np.zeros((4, 3)))
     with pytest.raises(ValueError, match="dual"):
         kkt_residual(ur, fr, ur, 0.1)
     res = implicit_step(ur, SolverConfig(tau=0.1))
     assert kkt_residual(res.u_next, res.dual, ur, 0.1) == 0.0
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
-            kkt_residual(u, FaceField(grid, (np.zeros(9),)), u, bad)
+            kkt_residual(u, np.zeros(9), u, bad)
 
 
 @pytest.mark.parametrize("grid", _ALL_GRID_KINDS, ids=_ALL_GRID_IDS)
@@ -715,8 +727,13 @@ _BAD_DUALS = pytest.mark.parametrize(
         (_SQUARE8, np.zeros(128), r"\(2, 8, 8\)"),
         (_LINE8, np.zeros(8), r"\(7,\)"),
         (_LINE8, np.full(7, np.nan), r"\(7,\) must be finite"),
+        # the dual is an array on every grid, never a face field
+        (_SQUARE8, FaceField(_SQUARE8, (np.zeros((7, 8)), np.zeros((8, 7)))),
+         r"\(2, 8, 8\), got a FaceField"),
+        (_LINE8, FaceField(_LINE8, (np.zeros(7),)), r"\(7,\), got a FaceField"),
     ],
-    ids=["nan", "inf", "cells-last", "lifted", "flat", "interval-length", "interval-nan"],
+    ids=["nan", "inf", "cells-last", "lifted", "flat", "interval-length", "interval-nan",
+         "face-field", "interval-face-field"],
 )
 
 
@@ -1131,14 +1148,50 @@ def test_rectangle_run_keeps_all_certificates():
     assert np.max(np.diff(traj.series("sup_norm"))) <= 1e-10
 
 
-def test_snapshot_times_are_clamped_into_the_run():
+def test_snapshot_times_outside_the_run_are_rejected(tmp_path, capsys):
+    # a time whose nearest step lies outside 0 ... n_steps is an error that
+    # names it and the run's last step time, never a snapshot of the first or
+    # last step; through the command line it exits 2 and writes nothing
     grid = interval_grid(0.0, 1.0, 20)
-    u0 = CellField(grid, np.zeros(20))
-    traj = evolve(u0, 0.1, SolverConfig(tau=0.05), snapshot_times=(10.0,))
-    t, u, flux = traj.snapshot_at(0.1)
-    assert t == pytest.approx(0.1)
-    assert np.array_equal(u.values, u0.values)
-    assert flux is not None
+    u0 = cosine(grid, amplitude=0.5)
+    cfg = SolverConfig(tau=1e-3)
+    for times, bad in (((-5.0, 0.5, 7.0), "-5.0"), ((0.0, 0.01, 0.0106), "0.0106"),
+                       ((-0.0006,), "-0.0006"), ((1e300,), "1e+300")):
+        message = rf"snapshot time {re.escape(bad)} .*last at t = 0\.01$"
+        with pytest.raises(ValueError, match=message):
+            evolve(u0, 0.01, cfg, snapshot_times=times)
+    # nearest steps 0 and 10 are inside the run
+    traj = evolve(u0, 0.01, cfg, snapshot_times=(-0.0004, 0.0104))
+    assert [t for t, _, _ in traj.snapshots] == [0.0, 0.01]
+    config = tmp_path / "late.yaml"
+    config.write_text("experiment: custom\n"
+                      "grid: {kind: interval, lo: 0.0, hi: 1.0, cells: 20}\n"
+                      "initial: {type: cosine, amplitude: 0.5}\n"
+                      "tau: 1.0e-3\nt_end: 2.0e-2\nsnapshot_times: [0.5]\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "snapshot time 0.5 lies outside the run" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_a_snapshot_does_not_depend_on_how_long_the_run_goes_on(kind):
+    # the predictor reuses the arrays of earlier step duals; a snapshot that
+    # shared one would change as the run goes on past it
+    if kind == "interval":
+        grid = interval_grid(0.0, 1.0, 40)
+    else:
+        grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (10, 8))
+    u0 = cosine(grid, amplitude=0.5)
+    cfg = SolverConfig(tau=1e-3)
+    short = evolve(u0, 0.02, cfg, snapshot_times=(0.02,))
+    long = evolve(u0, 0.05, cfg, snapshot_times=(0.02,), keep="all")
+    (t_a, u_a, z_a), (t_b, u_b, z_b) = short.snapshots[0], long.snapshots[0]
+    assert t_a == t_b == 0.02
+    assert np.array_equal(u_a.values, u_b.values)
+    for a, b in zip(z_a.components, z_b.components, strict=True):
+        assert np.array_equal(a, b)
+    # each state is recorded once: the snapshot state is the kept state
+    assert u_b is long.states[20]
 
 
 def test_initial_snapshot_carries_the_variational_flux():
