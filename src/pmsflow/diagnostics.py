@@ -82,13 +82,13 @@ def measure(
     ``max_face_diff``, ``jump_count`` (the faces whose |difference| reaches
     kappa) and the face gradient; the grid's ops class makes K u and ``lip``
     (the largest co-located slope) from it, so the dual layout stays in
-    ``energy``, and the energy is ``area_energy``'s float.  ``tau`` must be
-    a positive finite number, else ValueError.
+    ``energy``, and the energy is ``area_energy``'s float.  ``tau`` and
+    ``kappa`` must be positive finite numbers, else ValueError.
     """
     if _as_float(tau, "tau") <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if kappa <= 0:
-        raise ValueError(f"jump threshold must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"jump threshold must be positive and finite, got kappa = {kappa}")
     g, values = u.grid, u.values
     if u_prev is None:
         ut_l2 = ut_sup = 0.0

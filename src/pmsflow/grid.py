@@ -108,9 +108,7 @@ def interval_grid(lo: float, hi: float, cells: int) -> Grid:
     lo, hi, cells = _as_float(lo, "lo"), _as_float(hi, "hi"), _as_count(cells, "cells")
     if cells < 2:
         raise ValueError(f"need at least 2 cells, got {cells}")
-    if not hi > lo:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    h = (hi - lo) / cells
+    h = _spacing(hi - lo, cells, "hi - lo")
     centers = lo + (np.arange(cells) + 0.5) * h
     return Grid(
         kind="interval",
@@ -129,15 +127,13 @@ def rectangle_grid(
     lo: tuple[float, float], hi: tuple[float, float], cells: tuple[int, int]
 ) -> Grid:
     """Tensor-product cells on the open rectangle (lo[0], hi[0]) x (lo[1], hi[1])."""
-    lo = (_as_float(lo[0], "lo"), _as_float(lo[1], "lo"))
-    hi = (_as_float(hi[0], "hi"), _as_float(hi[1], "hi"))
-    nx, ny = _as_count(cells[0], "cells"), _as_count(cells[1], "cells")
+    lo = tuple(_as_float(x, "lo") for x in _pair(lo, "lo"))
+    hi = tuple(_as_float(x, "hi") for x in _pair(hi, "hi"))
+    nx, ny = (_as_count(n, "cells") for n in _pair(cells, "cells"))
     if nx < 2 or ny < 2:
         raise ValueError(f"need at least 2 cells per axis, got {cells}")
-    if not (hi[0] > lo[0] and hi[1] > lo[1]):
-        raise ValueError(f"empty rectangle {lo} .. {hi}")
-    hx = (hi[0] - lo[0]) / nx
-    hy = (hi[1] - lo[1]) / ny
+    hx = _spacing(hi[0] - lo[0], nx, "hi[0] - lo[0]")
+    hy = _spacing(hi[1] - lo[1], ny, "hi[1] - lo[1]")
     vol = hx * hy
     return Grid(
         kind="rectangle",
@@ -167,11 +163,9 @@ def radial_grid(dimension: int, radius: float, cells: int) -> Grid:
     cells = _as_count(cells, "cells")
     if dimension < 2:
         raise ValueError(f"ambient dimension must be >= 2, got {dimension}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
     if cells < 2:
         raise ValueError(f"need at least 2 cells, got {cells}")
-    h = radius / cells
+    h = _spacing(radius, cells, "radius")
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(1, cells) * h  # interior faces; none at r=0 or r=R
     areas = faces ** (dimension - 1)
@@ -216,9 +210,7 @@ def build_grid(spec: dict) -> Grid:
         raise ValueError(f"unknown grid keys for {kind}: {sorted(extra)}")
     try:
         if kind == "rectangle":
-            lo, hi, cells = (spec[key] for key in ("lo", "hi", "cells"))
-            if not all(isinstance(v, (list, tuple)) and len(v) == 2 for v in (lo, hi, cells)):
-                raise ValueError("rectangle lo/hi/cells must be pairs")
+            lo, hi, cells = (_pair(spec[key], key) for key in ("lo", "hi", "cells"))
             shape = tuple(_as_count(n, "cells") for n in cells)
         else:
             shape = (_as_count(spec["cells"], "cells"),)
@@ -236,6 +228,22 @@ def build_grid(spec: dict) -> Grid:
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configurations."""
+
+
+def _pair(value, key: str):
+    """A rectangle's per-axis list, tuple or array of two entries."""
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2):
+        raise ConfigError(f"{key} must be a pair, got {value!r}")
+    return value
+
+
+def _spacing(width: float, cells: int, key: str) -> float:
+    """The cell spacing width / cells, which must be positive and finite."""
+    h = width / cells
+    if not 0 < h < math.inf:
+        raise ConfigError(f"{key} must be positive and split into {cells} cells of positive "
+                          f"finite size, got {width!r}")
+    return h
 
 
 def _as_count(value, key: str) -> int:

@@ -47,7 +47,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     _check_run_settings,
-    _run_steps,
     evolve,
 )
 
@@ -254,11 +253,10 @@ def _write_snapshot_csv(path: Path, grid: Grid, u: CellField, flux: FaceField) -
     _write_rows(path, ",".join([*axes, "u", *fluxes]), [u.values, *left], grid.cell_centers)
 
 
-def _snapshot_names(cfg: RunConfig) -> list[str]:
-    """The run's snapshot file names in step order; ConfigError on a clash."""
-    _, steps = _run_steps(cfg.t_end, cfg.tau, cfg.snapshot_times)
+def _snapshot_names(tau: float, steps) -> list[str]:
+    """The snapshot file names of ``steps`` in step order; ConfigError on a clash."""
     names = {}
-    for t in sorted(cfg.tau * k for k in steps):
+    for t in sorted(tau * k for k in steps):
         name = f"snapshot_t{t:.6f}.csv"
         if name in names:
             raise ConfigError(f"snapshot_times {names[name]!r} and {t!r} both write {name}")
@@ -309,8 +307,8 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
     u0, solver_cfg = _evolve_inputs(cfg)
-    _check_run_settings(u0, cfg.t_end, solver_cfg, cfg.kappa, cfg.snapshot_times)
-    snapshot_names = _snapshot_names(cfg)
+    _, steps, _, _ = _check_run_settings(u0, cfg.t_end, solver_cfg, cfg.kappa, cfg.snapshot_times)
+    snapshot_names = _snapshot_names(cfg.tau, steps)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
     traj = evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)

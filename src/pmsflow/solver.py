@@ -714,15 +714,28 @@ _SLOPE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, times):
-    """Reject what ``evolve`` cannot run, initial data that overflows included,
-    without a numpy warning; return kappa (or its default) and the t = 0 record."""
+    """Plan a run of ``evolve`` and reject what it cannot run, initial data
+    that overflows included, without a numpy warning.
+
+    Returns the step count ceil(t_end / tau), the set of snapshot steps (each
+    time's nearest step, which must lie in 0 ... n_steps), kappa (or its
+    default; ``measure`` rejects one that is not positive and finite) and the
+    t = 0 record.  t_end must be at least tau, so a run takes a step.
+    """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if kappa is not None and not 0 < kappa < np.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if t_end < cfg.tau:
+        raise ValueError(f"t_end must be at least tau, got t_end = {t_end} < tau = {cfg.tau}")
     if not all(np.isfinite(t) for t in times):
         raise ValueError(f"snapshot_times must be finite, got {list(times)}")
-    _run_steps(t_end, cfg.tau, times)
+    n_steps = int(np.ceil(t_end / cfg.tau - 1e-9))
+    steps = set()
+    for t in times:
+        k = float(t) / cfg.tau  # inf for a finite time far beyond the run
+        if not (math.isfinite(k) and 0 <= round(k) <= n_steps):
+            raise ValueError(f"snapshot time {t!r} lies outside the run: its nearest step is "
+                             f"not in 0 ... {n_steps}, the last at t = {n_steps * cfg.tau:g}")
+        steps.add(round(k))
     _resolve_steps(u0.grid, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         slope = max(float(np.abs(d).max()) for d in forward_gradient_values(u0.grid, u0.values))
@@ -735,20 +748,7 @@ def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, t
     if overflowed:
         raise ValueError(f"initial data overflows: its t = 0 {', '.join(overflowed)} "
                          f"exceeds float max = {sys.float_info.max:.3e}")
-    return kappa, record
-
-
-def _run_steps(t_end: float, tau: float, times) -> tuple[int, set[int]]:
-    """Step count to t_end, and each time's nearest step, which must lie in the run."""
-    n_steps = max(1, int(np.ceil(t_end / tau - 1e-9)))
-    steps = set()
-    for t in times:
-        k = float(t) / tau  # inf for a finite time far beyond the run
-        if not (math.isfinite(k) and 0 <= round(k) <= n_steps):
-            raise ValueError(f"snapshot time {t!r} lies outside the run: its nearest step is "
-                             f"not in 0 ... {n_steps}, the last at t = {n_steps * tau:g}")
-        steps.add(round(k))
-    return n_steps, steps
+    return n_steps, steps, kappa, record
 
 
 def evolve(
@@ -766,7 +766,7 @@ def evolve(
     u0 : CellField
         Initial data, sampled at cell centers.
     t_end : float
-        Final time; the number of steps is ceil(t_end / tau).
+        Final time, at least tau; the number of steps is ceil(t_end / tau).
     cfg : SolverConfig
         Step settings, shared by every step.  The first step starts cold,
         the second from the first step's dual, and each later one from the
@@ -778,15 +778,17 @@ def evolve(
         nearest step, which must lie in the run (0 ... n_steps).  Time 0
         pairs the initial data with its pointwise variational flux.
     kappa : float, optional
-        Jump detection threshold; default per ``default_jump_threshold``.
+        Jump detection threshold, positive and finite; default per
+        ``default_jump_threshold``.
     keep : "snapshots" | "all"
         "all" additionally stores every intermediate state.
 
     Raises
     ------
     ValueError
-        Before the first step, for a bad setting, a snapshot time outside the
-        run, or initial data with a face slope |du|/h of sqrt(float max)
+        Before the first step, for a bad setting (t_end below tau and a kappa
+        that is not positive and finite among them), a snapshot time outside
+        the run, or initial data with a face slope |du|/h of sqrt(float max)
         ~ 1.34e154 or more or a non-finite t = 0 record.
     NonConvergenceError
         From the first step whose inner iteration fails, with that step's
@@ -796,8 +798,7 @@ def evolve(
         raise ValueError(f"keep must be snapshots or all, got {keep!r}")
     grid = u0.grid
     snapshot_times = [float(t) for t in snapshot_times]
-    kappa, start = _check_run_settings(u0, t_end, cfg, kappa, snapshot_times)
-    n_steps, snap_idx = _run_steps(t_end, cfg.tau, snapshot_times)
+    n_steps, snap_idx, kappa, start = _check_run_settings(u0, t_end, cfg, kappa, snapshot_times)
     times = cfg.tau * np.arange(n_steps + 1)
 
     ops = _make_ops(grid)

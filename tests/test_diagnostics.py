@@ -121,8 +121,9 @@ def test_jump_set_on_the_quarter_circle_profile():
 
 def test_jump_set_rejects_nonpositive_threshold():
     grid = interval_grid(0.0, 1.0, 10)
-    with pytest.raises(ValueError, match="jump threshold must be positive"):
-        _jumps(constant(grid, 1.0), 0.0)
+    for kappa in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="jump threshold must be positive"):
+            _jumps(constant(grid, 1.0), kappa)
     # the velocity divides by tau, which must be a positive finite number
     u = cosine(grid)
     for tau, match in ((0.0, "tau must be positive"), (-0.1, "tau must be positive"),

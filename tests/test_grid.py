@@ -1,6 +1,8 @@
 """Grid factories, discrete calculus, and the adjointness that the
 zero-flux setup is built on."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,9 @@ def test_grid_factory_validation():
         radial_grid(3, -1.0, 4)
     with pytest.raises(ValueError):
         radial_grid(3, 1.0, 1)
-    # a value the constructor would misuse (truncate, or keep as a
-    # non-integer dimension or a non-finite spacing) is a ValueError naming it
+    # a value the constructor would misuse (truncate, drop entries of, or
+    # keep as a non-integer dimension or a non-finite or zero spacing) is a
+    # ValueError naming it
     for build, name in (
         (lambda: radial_grid(2.5, 1.0, 4), "dimension"),
         (lambda: radial_grid(True, 1.0, 4), "dimension"),
@@ -87,8 +90,16 @@ def test_grid_factory_validation():
         (lambda: interval_grid(0, 1, 3.5), "cells"),
         (lambda: interval_grid(-np.inf, 1, 4), "lo"),
         (lambda: interval_grid(0, np.inf, 4), "hi"),
+        (lambda: rectangle_grid((0, 0, 9), (1, 1), (2, 2)), "lo"),
+        (lambda: rectangle_grid((0, 0), [1], (2, 2)), "hi"),
+        (lambda: rectangle_grid((0, 0), (1, 1), (2, 2, 7)), "cells"),
+        (lambda: rectangle_grid((0, 0), (1, 1), 4), "cells"),
+        (lambda: interval_grid(-1e308, 1e308, 4), "hi - lo"),
+        (lambda: interval_grid(0, 5e-324, 4), "hi - lo"),
+        (lambda: rectangle_grid((0, -1e308), (1, 1e308), (4, 4)), "hi[1] - lo[1]"),
+        (lambda: radial_grid(3, 5e-324, 4), "radius"),
     ):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
             build()
     g = radial_grid(np.int64(3), 1, np.int64(4))
     assert g.radial_dim == 3 and type(g.radial_dim) is int and g.spacing == (0.25,)
@@ -110,8 +121,10 @@ def test_build_grid_rejects_bad_specs():
         build_grid({"kind": "interval", "lo": 0.0, "hi": 1.0, "cells": 4, "junk": 1})
     with pytest.raises(ValueError):
         build_grid({"kind": "interval", "lo": 0.0, "cells": 4})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lo must be a pair"):
         build_grid({"kind": "rectangle", "lo": [0], "hi": [1], "cells": [4]})
+    with pytest.raises(ValueError, match="^hi - lo must be positive"):
+        build_grid({"kind": "interval", "lo": -1e308, "hi": 1e308, "cells": 4})
     with pytest.raises(ValueError):
         build_grid("interval")
 

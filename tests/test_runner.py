@@ -444,6 +444,7 @@ def test_overflowing_initial_data_is_rejected_before_writing(tmp_path, capsys, g
     [
         ("tau", "-1.0"),
         ("t_end", "-1.0"),
+        ("t_end", "1.0e-3"),  # below CUSTOM_SMALL's tau 5e-3
         ("kappa", "-0.5"),
     ],
 )

@@ -865,7 +865,7 @@ def test_tridiagonal_solve_matches_dense_solve(n):
 @pytest.mark.parametrize(
     "grid", [interval_grid(0.0, 2.0, 60), radial_grid(3, 1.0, 40)], ids=["interval", "radial3"]
 )
-def test_newton_step_agrees_with_the_primal_dual_loop(grid):
+def test_newton_step_agrees_with_the_step_oracle(grid):
     # the certified Newton step against an independent reference: criterion
     # 7's dense primal Newton, which checks its own stationarity.  A certified
     # minimizer of the (1/tau)-strongly convex step lies within sqrt(2 tau
@@ -887,7 +887,7 @@ def test_newton_step_through_reduced_solves_agrees_with_the_step_oracle():
     # 999 faces: every Newton direction passes three levels of odd-even
     # reduction before the LDL^T loop, and jumps at every cell drive faces
     # to |p| = 1 - 2e-6, so the Hessian's diagonal spans five decades.  The
-    # bound is the one of test_newton_step_agrees_with_the_primal_dual_loop.
+    # bound is the one of test_newton_step_agrees_with_the_step_oracle.
     grid = interval_grid(0.0, 2.0, 1000)
     rng = np.random.default_rng(21)
     u0 = np.where(rng.uniform(size=grid.shape) < 0.5, -0.7, 0.7)
@@ -1209,6 +1209,11 @@ def test_evolve_validation_errors():
     cfg = SolverConfig(tau=0.1)
     with pytest.raises(ValueError):
         evolve(u0, 0.0, cfg)
+    # a run takes whole steps: a t_end below tau would run one full step past it
+    message = r"^t_end must be at least tau, got t_end = 0\.01 < tau = 0\.1$"
+    with pytest.raises(ValueError, match=message):
+        evolve(u0, 0.01, cfg)
+    assert evolve(u0, 0.1, cfg).times.tolist() == [0.0, 0.1]
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="t_end"):
             evolve(u0, bad, cfg)
