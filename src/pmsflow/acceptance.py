@@ -54,7 +54,7 @@ from .diagnostics import (
     smoothness_gates,
     structural_gates,
 )
-from .grid import CellField, interval_grid
+from .grid import CellField, cell_norm, interval_grid
 from .initial_data import quarter_circles, random_piecewise
 from .reference import QuarterCircleProfile, RadialSubsolution
 from .runner import _evolve_config, _resolve
@@ -115,7 +115,7 @@ class _Workspace:
 
 
 def _weighted_error(grid, values, exact) -> float:
-    return float(np.sqrt(np.sum(grid.cell_volumes * (values - exact) ** 2)))
+    return cell_norm(CellField(grid, values - exact))
 
 
 def _closest(parts):

@@ -10,6 +10,7 @@ exactly ``worst_violation <= tolerance``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -46,8 +47,9 @@ class DiagnosticRecord:
     max_face_diff: float
     jump_count: int
 
-    FIELDS = ("t", "energy", "mean", "sup_norm", "lip", "ut_l2", "ut_sup",
-              "max_face_diff", "jump_count")
+
+# the field names in order: the series CSV's columns and Trajectory.series's keys
+DiagnosticRecord.FIELDS = tuple(f.name for f in dataclasses.fields(DiagnosticRecord))
 
 
 @dataclass(frozen=True)

@@ -168,16 +168,22 @@ def radial_grid(dimension: int, radius: float, cells: int) -> Grid:
     h = _spacing(radius, cells, "radius")
     centers = (np.arange(cells) + 0.5) * h
     faces = np.arange(1, cells) * h  # interior faces; none at r=0 or r=R
-    areas = faces ** (dimension - 1)
+    with np.errstate(over="ignore", under="ignore"):  # checked just below
+        areas = faces ** (dimension - 1)
+        volumes, weights = centers ** (dimension - 1) * h, areas * h
+        total = volumes.sum()
+    if not all(np.all((w > 0) & (w < np.inf)) for w in (volumes, areas, weights, total)):
+        raise ConfigError(f"radius must be a length whose r^(N-1) weights in dimension "
+                          f"{dimension} are positive with a finite sum, got {radius!r}")
     return Grid(
         kind="radial",
         shape=(cells,),
         spacing=(h,),
         lo=(0.0,),
         radial_dim=dimension,
-        cell_volumes=_readonly(centers ** (dimension - 1) * h),
+        cell_volumes=_readonly(volumes),
         face_areas=(_readonly(areas),),
-        face_weights=(_readonly(areas * h),),
+        face_weights=(_readonly(weights),),
         cell_centers=(_readonly(centers),),
     )
 

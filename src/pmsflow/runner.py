@@ -56,7 +56,6 @@ __all__ = [
     "RunReport",
     "load_config",
     "run",
-    "main",
 ]
 
 
@@ -92,9 +91,10 @@ _EXPERIMENTS = {
 class RunConfig:
     """Fully resolved settings of one experiment run.
 
-    The fields with defaults steer the rectangle loop and are set through
-    the API only; a config file leaves them at SolverConfig's defaults, so
-    the loop's step sizes follow from tau.
+    It carries every SolverConfig field under the same name, which is how
+    ``_evolve_inputs`` reads them.  The fields with defaults steer the
+    rectangle loop and are set through the API only; a config file leaves
+    them at SolverConfig's defaults, so the loop's step sizes follow from tau.
     """
 
     experiment: str
@@ -192,16 +192,8 @@ def _evolve_inputs(cfg: RunConfig) -> tuple[CellField, SolverConfig]:
     grid, initial value or solver setting fails here, before any write."""
     grid = build_grid(cfg.grid)
     u0 = build_initial(grid, cfg.initial)
-    solver_cfg = SolverConfig(
-        tau=cfg.tau,
-        theta=cfg.theta,
-        sigma=cfg.sigma,
-        s=cfg.s,
-        inner_tol=cfg.inner_tol,
-        max_inner=cfg.max_inner,
-        check_every=cfg.check_every,
-    )
-    return u0, solver_cfg
+    fields = dataclasses.fields(SolverConfig)
+    return u0, SolverConfig(**{f.name: getattr(cfg, f.name) for f in fields})
 
 
 def _evolve_config(cfg: RunConfig) -> Trajectory:
@@ -447,6 +439,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """The ``pmsflow`` console script; a tool, so not in ``__all__``."""
     import argparse  # imported here: only the command line parses arguments
 
     parser = argparse.ArgumentParser(

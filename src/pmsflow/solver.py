@@ -110,7 +110,6 @@ __all__ = [
     "StepResult",
     "Trajectory",
     "NonConvergenceError",
-    "operator_norm_bound",
     "implicit_step",
     "kkt_residual",
     "evolve",
@@ -188,7 +187,8 @@ def operator_norm_bound(grid: Grid) -> float:
     proof: 2/h on intervals and 2^(N/2)/h on N-dimensional radial grids
     (face gradient), sqrt(1/hx^2 + 1/hy^2) on rectangles (co-located
     central difference), which a 2 x 2 rectangle attains.  The benchmark
-    derives its explicit step pair from it.
+    derives its explicit step pair from it; a helper of that tool, so not
+    in ``__all__``.
     """
     return _make_ops(grid).norm_bound
 

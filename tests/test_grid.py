@@ -9,6 +9,7 @@ import pytest
 import reference_calculus as ref
 from pmsflow.grid import (
     CellField,
+    ConfigError,
     FaceField,
     _differences,
     build_grid,
@@ -101,6 +102,14 @@ def test_grid_factory_validation():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
             build()
+    # a radius whose r^(N-1) weights overflow, underflow to zero, or sum past
+    # the float range is a ConfigError naming the radius and the dimension,
+    # raised before numpy warns of the overflow
+    for dimension, radius, cells in ((6, 1e300, 4), (6, 1e-100, 4), (2, 1e-300, 4),
+                                     (2, 2e154, 400)):
+        with pytest.raises(ConfigError, match=f"^radius must be .* dimension {dimension} .*"
+                                              f"got {re.escape(repr(radius))}$"):
+            radial_grid(dimension, radius, cells)
     g = radial_grid(np.int64(3), 1, np.int64(4))
     assert g.radial_dim == 3 and type(g.radial_dim) is int and g.spacing == (0.25,)
 

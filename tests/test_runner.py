@@ -352,6 +352,9 @@ _SMALL_INITIAL = "{type: cosine}"
         ("{kind: rectangle, lo: [0, '0'], hi: [1, 1], cells: [4, 4]}", _SMALL_INITIAL, "lo"),
         ("{kind: rectangle, lo: [0, 0], hi: [1, .nan], cells: [4, 4]}", _SMALL_INITIAL, "hi"),
         ("{kind: radial, dimension: 3, radius: .nan, cells: 8}", _SMALL_INITIAL, "radius"),
+        ("{kind: radial, dimension: 6, radius: 1.0e+300, cells: 4}", _SMALL_INITIAL, "radius"),
+        ("{kind: radial, dimension: 6, radius: 1.0e-100, cells: 4}", _SMALL_INITIAL, "radius"),
+        ("{kind: radial, dimension: 2, radius: 1.0e-300, cells: 4}", _SMALL_INITIAL, "radius"),
         ("{kind: interval, lo: 0.0, hi: 1.0, cells: 1000000000}", _SMALL_INITIAL, "cells"),
         ("{kind: rectangle, lo: [0, 0], hi: [1, 1], cells: [100000, 100000]}",
          _SMALL_INITIAL, "cells"),
@@ -369,7 +372,9 @@ _SMALL_INITIAL = "{type: cosine}"
     ids=["experiment-list", "kind-list", "type-list", "cells-inf", "cells-float",
          "rectangle-cells-float", "dimension-float", "seed-float", "pieces-float",
          "kind-unknown", "lo-list", "lo-bool", "hi-inf", "rectangle-lo-string",
-         "rectangle-hi-nan", "radius-nan", "cells-huge", "rectangle-cells-huge",
+         "rectangle-hi-nan", "radius-nan", "radius-weights-overflow",
+         "radius-weights-underflow", "radius-2d-weights-underflow", "cells-huge",
+         "rectangle-cells-huge",
          "amplitude-list", "amplitude-bool", "position-list", "position-string",
          "left-nan", "right-list", "value-string", "c-list", "cap-inf",
          "random-amplitude-bool"],

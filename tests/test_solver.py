@@ -13,7 +13,7 @@ import pytest
 from pmsflow import solver
 from pmsflow.acceptance import _primal_step_oracle
 import reference_calculus as ref
-from pmsflow.energy import _DualIterate, _make_ops, _solve_tridiagonal, area_energy
+from pmsflow.energy import _DualIterate, _ldl_solve, _make_ops, _solve_tridiagonal, area_energy
 from pmsflow.grid import (
     CellField,
     FaceField,
@@ -847,18 +847,28 @@ def _tridiagonal_system(rng, n, kind):
 
 # 1 to 128 unknowns go to the LDL^T loop as they stand; 129 and more are
 # halved by odd-even reduction until at most 128 are left (4097: six levels,
-# every one of odd size).
+# every one of odd size).  Up to 1000 unknowns the reference is LAPACK's dense
+# solve.  At 4097 the dense matrix takes 134 MB and its solve seconds, so the
+# reference is the LDL^T loop run over all the unknowns, which eliminates
+# them in their natural order instead of the odd-even one.
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 127, 128, 129, 130, 257, 1000, 4097])
 def test_tridiagonal_solve_matches_dense_solve(n):
     rng = np.random.default_rng(n)
     for kind in ("dominant", "saturated", "radial"):
-        for _ in range(5 if n <= 1000 else 1):  # a dense solve of 4097 takes about a second
+        for _ in range(5):
             diag, off, rhs = _tridiagonal_system(rng, n, kind)
             inputs = [a.copy() for a in (diag, off, rhs)]
-            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             x = _solve_tridiagonal(diag, off, rhs)
-            assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-10, atol=1e-12)
-            assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
+            if n <= 1000:
+                dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                reference = np.linalg.solve(dense, rhs)
+            else:
+                reference = _ldl_solve(diag, off, rhs)
+            assert np.allclose(x, reference, rtol=1e-10, atol=1e-12)
+            residual = diag * x - rhs  # A x - b from the three bands
+            residual[:-1] += off * x[1:]
+            residual[1:] += off * x[:-1]
+            assert np.max(np.abs(residual)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
             assert all(np.array_equal(a, b) for a, b in zip(inputs, (diag, off, rhs)))
 
 
