@@ -49,7 +49,6 @@ unless the field is constant, and are invariant under adding a constant.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
 
 import numpy as np
 
@@ -178,10 +177,12 @@ class _DualIterate:
         -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
 
     the negative dual of the step problem, minimized where u solves the
-    step, with its rounding noise.  q = K u, the gradient and
-    ``relation_sq`` are made on first use and kept: a trial that fails the
-    Armijo test never applies K, and an accepted trial brings whatever it
-    made into the next Newton step.
+    step, with its rounding noise.  ``make_q`` applies K once per dual, as
+    it becomes an iterate or as its line-search test reads ``relation_sq``:
+    q = K u serves the Newton solve's dual-relation screen, the gradient
+    and, on the iterate that passes the screen, the full certificate.  A
+    trial that fails the Armijo test never applies K, and an accepted trial
+    brings what it made into the next Newton step.
     """
 
     def __init__(self, ops, u0, tau, p):
@@ -195,24 +196,24 @@ class _DualIterate:
         pair = ops.grid.cell_volumes * divz * (u0 + 0.5 * tau * divz)
         self.f = float(pair.sum() - conj_sum)
         self.noise = _DUAL_NOISE * float(conj_sum + np.abs(pair).sum())
+        self.q = self.grad = self._rel_sq = None
 
-    @cached_property
-    def q(self) -> np.ndarray:
-        return self.ops.k_apply(self.u)
+    def make_q(self) -> None:
+        """q = K u and the gradient W (p / sqrt(1 - p^2) - q) of -D, which
+        vanishes exactly where the dual relation does; made once per dual."""
+        if self.q is None:
+            self.q = q = self.ops.k_apply(self.u)
+            self.grad = self.ops.dual_weights * (self.p / self.conj - q)
 
-    @cached_property
-    def grad(self) -> np.ndarray:
-        """Gradient W (p / sqrt(1 - p^2) - q) of -D; it vanishes exactly where
-        the dual relation does."""
-        return self.ops.dual_weights * (self.p / self.conj - self.q)
-
-    @cached_property
     def relation_sq(self) -> float:
         """Squared norm of (1 - p^2) grad / W, which is the dual-relation
         residual p sqrt(1 + q^2) - q to first order.  Unlike the bare
         gradient, it does not blow up the rounding of faces near saturation."""
-        r = self.slack * self.grad / self.ops.dual_weights
-        return float(np.dot(r, r))
+        if self._rel_sq is None:
+            self.make_q()
+            r = self.slack * self.grad / self.ops.dual_weights
+            self._rel_sq = float(np.dot(r, r))
+        return self._rel_sq
 
     def hessian_bands(self, coupling) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the Hessian of -D: the conjugate's

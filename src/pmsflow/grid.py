@@ -135,6 +135,9 @@ def rectangle_grid(
     hx = _spacing(hi[0] - lo[0], nx, "hi[0] - lo[0]")
     hy = _spacing(hi[1] - lo[1], ny, "hi[1] - lo[1]")
     vol = hx * hy
+    if not 0 < vol * nx * ny < math.inf:  # Python floats: no numpy warning
+        raise ConfigError(f"lo and hi must be bounds whose cell area hx * hy is positive with "
+                          f"a finite sum, got lo {lo!r}, hi {hi!r}")
     return Grid(
         kind="rectangle",
         shape=(nx, ny),

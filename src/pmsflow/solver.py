@@ -23,10 +23,12 @@ below the rounding of -D, until the scaled gradient does.  It certifies
 within a handful of steps.  Each dual it visits, an
 iterate or a line-search trial, is evaluated once (``_DualIterate``):
 sqrt(1 - p^2), div p, u and K u serve the certificate, -D, the gradient
-and the Hessian alike.  The part of the Hessian that does not depend on
-p is a run invariant: the grid's ops object (``energy._make_ops``, one
-per live grid) keeps it for the last tau, with the domain volume and the
-volume no dual weight covers that every ``measure`` uses.
+and the Hessian alike, and K u is applied only to iterates and to the
+trials whose line-search test needs it.  The part of the Hessian that
+does not depend on p is a run invariant: the grid's ops object
+(``energy._make_ops``, one per live grid) keeps it for the last tau, with
+the domain volume and the volume no dual weight covers that every
+``measure`` uses.
 
 On rectangles a primal-dual iteration (PDHG) runs on a lifted dual.  Since
 sqrt(1 + |q|^2) = |(1, q)| = max over |(p0, p)| <= 1 of p0 + p.q, each
@@ -58,18 +60,24 @@ rate improves as L shrinks.
 Both solvers terminate on the same three certificates at tolerance
 ``inner_tol``: the primal stationarity residual, the pointwise dual
 relation residual, and the summed Fenchel gap, which at the finalized
-iterate equals the duality gap of the step problem.  The rectangle loop
-evaluates the primal residual first and the other two only once it
-passes, or at ``max_inner`` so that a failure reports all three; the
-iterates do not depend on the order.  Neither solver runs on below the
-float floor of its certificates: Newton fails once no step length shrinks
-them, and the rectangle loop once its primal residual, lying within a few
-times eps max|u_prev| / tau and above ``inner_tol``, stops falling over
-consecutive checks; the error names that floor.  The returned state is
-exactly u_prev + tau * divergence_values(flux) in the grid module's
-calculus, so the weighted mean is conserved to machine precision and the
-per-step energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <=
-E(u_prev) + inner_tol holds by convex duality rather than by observation.
+iterate equals the duality gap of the step problem.  Each solver screens
+with the certificate that binds it and evaluates all three only where the
+screen passes or a failure is raised, so that every NonConvergenceError
+reports all three; the iterates do not depend on the order.  A Newton
+iterate's state is u_prev + tau div p by construction, so its primal
+residual is only rounding: Newton screens with the dual relation
+(``_relation``) and calls ``_residuals`` once per certified step.  The
+rectangle loop screens with the primal residual and evaluates the dual
+relation and the gap only once it passes, or at ``max_inner``.  Neither
+solver runs on below the float floor of its certificates: Newton fails
+once no step length shrinks them, and the rectangle loop once its primal
+residual, lying within a few times eps max|u_prev| / tau and above
+``inner_tol``, stops falling over consecutive checks; the error names that
+floor.  The returned state is exactly u_prev + tau * divergence_values(flux)
+in the grid module's calculus, so the weighted mean is conserved to machine
+precision and the per-step energy inequality
+E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) + inner_tol holds by
+convex duality rather than by observation.
 
 Both solvers certify a step from any finite start, so the start only sets
 the number of inner iterations.  ``evolve`` starts the first step from the
@@ -128,8 +136,8 @@ class SolverConfig:
     (1/tau)-strongly convex and the dual conjugate 1-strongly convex, so
     s/sigma = tau with s * sigma * L^2 = 1.  Explicit values must satisfy
     s * sigma * L^2 <= 1.  ``max_inner`` caps inner iterations (PDHG) or
-    certificate evaluations, one per Newton step plus the start (one-axis
-    grids); it and ``check_every`` are integers.  Only the tests and the
+    Newton iterates, one per Newton step plus the start (one-axis grids);
+    it and ``check_every`` are integers.  Only the tests and the
     benchmark set the other four fields, which stay while the benchmark does.
     """
 
@@ -246,23 +254,29 @@ def _primal_residual(ops, u_prev, tau, divz, v) -> float:
     return math.sqrt(r.sum())
 
 
-def _dual_residuals(ops, p, q, conj) -> tuple[float, float]:
-    """Dual relation and gap of the dual p against q = K u.
-
-    Dual relation: max |p * sqrt(1 + |q|^2) - q|.  Gap: the summed Fenchel
-    gap sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the duality gap
-    of the step problem at u = u_prev + tau * div(p); ``conj`` holds
-    sqrt(1 - |p|^2) (``_conjugate``).  Like ``_primal_residual`` and
-    ``_conjugate`` it works in place on the arrays it makes, in the order
-    of the formulas, which spares the allocations of a 96 x 96 check.
-    """
+def _relation(ops, p, q) -> tuple[float, np.ndarray]:
+    """The dual relation max |p * sqrt(1 + |q|^2) - q| of the dual p against
+    q = K u, and the array sqrt(1 + |q|^2), which the caller may overwrite."""
     root = ops.magnitude(q)
     np.multiply(root, root, out=root)
     root += 1.0
     np.sqrt(root, out=root)
     relation = p * root
     relation -= q
-    dual = float(ops.magnitude(relation).max())
+    return float(ops.magnitude(relation).max()), root
+
+
+def _dual_residuals(ops, p, q, conj) -> tuple[float, float]:
+    """Dual relation (``_relation``) and gap of the dual p against q = K u.
+
+    Gap: the summed Fenchel gap sum W * (sqrt(1 + |q|^2) - p.q -
+    sqrt(1 - |p|^2)), the duality gap of the step problem at
+    u = u_prev + tau * div(p); ``conj`` holds sqrt(1 - |p|^2)
+    (``_conjugate``).  Like ``_primal_residual`` and ``_conjugate`` it works
+    in place on the arrays it makes, in the order of the formulas, which
+    spares the allocations of a 96 x 96 check.
+    """
+    dual, root = _relation(ops, p, q)
     gap_terms = np.subtract(root, ops.dot(p, q), out=root)
     gap_terms -= conj
     np.maximum(gap_terms, 0.0, out=gap_terms)
@@ -521,7 +535,7 @@ _P_MAX = float(np.nextafter(1.0, 0.0))
 
 
 def _newton(ops, u0, cfg, p) -> StepResult:
-    """Damped Newton on the step's dual over |p| < 1, certified every step.
+    """Damped Newton on the step's dual over |p| < 1, certified once per step.
 
     Each step is capped at ``_TO_BOUNDARY`` of the way to |p| = 1 and
     halved until -D decreases by the Armijo fraction of its prediction.
@@ -529,7 +543,15 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     there a step is accepted when it shrinks the gradient, measured by
     ``relation_sq``, by ``_RELATION_SHRINK`` instead.  A step that finds
     no acceptable length raises NonConvergenceError at once.
-    ``inner_iters`` counts certificate evaluations: Newton steps + 1.
+    ``inner_iters`` counts the iterates: Newton steps + 1.
+
+    An iterate's state is u = u_prev + tau div p by construction, so its
+    primal residual is only rounding, and the dual relation decides.  Each
+    iterate is screened with the certificate's own dual relation
+    (``_relation``); the full certificate ``_residuals`` runs only where
+    that relation reaches ``inner_tol`` (or is NaN), at ``max_inner``, and
+    before the line search raises, so that every NonConvergenceError names
+    all three residuals.  A certified step thus evaluates it once.
 
     Every iterate and every line-search trial is one ``_DualIterate``, so
     each term is made once per dual: div p, u and K u feed the certificate
@@ -550,11 +572,13 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     coupling = ops.hessian_coupling(tau)
     it = _DualIterate(ops, u0, tau, np.clip(p, -_P_MAX, _P_MAX))  # never the caller's array
     for k in range(1, cfg.max_inner + 1):
-        residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
-        if all(r <= tol for r in residuals):
-            return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
-        if k == cfg.max_inner:
-            break
+        it.make_q()
+        if k == cfg.max_inner or not _relation(ops, it.p, it.q)[0] > tol:
+            residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
+            if all(r <= tol for r in residuals):
+                return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
+            if k == cfg.max_inner:
+                break
         d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
         with np.errstate(divide="ignore"):  # d = +-0 leaves room +inf
             room = np.divide(np.copysign(1.0, d) - it.p, d)
@@ -567,10 +591,11 @@ def _newton(ops, u0, cfg, p) -> StepResult:
             if -alpha * slope > it.noise:
                 if trial.f <= it.f + _ARMIJO * alpha * slope:
                     break
-            elif trial.relation_sq <= _RELATION_SHRINK * it.relation_sq:
+            elif trial.relation_sq() <= _RELATION_SHRINK * it.relation_sq():
                 break
             alpha *= 0.5
         else:
+            residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
             raise _nonconvergence("Newton iteration (line search stalled)", k, residuals, tol)
         it = trial
     raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)

@@ -110,6 +110,15 @@ def test_grid_factory_validation():
         with pytest.raises(ConfigError, match=f"^radius must be .* dimension {dimension} .*"
                                               f"got {re.escape(repr(radius))}$"):
             radial_grid(dimension, radius, cells)
+    # so is a rectangle whose cell area hx * hy overflows or underflows to
+    # zero although each spacing is finite and positive; it names the bounds
+    for bound in (1e200, 1e-200):
+        got = f"lo {(0.0, 0.0)!r}, hi {(bound, bound)!r}"
+        message = f"^lo and hi must be .* got {re.escape(got)}$"
+        with pytest.raises(ConfigError, match=message):
+            rectangle_grid((0, 0), (bound, bound), (2, 2))
+        with pytest.raises(ConfigError, match=message):
+            build_grid({"kind": "rectangle", "lo": [0, 0], "hi": [bound, bound], "cells": [2, 2]})
     g = radial_grid(np.int64(3), 1, np.int64(4))
     assert g.radial_dim == 3 and type(g.radial_dim) is int and g.spacing == (0.25,)
 

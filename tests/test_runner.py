@@ -355,6 +355,10 @@ _SMALL_INITIAL = "{type: cosine}"
         ("{kind: radial, dimension: 6, radius: 1.0e+300, cells: 4}", _SMALL_INITIAL, "radius"),
         ("{kind: radial, dimension: 6, radius: 1.0e-100, cells: 4}", _SMALL_INITIAL, "radius"),
         ("{kind: radial, dimension: 2, radius: 1.0e-300, cells: 4}", _SMALL_INITIAL, "radius"),
+        ("{kind: rectangle, lo: [0, 0], hi: [1.0e+200, 1.0e+200], cells: [2, 2]}",
+         _SMALL_INITIAL, "lo and hi"),
+        ("{kind: rectangle, lo: [0, 0], hi: [1.0e-200, 1.0e-200], cells: [2, 2]}",
+         _SMALL_INITIAL, "lo and hi"),
         ("{kind: interval, lo: 0.0, hi: 1.0, cells: 1000000000}", _SMALL_INITIAL, "cells"),
         ("{kind: rectangle, lo: [0, 0], hi: [1, 1], cells: [100000, 100000]}",
          _SMALL_INITIAL, "cells"),
@@ -373,7 +377,8 @@ _SMALL_INITIAL = "{type: cosine}"
          "rectangle-cells-float", "dimension-float", "seed-float", "pieces-float",
          "kind-unknown", "lo-list", "lo-bool", "hi-inf", "rectangle-lo-string",
          "rectangle-hi-nan", "radius-nan", "radius-weights-overflow",
-         "radius-weights-underflow", "radius-2d-weights-underflow", "cells-huge",
+         "radius-weights-underflow", "radius-2d-weights-underflow",
+         "rectangle-area-overflow", "rectangle-area-underflow", "cells-huge",
          "rectangle-cells-huge",
          "amplitude-list", "amplitude-bool", "position-list", "position-string",
          "left-nan", "right-list", "value-string", "c-list", "cap-inf",

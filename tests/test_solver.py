@@ -595,6 +595,53 @@ def test_rectangle_non_convergence_reports_the_full_triplet():
         assert f"{name} {value:.3e}" in str(err)
 
 
+@pytest.mark.parametrize("failure", ["max_inner", "line search stalled"])
+def test_one_axis_non_convergence_reports_the_full_triplet(failure):
+    # Newton screens its iterates with the dual relation alone; both failure
+    # exits still evaluate the primal residual and the gap, so all three are
+    # finite and named
+    if failure == "max_inner":
+        grid = interval_grid(0.0, 2.0, 100)
+        u, cfg = quarter_circles(grid, c=1.0), SolverConfig(tau=1e-2, max_inner=2)
+    else:  # the step of test_step_below_the_float_floor_fails_fast at height 1e7
+        grid = interval_grid(0.0, 1.0, 10)
+        u, cfg = CellField(grid, np.where(np.arange(10) < 5, 0.0, 1e7)), SolverConfig(tau=1e-3)
+    with pytest.raises(NonConvergenceError) as info:
+        implicit_step(u, cfg)
+    err = info.value
+    assert ("line search stalled" in str(err)) == (failure == "line search stalled")
+    triplet = (err.primal_residual, err.dual_residual, err.gap)
+    assert all(np.isfinite(r) for r in triplet)
+    assert max(err.primal_residual, err.dual_residual) > cfg.inner_tol
+    for name, value in zip(("primal", "dual", "gap"), triplet):
+        assert f"{name} {value:.3e}" in str(err)
+
+
+def test_newton_runs_the_full_certificate_once_per_certified_step(monkeypatch):
+    # the dual relation screens every iterate; the three-part certificate
+    # runs only on the iterate that passes it, so once per step however many
+    # iterates the step takes
+    grid = interval_grid(0.0, 2.0, 100)
+    u0, cfg = quarter_circles(grid, c=1.0), SolverConfig(tau=1e-3)
+    first = implicit_step(u0, cfg)
+    residuals, calls = solver._residuals, []
+
+    def counted(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(solver, "_residuals", counted)
+    res = implicit_step(first.u_next, cfg, dual=first.dual)
+    assert res.inner_iters > 1
+    assert len(calls) == 1
+    calls.clear()
+    traj = evolve(u0, 5 * cfg.tau, cfg)
+    assert len(traj.inner_iters) == 5 and traj.inner_iters.sum() > 5
+    assert len(calls) == 5
+    monkeypatch.undo()
+    assert res.kkt_residual == kkt_residual(res.u_next, res.dual, first.u_next, cfg.tau)
+
+
 @pytest.mark.parametrize("height", [1e7, 1e8, 1e10])
 def test_step_below_the_float_floor_fails_fast(height):
     # a jump this tall puts the primal certificate's rounding, about
@@ -811,6 +858,7 @@ def test_dual_gradient_is_the_derivative_of_the_negative_dual(grid):
     u0, tau = rng.standard_normal(grid.shape), 0.2
     p = rng.uniform(-0.9, 0.9, grid.face_shape(0))
     iterate = _DualIterate(ops, u0, tau, p)
+    iterate.make_q()
     assert np.array_equal(iterate.q, ops.k_apply(u0 + tau * ops.div_dual(p)))
     grad = iterate.grad
     eps = 1e-6
