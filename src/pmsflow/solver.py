@@ -44,8 +44,9 @@ primal proximal map of the step quadratic at v_hat is the closed form
 
 The loop carries the increment v - u_prev and vbar in units of
 sigma / (2 hx), through in-place kernels bound to buffers made once per
-step (``_pdhg``, ``_RectangleOps.loop_kernels``).  They steer only the
-iterates; every certificate evaluation rebuilds div p with ``div_dual``.
+step (``_pdhg``, ``_RectangleOps.loop_kernels``).  With the closed-form
+prox, (v - u_prev)/tau - div p = (v_prev - v)/s exactly: the loop's primal
+residual is its own primal step.
 
 The grid weights are carried by the pairing, so they cancel inside both
 proximal maps.  The quadratic term is (1/tau)-strongly convex and the
@@ -60,24 +61,21 @@ rate improves as L shrinks.
 Both solvers terminate on the same three certificates at tolerance
 ``inner_tol``: the primal stationarity residual, the pointwise dual
 relation residual, and the summed Fenchel gap, which at the finalized
-iterate equals the duality gap of the step problem.  Each solver screens
-with the certificate that binds it and evaluates all three only where the
-screen passes or a failure is raised, so that every NonConvergenceError
-reports all three; the iterates do not depend on the order.  A Newton
-iterate's state is u_prev + tau div p by construction, so its primal
-residual is only rounding: Newton screens with the dual relation
-(``_relation``) and calls ``_residuals`` once per certified step.  The
-rectangle loop screens with the primal residual and evaluates the dual
-relation and the gap only once it passes, or at ``max_inner``.  Neither
-solver runs on below the float floor of its certificates: Newton fails
-once no step length shrinks them, and the rectangle loop once its primal
-residual, lying within a few times eps max|u_prev| / tau and above
-``inner_tol``, stops falling over consecutive checks; the error names that
-floor.  The returned state is exactly u_prev + tau * divergence_values(flux)
-in the grid module's calculus, so the weighted mean is conserved to machine
-precision and the per-step energy inequality
-E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) + inner_tol holds by
-convex duality rather than by observation.
+iterate equals the duality gap of the step problem.  One routine,
+``_residuals``, evaluates them on the pair a solver would return,
+(u_prev + tau div p, p), only where a cheaper screen passes or a failure
+is raised, so every NonConvergenceError reports that pair's triplet.
+Newton screens with the dual relation (``_relation``), since its state is
+u_prev + tau div p by construction; the rectangle loop with its primal
+step.  Neither runs on below the float floor of its certificates: Newton
+fails once no step length shrinks them, the rectangle loop once its screen
+passes while the pair's primal, the rounding of u_prev + tau div p, lies
+above ``inner_tol`` within a few times eps max|u_prev| / tau; the error
+names that floor.  The returned state is exactly
+u_prev + tau * divergence_values(flux) in the grid module's calculus, so
+the weighted mean is conserved to machine precision and the energy
+inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) +
+inner_tol holds by convex duality rather than by observation.
 
 Both solvers certify a step from any finite start, so the start only sets
 the number of inner iterations.  ``evolve`` starts the first step from the
@@ -89,9 +87,9 @@ backward differences, with m <= 6 the order of the smallest difference
 time, and the prediction misses the next dual by O(tau^m) where p_k alone
 misses by O(tau); an entry whose prediction leaves the open unit ball keeps
 p_k.  On one-axis grids a start entry at or beyond |p| = 1 takes the value
-of the cold start.  The rectangle loop
-starts its primal iterate at u_prev + tau * div p, the state its start dual
-certifies (on a cold step, the explicit Euler predictor).
+of the cold start.  The rectangle loop starts its primal iterate at
+u_prev + tau * div p, the state its start dual certifies (on a cold step,
+the explicit Euler predictor).
 """
 
 from __future__ import annotations
@@ -137,8 +135,10 @@ class SolverConfig:
     s/sigma = tau with s * sigma * L^2 = 1.  Explicit values must satisfy
     s * sigma * L^2 <= 1.  ``max_inner`` caps inner iterations (PDHG) or
     Newton iterates, one per Newton step plus the start (one-axis grids);
-    it and ``check_every`` are integers.  Only the tests and the
-    benchmark set the other four fields, which stay while the benchmark does.
+    it and ``check_every`` are integers.  The rectangle loop screens with
+    its primal step every ``check_every`` iterations and certifies where
+    the screen passes.  Only the tests and the benchmark set the other
+    four fields, which stay while the benchmark does.
     """
 
     tau: float
@@ -167,10 +167,17 @@ class SolverConfig:
 
 
 class NonConvergenceError(RuntimeError):
-    """Inner iteration exhausted max_inner without meeting inner_tol.
+    """An implicit step whose inner solve did not certify.
 
-    ``evolve`` sets ``step`` and ``t``, the step that failed and its time,
-    and names them in the message; both are None for a lone implicit step.
+    Raised at ``max_inner``, or earlier where the step cannot certify: a
+    Newton line search that finds no acceptable length, or a rectangle step
+    whose screen passes while its certificate lies at the float floor.
+    Both solvers then certify the pair the step would have returned,
+    (u_prev + tau div p, p), with ``_residuals``: ``primal_residual``,
+    ``dual_residual`` and ``gap`` are that triplet, and ``iterations`` the
+    count at which the step stopped.  ``evolve`` sets ``step`` and ``t``,
+    the step that failed and its time, and names them in the message; both
+    are None for a lone implicit step.
     """
 
     step: int | None = None
@@ -244,16 +251,6 @@ def _conjugate(ops, p) -> np.ndarray:
     return np.sqrt(slack, out=slack)
 
 
-def _primal_residual(ops, u_prev, tau, divz, v) -> float:
-    """Primal stationarity |(v - u_prev)/tau - div(p)|_w with ``divz`` = div(p)."""
-    r = np.subtract(v, u_prev)
-    r /= tau
-    r -= divz
-    r *= r
-    r *= ops.grid.cell_volumes
-    return math.sqrt(r.sum())
-
-
 def _relation(ops, p, q) -> tuple[float, np.ndarray]:
     """The dual relation max |p * sqrt(1 + |q|^2) - q| of the dual p against
     q = K u, and the array sqrt(1 + |q|^2), which the caller may overwrite."""
@@ -266,31 +263,30 @@ def _relation(ops, p, q) -> tuple[float, np.ndarray]:
     return float(ops.magnitude(relation).max()), root
 
 
-def _dual_residuals(ops, p, q, conj) -> tuple[float, float]:
-    """Dual relation (``_relation``) and gap of the dual p against q = K u.
+def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
+    """The three certificates (primal, dual relation, gap) of the pair (u, p).
 
-    Gap: the summed Fenchel gap sum W * (sqrt(1 + |q|^2) - p.q -
+    ``divz`` = div(p), ``q`` = K u and ``conj`` = sqrt(1 - |p|^2)
+    (``_conjugate``) come from the caller, which computes each once per
+    pair.  Primal: |(u - u_prev)/tau - div(p)|_w.  Dual: ``_relation``,
+    which Newton also screens with.  Gap: sum W * (sqrt(1 + |q|^2) - p.q -
     sqrt(1 - |p|^2)), the duality gap of the step problem at
-    u = u_prev + tau * div(p); ``conj`` holds sqrt(1 - |p|^2)
-    (``_conjugate``).  Like ``_primal_residual`` and ``_conjugate`` it works
-    in place on the arrays it makes, in the order of the formulas, which
-    spares the allocations of a 96 x 96 check.
+    u = u_prev + tau * div(p).  Each works in place on the arrays it makes,
+    in the order of the formulas, which spares the allocations of a
+    96 x 96 certificate.  Both solvers and ``kkt_residual`` certify here.
     """
+    r = np.subtract(u, u_prev)
+    r /= tau
+    r -= divz
+    r *= r
+    r *= ops.grid.cell_volumes
+    primal = math.sqrt(r.sum())
     dual, root = _relation(ops, p, q)
     gap_terms = np.subtract(root, ops.dot(p, q), out=root)
     gap_terms -= conj
     np.maximum(gap_terms, 0.0, out=gap_terms)
     gap_terms *= ops.dual_weights
-    return dual, float(gap_terms.sum())
-
-
-def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
-    """The three certificates (primal, dual relation, gap) of the pair (u, p).
-
-    ``divz`` = div(p), ``q`` = K u and ``conj`` = sqrt(1 - |p|^2) come from
-    the caller, which computes each once per iterate.
-    """
-    return (_primal_residual(ops, u_prev, tau, divz, u), *_dual_residuals(ops, p, q, conj))
+    return primal, dual, float(gap_terms.sum())
 
 
 @dataclass
@@ -425,18 +421,16 @@ def _primal_update(w, cbdivz, a, theta, cu0, w_new, vbar):
     np.add(vbar, cu0, vbar)
 
 
-# A rectangle step stops early at the float floor eps max|u_prev| / tau of
-# its primal certificate: once the primal residual lies within this multiple
-# of the floor and above inner_tol, and this many consecutive checks have not
-# lowered its smallest value, the step raises.  The property tests draw
-# tolerances above four floors, so none of their steps can stop here.
+# A rectangle step raises at the float floor eps max|u_prev| / tau of its
+# primal certificate where its screen passes and the pair's primal residual
+# lies above inner_tol, within this multiple of the floor.  The property
+# tests draw tolerances above four floors, so none of their steps stop here.
 _FLOOR_MULTIPLE = 4.0
-_STALLED_CHECKS = 4
 
 
 def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
-    """The rectangle primal-dual iteration from (u_prev, p), certified every
-    check_every.
+    """The rectangle primal-dual iteration from (u_prev, p), screened every
+    check_every and certified where the screen passes.
 
     The dual runs lifted: sqrt(1 + |q|^2) = |(1, q)| is the maximum of
     p0 + p.q over |(p0, p)| <= 1, so each cell's dual carries a third
@@ -460,19 +454,18 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     once per step, the two increments swap roles, and ``k_add`` uses the
     projection's norm array as its scratch.  The kernels round differently
     from the public calculus, so they move the iterates in the last bits
-    only.  Every certificate evaluation rebuilds div p with the public
-    ``ops.div_dual``: the returned pair is exactly
-    u_prev + tau * divergence_values(flux), certified by the parts of
-    ``_residuals``.  A check computes the primal residual at
-    v = u_prev + W / c first; K u, the dual relation and the gap follow only
-    when it passes (or at ``max_inner``, so that NonConvergenceError carries
-    all three).  At acceptance only the primal is recomputed at v = u: the
-    dual relation and the gap already were evaluated at u.
+    only.
 
-    A primal residual cannot fall much below eps max|u_prev| / tau, the
-    rounding of v - u_prev over tau.  When it has stalled there above
-    inner_tol (``_FLOOR_MULTIPLE``, ``_STALLED_CHECKS``) the step raises
-    at once, naming that floor, instead of running to ``max_inner``.
+    The primal update is the proximal step, so (v_new - u_prev)/tau - div p
+    = (v - v_new)/s exactly: a check screens with |W - W_new|_V / (c s), one
+    subtraction and one dot product (the cell volumes are equal).  Only
+    where the screen passes, or at ``max_inner``, does the loop make the
+    pair it would return, u = u_prev + tau * div p with the public
+    ``ops.div_dual``, and certify it with ``_residuals`` as Newton does.
+    That pair's primal residual is the rounding of u_prev + tau div p, about
+    eps max|u_prev| / tau: where the screen passes and it lies above
+    inner_tol, within ``_FLOOR_MULTIPLE`` of that floor, the step can never
+    certify and raises at once, naming the floor.
     """
     tau, theta, tol = cfg.tau, cfg.theta, cfg.inner_tol
     a, b = _prox_coefficients(tau, s)
@@ -484,8 +477,7 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     w = (c * tau) * ops.div_dual(p)  # the increment the start dual certifies
     np.add(cu0, w, vbar)
     floor = np.finfo(float).eps * float(np.abs(u0).max()) / tau
-    smallest, stalled = np.inf, 0
-    residuals = (np.inf, np.inf, np.inf)
+    step_norm = math.sqrt(float(ops.grid.cell_volumes.flat[0])) / (c * s)  # |.|_V / (c s)
     for k in range(1, cfg.max_inner + 1):
         k_add()
         np.add(p0, sigma, p0)
@@ -498,20 +490,16 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
         _primal_update(w, cbdivz, a, theta, cu0, w_new, vbar)
         w, w_new = w_new, w
         if k == 1 or k % cfg.check_every == 0 or k == cfg.max_inner:
+            step = np.subtract(w_new, w, out=norm)  # W - W_new; norm is scratch here
+            passes = not step_norm * math.sqrt(np.vdot(step, step)) > tol  # NaN passes
+            if not passes and k < cfg.max_inner:
+                continue  # the step cannot certify; skip the certificate
             divz = ops.div_dual(p)
-            primal = _primal_residual(ops, u0, tau, divz, u0 + w / c)
-            smallest, stalled = (primal, 0) if primal < smallest else (smallest, stalled + 1)
-            at_floor = stalled >= _STALLED_CHECKS and tol < primal <= _FLOOR_MULTIPLE * floor
-            if primal > tol and k < cfg.max_inner and not at_floor:
-                continue  # the step cannot certify; skip the dual side
-            u_cand = u0 + tau * divz
-            q = ops.k_apply(u_cand)
-            residuals = (primal, *_dual_residuals(ops, p, q, _conjugate(ops, p)))
+            u = u0 + tau * divz
+            residuals = _residuals(ops, u0, tau, p, divz, u, ops.k_apply(u), _conjugate(ops, p))
             if all(r <= tol for r in residuals):
-                # v = u_cand changes only the primal; dual and gap stand
-                kkt = max(_primal_residual(ops, u0, tau, divz, u_cand), residuals[1])
-                return StepResult(CellField(ops.grid, u_cand), p.copy(), k, kkt)
-            if at_floor:
+                return StepResult(CellField(ops.grid, u), p.copy(), k, max(residuals[:2]))
+            if passes and tol < residuals[0] <= _FLOOR_MULTIPLE * floor:
                 where = f"the float floor eps max|u| / tau = {floor:.3e}"
                 raise _nonconvergence(f"inner iteration (stalled at {where})", k, residuals, tol)
     raise _nonconvergence("inner iteration", cfg.max_inner, residuals, tol)
@@ -736,16 +724,20 @@ class _DualPredictor:
 
 # From this face slope |du|/h on, sqrt(float max), 1 + |K u|^2 overflows.
 _SLOPE_LIMIT = math.sqrt(sys.float_info.max)
+# A run holds about 340 bytes per step (a record, a time, an iteration count
+# and a residual): far above the longest preset (2 000 steps), far below memory.
+_MAX_STEPS = 10**6
 
 
 def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, times):
     """Plan a run of ``evolve`` and reject what it cannot run, initial data
     that overflows included, without a numpy warning.
 
-    Returns the step count ceil(t_end / tau), the set of snapshot steps (each
-    time's nearest step, which must lie in 0 ... n_steps), kappa (or its
-    default; ``measure`` rejects one that is not positive and finite) and the
-    t = 0 record.  t_end must be at least tau, so a run takes a step.
+    Returns the step count ceil(t_end / tau), which must lie in
+    1 ... ``_MAX_STEPS``, the set of snapshot steps (each time's nearest
+    step, which must lie in 0 ... n_steps), kappa (or its default;
+    ``measure`` rejects one that is not positive and finite) and the t = 0
+    record.
     """
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -753,7 +745,11 @@ def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, t
         raise ValueError(f"t_end must be at least tau, got t_end = {t_end} < tau = {cfg.tau}")
     if not all(np.isfinite(t) for t in times):
         raise ValueError(f"snapshot_times must be finite, got {list(times)}")
-    n_steps = int(np.ceil(t_end / cfg.tau - 1e-9))
+    n_steps = np.ceil(t_end / cfg.tau - 1e-9)  # inf where t_end / tau overflows
+    if not n_steps <= _MAX_STEPS:
+        raise ValueError(f"t_end = {t_end} over tau = {cfg.tau} makes {n_steps:.7g} steps, "
+                         f"more than {_MAX_STEPS}")
+    n_steps = int(n_steps)
     steps = set()
     for t in times:
         k = float(t) / cfg.tau  # inf for a finite time far beyond the run
@@ -811,10 +807,11 @@ def evolve(
     Raises
     ------
     ValueError
-        Before the first step, for a bad setting (t_end below tau and a kappa
-        that is not positive and finite among them), a snapshot time outside
-        the run, or initial data with a face slope |du|/h of sqrt(float max)
-        ~ 1.34e154 or more or a non-finite t = 0 record.
+        Before the first step, for a bad setting (t_end below tau, more than
+        ``_MAX_STEPS`` steps, a kappa that is not positive and finite), a
+        snapshot time outside the run, or initial data with a face slope
+        |du|/h of sqrt(float max) ~ 1.34e154 or more or a non-finite t = 0
+        record.
     NonConvergenceError
         From the first step whose inner iteration fails, with that step's
         index and time in ``step``, ``t`` and the message.

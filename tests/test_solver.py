@@ -13,7 +13,14 @@ import pytest
 from pmsflow import solver
 from pmsflow.acceptance import _primal_step_oracle
 import reference_calculus as ref
-from pmsflow.energy import _DualIterate, _ldl_solve, _make_ops, _solve_tridiagonal, area_energy
+from pmsflow.energy import (
+    _DualIterate,
+    _ldl_solve,
+    _make_ops,
+    _RectangleOps,
+    _solve_tridiagonal,
+    area_energy,
+)
 from pmsflow.grid import (
     CellField,
     FaceField,
@@ -283,6 +290,14 @@ def test_fused_primal_update_is_the_prox_and_extrapolation(theta):
     tol = _KERNEL_ULPS * np.finfo(float).eps * mag
     assert np.max(np.abs(u_prev + w_new / c - want)) <= tol
     assert np.max(np.abs(vbar / c - (want + theta * (want - v)))) <= (1.0 + theta) * tol
+    # the step is the proximal step, so (v_new - u_prev)/tau - div p = (v - v_new)/s:
+    # the loop screens with |W - W_new|_V / (c s), the public primal residual of v_new
+    step = c * (v - u_prev) - w_new
+    screen = math.sqrt(grid.cell_volumes.flat[0] * np.vdot(step, step)) / (c * s)
+    r = (u_prev + w_new / c - u_prev) / tau - divz
+    primal = math.sqrt(np.sum(grid.cell_volumes * r * r))
+    scale = np.max(np.abs(u_prev)) / tau + np.max(np.abs(divz))
+    assert abs(screen - primal) <= _KERNEL_ULPS * np.finfo(float).eps * scale
 
 
 # ---------------------------------------------------------------- one step
@@ -580,17 +595,26 @@ def test_non_convergence_reports_residuals():
     assert str(info.value).startswith("step 1 at t = 0.01: ")
 
 
-def test_rectangle_non_convergence_reports_the_full_triplet():
-    # intermediate checks stop at a failing primal residual; the last one
-    # still evaluates the dual relation and the gap, so all three are named
+def test_rectangle_non_convergence_reports_the_full_triplet(monkeypatch):
+    # intermediate checks stop at a failing screen; at max_inner the loop
+    # still certifies the pair it would return, u_prev + tau div p with p,
+    # so the error names that pair's three certificates
     grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (12, 10))
+    residuals, results = solver._residuals, []
+
+    def captured(*args):
+        results.append(residuals(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_residuals", captured)
     with pytest.raises(NonConvergenceError) as info:
         implicit_step(cosine(grid, amplitude=0.5), SolverConfig(tau=1e-3, max_inner=3))
     err = info.value
     assert err.iterations == 3
     triplet = (err.primal_residual, err.dual_residual, err.gap)
     assert all(np.isfinite(r) for r in triplet)
-    assert err.primal_residual > 1e-8
+    assert triplet == results[-1]
+    assert err.dual_residual > 1e-8
     for name, value in zip(("primal", "dual", "gap"), triplet):
         assert f"{name} {value:.3e}" in str(err)
 
@@ -642,6 +666,43 @@ def test_newton_runs_the_full_certificate_once_per_certified_step(monkeypatch):
     assert res.kkt_residual == kkt_residual(res.u_next, res.dual, first.u_next, cfg.tau)
 
 
+def test_rectangle_certifies_only_where_its_screen_passes(monkeypatch):
+    # the loop screens each check with its own primal step; only a check
+    # that passes makes div p and runs the three-part certificate, which
+    # certifies at its last call of a step.  So div_dual runs once per
+    # certificate plus once per step (the start's increment)
+    grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (12, 10))
+    u0, cfg = cosine(grid, amplitude=0.5), SolverConfig(tau=1e-3)
+    first = implicit_step(u0, cfg)
+    residuals, div_dual, results, divs = solver._residuals, _RectangleOps.div_dual, [], []
+
+    def counted_residuals(*args):
+        results.append(residuals(*args))
+        return results[-1]
+
+    def counted_div(self, p):
+        divs.append(p.shape)
+        return div_dual(self, p)
+
+    monkeypatch.setattr(solver, "_residuals", counted_residuals)
+    monkeypatch.setattr(_RectangleOps, "div_dual", counted_div)
+    res = implicit_step(first.u_next, cfg, dual=first.dual)
+    runs = [(1, [res.inner_iters], results[:], divs[:])]
+    results.clear()
+    divs.clear()
+    traj = evolve(u0, 5 * cfg.tau, cfg)
+    runs.append((5, traj.inner_iters, results, divs))
+    monkeypatch.undo()
+    assert res.inner_iters > cfg.check_every
+    for steps, iters, certificates, starts_and_certificates in runs:
+        assert len(starts_and_certificates) == len(certificates) + steps
+        checks = sum(1 + k // cfg.check_every for k in iters)
+        assert steps <= len(certificates) < checks  # the screen turned some checks away
+        passed = [all(r <= cfg.inner_tol for r in triplet) for triplet in certificates]
+        assert sum(passed) == steps and passed[-1]
+    assert res.kkt_residual == kkt_residual(res.u_next, res.dual, first.u_next, cfg.tau)
+
+
 @pytest.mark.parametrize("height", [1e7, 1e8, 1e10])
 def test_step_below_the_float_floor_fails_fast(height):
     # a jump this tall puts the primal certificate's rounding, about
@@ -656,9 +717,10 @@ def test_step_below_the_float_floor_fails_fast(height):
 
 
 def test_rectangle_step_below_the_float_floor_fails_fast():
-    # the primal residual of this step stalls at 2.1e-11, under the float
-    # floor eps max|u| / tau = 2.2e-10 and above the tolerance: the loop
-    # stops once it no longer falls, and says so, instead of running all
+    # the pair u_prev + tau div p of this step keeps a primal residual of
+    # 2.1e-11, its rounding, under the float floor eps max|u| / tau = 2.2e-10
+    # and above the tolerance: the loop stops at the first check whose
+    # screen passes (16 iterations), and says so, instead of running all
     # max_inner iterations
     grid = rectangle_grid((0.0, 0.0), (1.0, 1.0), (2, 2))
     u = CellField(grid, np.array([[10.0, -10.0], [-10.0, 10.0]]))
@@ -943,21 +1005,31 @@ def test_newton_step_agrees_with_the_step_oracle(grid):
 
 def test_newton_step_through_reduced_solves_agrees_with_the_step_oracle():
     # 999 faces: every Newton direction passes three levels of odd-even
-    # reduction before the LDL^T loop, and jumps at every cell drive faces
-    # to |p| = 1 - 2e-6, so the Hessian's diagonal spans five decades.  The
-    # bound is the one of test_newton_step_agrees_with_the_step_oracle.
+    # reduction before the LDL^T loop.  Jumps at every cell drive faces to
+    # |p| = 1 - 2e-6, so the Hessian's diagonal spans five decades; on the
+    # cosine, quarter_circles and piecewise data the oracle stops at its own
+    # rounding floor, above 1e-11 at this size.  The bound is the one of
+    # test_newton_step_agrees_with_the_step_oracle.
     grid = interval_grid(0.0, 2.0, 1000)
     rng = np.random.default_rng(21)
-    u0 = np.where(rng.uniform(size=grid.shape) < 0.5, -0.7, 0.7)
-    cfg = SolverConfig(tau=1e-3, inner_tol=1e-9)
-    newton = implicit_step(CellField(grid, u0), cfg)
-    reference, residual = _primal_step_oracle(grid, u0, cfg.tau)
-    assert newton.kkt_residual <= cfg.inner_tol
-    assert np.max(np.abs(newton.dual)) > 1.0 - 1e-5
-    assert cfg.tau * residual <= 1e-3 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
-    diff = newton.u_next.values - reference
-    dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
-    assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+    jumps = np.where(rng.uniform(size=grid.shape) < 0.5, -0.7, 0.7)
+    cases = [
+        (jumps, 1e-3),
+        (cosine(grid, amplitude=1.0).values, 1e-2),
+        (quarter_circles(grid, c=1.0).values, 1e-3),
+        (random_piecewise(grid, rng, pieces=10, amplitude=1.0).values, 1e-2),
+    ]
+    for u0, tau in cases:
+        cfg = SolverConfig(tau=tau, inner_tol=1e-9)
+        newton = implicit_step(CellField(grid, u0), cfg)
+        reference, residual = _primal_step_oracle(grid, u0, cfg.tau)
+        assert newton.kkt_residual <= cfg.inner_tol
+        if u0 is jumps:
+            assert np.max(np.abs(newton.dual)) > 1.0 - 1e-5
+        assert cfg.tau * residual <= 1e-3 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
+        diff = newton.u_next.values - reference
+        dist = float(np.sqrt(np.sum(grid.cell_volumes * diff**2)))
+        assert dist <= 2.0 * np.sqrt(2.0 * cfg.tau * cfg.inner_tol)
 
 
 @pytest.mark.parametrize(
@@ -1284,6 +1356,28 @@ def test_evolve_validation_errors():
             evolve(u0, 1.0, cfg, keep=keep)
     with pytest.raises(ValueError):
         evolve(u0, 1.0, cfg, kappa=0.0)
+
+
+def test_a_step_count_that_overflows_or_exceeds_the_cap_is_rejected(tmp_path, capsys):
+    # t_end / tau = inf, or one step more than _MAX_STEPS, raises ValueError
+    # naming t_end, tau and the count before the run allocates its steps;
+    # the command line exits 2 and makes no --out
+    grid = interval_grid(0.0, 1.0, 8)
+    u0, cap = cosine(grid, amplitude=0.5), solver._MAX_STEPS
+    assert solver._check_run_settings(u0, 0.5 * cap, SolverConfig(tau=0.5), None, ())[0] == cap
+    cases = (("1.0e-300", "1.0e+300", "inf"), ("0.5", f"{0.5 * (cap + 1)}", str(cap + 1)))
+    for tau, t_end, count in cases:
+        message = (f"t_end = {float(t_end)} over tau = {float(tau)} makes {count} steps, "
+                   f"more than {cap}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evolve(u0, float(t_end), SolverConfig(tau=float(tau)))
+        config = tmp_path / "long.yaml"
+        config.write_text("experiment: custom\n"
+                          "grid: {kind: interval, lo: 0.0, hi: 1.0, cells: 8}\n"
+                          f"initial: {{type: cosine}}\ntau: {tau}\nt_end: {t_end}\n")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
