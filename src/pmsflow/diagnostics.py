@@ -1,11 +1,15 @@
 """Per-step measurements and the checks the flow is gated on.
 
-A ``DiagnosticRecord`` is written at every time step; checks consume the
-recorded series (or the stored states, for the contraction check) and
-return ``Verdict`` objects.  A check reports its signed worst value and the
-place where it occurred, never a clamped one: a passing run shows how much
-room it left (a negative increment, a negative excess), and ``passed`` is
-exactly ``worst_violation <= tolerance``.
+A ``DiagnosticRecord`` is recorded for every time level.  ``evolve``
+measures its certified states in stacks, with one array call per
+diagnostic over a whole stack, and ``measure``, the public entry point, is
+the one-state case of the same routine, so a record has the same bits
+whichever way it was made.  Checks consume the recorded series (or the
+stored states, for the contraction check) and return ``Verdict`` objects.
+A check reports its signed worst value and the place where it occurred,
+never a clamped one: a passing run shows how much room it left (a
+negative increment, a negative excess), and ``passed`` is exactly
+``worst_violation <= tolerance``.
 """
 
 from __future__ import annotations
@@ -80,48 +84,73 @@ def measure(
 ) -> DiagnosticRecord:
     """Measure one time level; velocity entries are 0 when u_prev is None.
 
-    One pass over the face differences (``grid._differences``) gives
-    ``max_face_diff``, ``jump_count`` (the faces whose |difference| reaches
-    kappa) and the face gradient; the grid's ops class makes K u and ``lip``
-    (the largest co-located slope) from it, so the dual layout stays in
-    ``energy``, and the energy is ``area_energy``'s float.  ``tau`` and
-    ``kappa`` must be positive finite numbers, else ValueError.
+    The one-state case of ``_measure_stack``, which ``evolve`` hands its
+    certified states in stacks.  ``tau`` and ``kappa`` must be positive
+    finite numbers, else ValueError.
     """
     if _as_float(tau, "tau") <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not 0 < kappa < math.inf:
         raise ValueError(f"jump threshold must be positive and finite, got kappa = {kappa}")
-    g, values = u.grid, u.values
-    if u_prev is None:
-        ut_l2 = ut_sup = 0.0
+    prev = None if u_prev is None else u_prev.values[None]
+    return _measure_stack(u.grid, u.values[None], prev, (t,), tau, kappa)[0]
+
+
+def _measure_stack(grid, values, prev, times, tau, kappa) -> list[DiagnosticRecord]:
+    """The records of a stack of states, one per leading index of ``values``.
+
+    State k is recorded at ``times[k]`` and stepped from ``prev[k]``
+    (velocity entries 0 when ``prev`` is None); ``tau`` and ``kappa`` are
+    those ``measure`` validates.  Each diagnostic is one array call over the
+    whole stack, and each reduction runs over one state's entries in the
+    order a lone state's would, so a record does not depend on the stack it
+    was measured in.
+
+    One pass over the face differences (``grid._differences``) gives
+    ``max_face_diff``, ``jump_count`` (the faces whose |difference| reaches
+    kappa) and the face gradient; the grid's ops class makes K u and ``lip``
+    (the largest co-located slope) from it, so the dual layout stays in
+    ``energy``, and the energy is ``area_energy``'s.
+    """
+    ops = _make_ops(grid)
+    volumes = grid.cell_volumes
+    if prev is None:
+        ut_l2 = ut_sup = np.zeros(len(values))
     else:
-        du = (values - u_prev.values) / tau
-        ut_l2 = math.sqrt((g.cell_volumes * du * du).sum())
-        ut_sup = float(np.abs(du).max())
-    diffs = _differences(values)
+        du = values - prev
+        du /= tau
+        ut_l2 = np.sqrt(_per_state(volumes * du * du).sum(axis=1))
+        ut_sup = _per_state(np.abs(du)).max(axis=1)
+    diffs = _differences(values, grid.ndim)
     max_face_diff, jump_count = _face_jumps(diffs, kappa)
-    # the differences are measure's own arrays: they become the face gradient
-    slopes = [np.divide(d, h, out=d) for d, h in zip(diffs, g.spacing)]
-    ops = _make_ops(g)
+    # the differences are this routine's own arrays: they become the face gradient
+    slopes = [np.divide(d, h, out=d) for d, h in zip(diffs, grid.spacing)]
     mag = ops.magnitude(ops.k_from_slopes(slopes))
-    return DiagnosticRecord(
-        t=float(t),
-        energy=_area(ops, mag),
-        mean=float((g.cell_volumes * values).sum()) / ops.total_volume,
-        sup_norm=float(np.abs(values).max()),
-        lip=ops.lip(slopes, mag),
-        ut_l2=ut_l2,
-        ut_sup=ut_sup,
-        max_face_diff=max_face_diff,
-        jump_count=jump_count,
+    columns = (  # in the order of DiagnosticRecord.FIELDS
+        np.asarray(times, dtype=float),
+        _area(ops, mag),
+        _per_state(volumes * values).sum(axis=1) / ops.total_volume,
+        _per_state(np.abs(values)).max(axis=1),
+        ops.lip(slopes, mag),
+        ut_l2,
+        ut_sup,
+        max_face_diff,
+        jump_count,
     )
+    return [DiagnosticRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def _face_jumps(diffs, kappa: float = math.inf) -> tuple[float, int]:
-    """Largest |difference| over the faces, and how many reach kappa."""
-    gaps = [np.abs(d) for d in diffs]
-    largest = max(float(d.max()) if d.size else 0.0 for d in gaps)
-    return largest, sum(int(np.count_nonzero(d >= kappa)) for d in gaps)
+def _per_state(a: np.ndarray) -> np.ndarray:
+    """A stack's entries as one row per state, for reductions over each state."""
+    return a.reshape(len(a), -1)
+
+
+def _face_jumps(diffs, kappa: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Per state of a stack: the largest |difference| over the faces, and
+    how many faces reach kappa."""
+    gaps = [_per_state(np.abs(d)) for d in diffs]
+    largest = np.max([g.max(axis=1) for g in gaps], axis=0)
+    return largest, sum(np.count_nonzero(g >= kappa, axis=1) for g in gaps)
 
 
 def default_jump_threshold(u0: CellField) -> float:
@@ -132,7 +161,7 @@ def default_jump_threshold(u0: CellField) -> float:
     """
     h = max(u0.grid.spacing)
     sup = float(np.max(np.abs(u0.values)))
-    max_fd, _ = _face_jumps(_differences(u0.values))
+    max_fd = float(_face_jumps(_differences(u0.values[None], u0.grid.ndim))[0][0])
     kappa = max(10.0 * np.sqrt(h * sup), 0.1 * max_fd)
     floor = 1e-12 * (1.0 + sup)
     return float(max(kappa, floor))

@@ -16,13 +16,17 @@ sigma / (2 hx) (``loop_kernels``).  Each ops class proves a bound on the
 norm of its K (``norm_bound``), from which the step sizes follow, makes
 K u from the face gradient of u (``k_from_slopes``) and the largest
 co-located slope from that gradient and |K u| (``lip``), so that
-``diagnostics.measure`` differences u once and never sees the dual layout.
+``diagnostics`` differences u once and never sees the dual layout.  These
+pieces, ``_area`` and the grid's ``colocate`` take a stack of states (a
+leading axis), so that one set of record formulas serves every grid kind,
+and ``evolve`` measures many states in one array call.
 ``k_apply`` and ``div_dual`` serve the certificates and the Newton solve;
 the benchmark's tracer times them.
 The Newton solve of one-axis grids maximizes the step's dual, whose
 Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
 gives the part of it that does not depend on the dual, ``_DualIterate``
-evaluates the dual, its gradient and the rest of the Hessian at one p,
+holds the terms at one p (the dual, its gradient, the rest of the Hessian),
+each made where it is first read,
 and ``_solve_tridiagonal`` gives the Newton direction: odd-even reduction
 in array passes down to at most ``_REDUCE_ABOVE`` unknowns, then an LDL^T
 loop over Python floats.  ``_make_ops`` keeps one ops object per live
@@ -118,16 +122,18 @@ class _OneAxisOps(_GridOps):
         return np.abs(p)
 
     @staticmethod
-    def lip(slopes, mag) -> float:
-        """Largest co-located slope; K u is the face gradient, not that slope.
+    def lip(slopes, mag) -> np.ndarray:
+        """Largest co-located slope of each state of a stack; K u is the face
+        gradient, not that slope.
 
         ``colocate`` gives a cell half the sum of its two face slopes and a
         wall cell half its one face slope, so the largest of them is half
         the largest of |f[i] + f[i+1]| and the two wall slopes.
         """
         f = slopes[0]
-        inner = float(np.abs(f[1:] + f[:-1]).max(initial=0.0))
-        return 0.5 * max(inner, abs(float(f[0])), abs(float(f[-1])))
+        inner = np.abs(f[:, 1:] + f[:, :-1]).max(axis=1, initial=0.0)
+        walls = np.maximum(np.abs(f[:, 0]), np.abs(f[:, -1]))
+        return 0.5 * np.maximum(inner, walls)
 
     @staticmethod
     def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -169,48 +175,81 @@ _DUAL_NOISE = 1e-13
 
 class _DualIterate:
     """One dual iterate p of the one-axis Newton solve, with the terms that
-    its certificate, gradient, Hessian and line search share.
+    its certificate, gradient, Hessian and line search share, each made at
+    most once and only where it is read.
 
-    Construction makes what every line-search trial needs: slack =
-    (1 - p)(1 + p), conj = sqrt(slack), div p, u = u_prev + tau div p, and
+    Construction makes what every dual needs: slack = (1 - p)(1 + p),
+    conj = sqrt(slack), div p and u = u_prev + tau div p.  The rest is made
+    on its first read:
 
-        -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
+    * ``q`` = K u, for the Newton solve's dual-relation screen and, on the
+      iterate that passes it, the full certificate;
+    * ``f`` and ``noise``, together: the negative dual of the step problem
 
-    the negative dual of the step problem, minimized where u solves the
-    step, with its rounding noise.  ``make_q`` applies K once per dual, as
-    it becomes an iterate or as its line-search test reads ``relation_sq``:
-    q = K u serves the Newton solve's dual-relation screen, the gradient
-    and, on the iterate that passes the screen, the full certificate.  A
-    trial that fails the Armijo test never applies K, and an accepted trial
-    brings what it made into the next Newton step.
+          -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
+
+      minimized where u solves the step, and its rounding noise, which the
+      line search reads on an iterate that takes a Newton step and on the
+      trials it tests by Armijo;
+    * ``grad``, the gradient of -D, for the Newton direction and
+      ``relation_sq``.
+
+    The certified iterate thus makes nothing after its screen but the
+    certificate, a trial that fails the Armijo test makes neither q nor the
+    gradient, and an accepted trial brings what it made into the next
+    Newton step.
     """
 
     def __init__(self, ops, u0, tau, p):
-        self.ops = ops
-        self.p = p
+        self.ops, self.u0, self.tau, self.p = ops, u0, tau, p
         self.slack = (1.0 - p) * (1.0 + p)
         self.conj = np.sqrt(self.slack)
-        self.divz = divz = ops.div_dual(p)
-        self.u = u0 + tau * divz
-        conj_sum = (ops.dual_weights * self.conj).sum()
-        pair = ops.grid.cell_volumes * divz * (u0 + 0.5 * tau * divz)
-        self.f = float(pair.sum() - conj_sum)
-        self.noise = _DUAL_NOISE * float(conj_sum + np.abs(pair).sum())
-        self.q = self.grad = self._rel_sq = None
+        self.divz = ops.div_dual(p)
+        self.u = u0 + tau * self.divz
+        self._q = self._grad = self._f = self._noise = self._rel_sq = None
 
-    def make_q(self) -> None:
-        """q = K u and the gradient W (p / sqrt(1 - p^2) - q) of -D, which
-        vanishes exactly where the dual relation does; made once per dual."""
-        if self.q is None:
-            self.q = q = self.ops.k_apply(self.u)
-            self.grad = self.ops.dual_weights * (self.p / self.conj - q)
+    @property
+    def q(self) -> np.ndarray:
+        """K u, applied on the first read."""
+        if self._q is None:
+            self._q = self.ops.k_apply(self.u)
+        return self._q
+
+    @property
+    def f(self) -> float:
+        """-D(p); made with ``noise``."""
+        if self._f is None:
+            self._negative_dual()
+        return self._f
+
+    @property
+    def noise(self) -> float:
+        """Rounding noise of -D, ``_DUAL_NOISE`` times the sum of its terms'
+        magnitudes; made with ``f``."""
+        if self._f is None:
+            self._negative_dual()
+        return self._noise
+
+    def _negative_dual(self) -> None:
+        ops, divz = self.ops, self.divz
+        conj_sum = (ops.dual_weights * self.conj).sum()
+        pair = ops.grid.cell_volumes * divz * (self.u0 + 0.5 * self.tau * divz)
+        self._f = float(pair.sum() - conj_sum)
+        self._noise = _DUAL_NOISE * float(conj_sum + np.abs(pair).sum())
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The gradient W (p / sqrt(1 - p^2) - q) of -D, which vanishes
+        exactly where the dual relation does."""
+        if self._grad is None:
+            self._grad = self.ops.dual_weights * (self.p / self.conj - self.q)
+        return self._grad
 
     def relation_sq(self) -> float:
         """Squared norm of (1 - p^2) grad / W, which is the dual-relation
         residual p sqrt(1 + q^2) - q to first order.  Unlike the bare
         gradient, it does not blow up the rounding of faces near saturation."""
         if self._rel_sq is None:
-            self.make_q()
             r = self.slack * self.grad / self.ops.dual_weights
             self._rel_sq = float(np.dot(r, r))
         return self._rel_sq
@@ -410,9 +449,10 @@ class _RectangleOps(_GridOps):
         return c, k_add, div_into
 
     @staticmethod
-    def lip(slopes, mag) -> float:
-        """Largest co-located slope: K u is the co-located gradient, so |K u|."""
-        return float(mag.max())
+    def lip(slopes, mag) -> np.ndarray:
+        """Largest co-located slope of each state of a stack: K u is the
+        co-located gradient, so the largest |K u|."""
+        return mag.reshape(len(mag), -1).max(axis=1)
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:
@@ -453,14 +493,15 @@ def _make_ops(grid: Grid):
 def area_energy(u: CellField) -> float:
     """Discrete graph area of a cell field; never below the domain volume."""
     ops = _make_ops(u.grid)
-    return _area(ops, ops.magnitude(ops.k_apply(u.values)))
+    return float(_area(ops, ops.magnitude(ops.k_apply(u.values[None])))[0])
 
 
-def _area(ops, mag: np.ndarray) -> float:
-    """The discrete area at |K u| = ``mag``: sum W sqrt(1 + mag^2) over the
-    dual entries plus the volume no dual weight covers."""
+def _area(ops, mag: np.ndarray) -> np.ndarray:
+    """The discrete area of each state of a stack at |K u| = ``mag``, of
+    shape (states, *dual entries): sum W sqrt(1 + mag^2) over the dual
+    entries plus the volume no dual weight covers."""
     terms = ops.dual_weights * np.sqrt(1.0 + mag * mag)
-    return float(terms.sum()) + ops.uncovered
+    return terms.reshape(len(terms), -1).sum(axis=1) + ops.uncovered
 
 
 def _dual_radius(m: np.ndarray, sigma: float) -> np.ndarray:

@@ -22,8 +22,10 @@ pairings sum V u v over cells (``cell_volumes``) and sum W p q over faces
 (``face_weights``), and ``colocate`` averages face values onto the cells.
 Summation by parts holds to rounding and the weighted cell sum of any
 divergence telescopes to zero.  ``cell_norm`` is the norm of the cell
-pairing.  The solver, ``energy`` and ``diagnostics.measure`` all run on
-these operators and on ``_differences``, the raw face differences.
+pairing.  The solver, ``energy`` and ``diagnostics`` all run on these
+operators and on ``_differences``, the raw face differences; the
+differences, the gradient and ``colocate`` also take a stack of states,
+the grid's axes last.
 """
 
 from __future__ import annotations
@@ -319,36 +321,46 @@ class FaceField:
 
 
 # Index tuples of the lower and the upper cell of every interior face, keyed
-# by (ndim, axis).  Built once: the saddle operators index with them at
-# every certificate evaluation and every Newton step.
+# by (ndim, axis), the grid's axes being the last ndim: any axes before them
+# stack states (``diagnostics`` measures a stack at a time).  Built once: the
+# saddle operators index with them at every certificate evaluation and every
+# Newton step.
 _LO, _HI, _ALL = slice(None, -1), slice(1, None), slice(None)
 _FACE_SIDES = {
-    (1, 0): ((_LO,), (_HI,)),
-    (2, 0): ((_LO, _ALL), (_HI, _ALL)),
-    (2, 1): ((_ALL, _LO), (_ALL, _HI)),
+    (1, 0): ((..., _LO), (..., _HI)),
+    (2, 0): ((..., _LO, _ALL), (..., _HI, _ALL)),
+    (2, 1): ((..., _LO), (..., _HI)),
 }
 # The last cell and the inner cells (all but the first and the last) along
 # each axis, keyed the same way; ``colocate`` writes each cell once with them.
 _LAST, _INNER = slice(-1, None), slice(1, -1)
 _AXIS_ENDS = {
-    (1, 0): ((_LAST,), (_INNER,)),
-    (2, 0): ((_LAST, _ALL), (_INNER, _ALL)),
-    (2, 1): ((_ALL, _LAST), (_ALL, _INNER)),
+    (1, 0): ((..., _LAST), (..., _INNER)),
+    (2, 0): ((..., _LAST, _ALL), (..., _INNER, _ALL)),
+    (2, 1): ((..., _LAST), (..., _INNER)),
 }
 
 
-def _differences(values: np.ndarray) -> list[np.ndarray]:
-    """Upper minus lower cell value across every interior face, per axis."""
+def _differences(values: np.ndarray, ndim: int | None = None) -> list[np.ndarray]:
+    """Upper minus lower cell value across every interior face, per axis.
+
+    The last ``ndim`` axes of ``values`` (all of them by default) are the
+    grid's; any before them stack states, each differenced on its own.
+    """
+    ndim = values.ndim if ndim is None else ndim
     out = []
-    for axis in range(values.ndim):
-        lower, upper = _FACE_SIDES[values.ndim, axis]
+    for axis in range(ndim):
+        lower, upper = _FACE_SIDES[ndim, axis]
         out.append(values[upper] - values[lower])
     return out
 
 
 def forward_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-axis face difference quotients; boundary faces do not exist."""
-    return tuple(d / h for d, h in zip(_differences(values), grid.spacing))
+    """Per-axis face difference quotients; boundary faces do not exist.
+
+    ``values`` has the grid's shape, or that shape after leading stack axes.
+    """
+    return tuple(d / h for d, h in zip(_differences(values, grid.ndim), grid.spacing))
 
 
 def colocate(grid: Grid, components) -> np.ndarray:
@@ -356,9 +368,11 @@ def colocate(grid: Grid, components) -> np.ndarray:
 
     A cell holds half the sum of its two faces' values, and an absent
     boundary face enters as zero.  The sum is (0 + upper face) + lower face,
-    so a wall cell next to a -0.0 face holds +0.0.
+    so a wall cell next to a -0.0 face holds +0.0.  Face values of a stack
+    of states, with leading axes ``lead``, give (ndim, *lead, *grid.shape).
     """
-    out = np.empty((grid.ndim,) + grid.shape)
+    lead = components[0].shape[: components[0].ndim - grid.ndim]
+    out = np.empty((grid.ndim,) + lead + grid.shape)
     for axis, f in enumerate(components):
         o = out[axis]
         lower, _ = _FACE_SIDES[grid.ndim, axis]

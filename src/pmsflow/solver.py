@@ -20,15 +20,18 @@ odd-even reduction in array passes down to at most 128 unknowns, then an
 LDL^T loop), the step keeps a fixed fraction of the distance to |p| = 1
 and backtracks until -D decreases (Armijo), or, once that decrease is
 below the rounding of -D, until the scaled gradient does.  It certifies
-within a handful of steps.  Each dual it visits, an
-iterate or a line-search trial, is evaluated once (``_DualIterate``):
-sqrt(1 - p^2), div p, u and K u serve the certificate, -D, the gradient
-and the Hessian alike, and K u is applied only to iterates and to the
-trials whose line-search test needs it.  The part of the Hessian that
-does not depend on p is a run invariant: the grid's ops object
+within a handful of steps.  Each dual it visits, an iterate or a
+line-search trial, is one ``_DualIterate``, which makes each term once
+and only where it is read: sqrt(1 - p^2), div p and u always; K u on an
+iterate and on a trial whose test reads the gradient; -D with its noise
+on an iterate that takes a Newton step and on a trial the Armijo test
+reads; the gradient on an iterate that steps and on a trial the relation
+test reads.  The certified iterate, which passes its screen at once,
+makes neither -D nor the gradient as an iterate.  The part of the Hessian
+that does not depend on p is a run invariant: the grid's ops object
 (``energy._make_ops``, one per live grid) keeps it for the last tau, with
-the domain volume and the volume no dual weight covers that every
-``measure`` uses.
+the domain volume and the volume no dual weight covers that every record
+uses.
 
 On rectangles a primal-dual iteration (PDHG) runs on a lifted dual.  Since
 sqrt(1 + |q|^2) = |(1, q)| = max over |(p0, p)| <= 1 of p0 + p.q, each
@@ -66,12 +69,13 @@ iterate equals the duality gap of the step problem.  One routine,
 (u_prev + tau div p, p), only where a cheaper screen passes or a failure
 is raised, so every NonConvergenceError reports that pair's triplet.
 Newton screens with the dual relation (``_relation``), since its state is
-u_prev + tau div p by construction; the rectangle loop with its primal
-step.  Neither runs on below the float floor of its certificates: Newton
-fails once no step length shrinks them, the rectangle loop once its screen
-passes while the pair's primal, the rounding of u_prev + tau div p, lies
-above ``inner_tol`` within a few times eps max|u_prev| / tau; the error
-names that floor.  The returned state is exactly
+u_prev + tau div p by construction, and hands that relation to the
+certificate; the rectangle loop screens with its primal step.  Neither
+runs on below the float floor of its certificates: Newton fails once no
+step length shrinks them, the rectangle loop once its screen passes while
+the pair's primal, the rounding of u_prev + tau div p, lies above
+``inner_tol`` within a few times eps max|u_prev| / tau; the error names
+that floor.  The returned state is exactly
 u_prev + tau * divergence_values(flux) in the grid module's calculus, so
 the weighted mean is conserved to machine precision and the energy
 inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) +
@@ -101,7 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticRecord, default_jump_threshold, measure
+from .diagnostics import DiagnosticRecord, _measure_stack, default_jump_threshold, measure
 # perfbench/tracer.py finds _dual_radius and the two ops classes here and
 # wraps them to time the saddle operators, which only certificate
 # evaluations call (the rectangle loop runs ``loop_kernels``).  No step
@@ -263,17 +267,19 @@ def _relation(ops, p, q) -> tuple[float, np.ndarray]:
     return float(ops.magnitude(relation).max()), root
 
 
-def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
+def _residuals(ops, u_prev, tau, p, divz, u, q, conj, relation=None):
     """The three certificates (primal, dual relation, gap) of the pair (u, p).
 
     ``divz`` = div(p), ``q`` = K u and ``conj`` = sqrt(1 - |p|^2)
     (``_conjugate``) come from the caller, which computes each once per
     pair.  Primal: |(u - u_prev)/tau - div(p)|_w.  Dual: ``_relation``,
-    which Newton also screens with.  Gap: sum W * (sqrt(1 + |q|^2) - p.q -
-    sqrt(1 - |p|^2)), the duality gap of the step problem at
-    u = u_prev + tau * div(p).  Each works in place on the arrays it makes,
-    in the order of the formulas, which spares the allocations of a
-    96 x 96 certificate.  Both solvers and ``kkt_residual`` certify here.
+    which Newton also screens with and then passes in as ``relation``, so
+    that it is evaluated once per iterate; its root array is overwritten
+    here.  Gap: sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the
+    duality gap of the step problem at u = u_prev + tau * div(p).  Each
+    works in place on the arrays it makes, in the order of the formulas,
+    which spares the allocations of a 96 x 96 certificate.  Both solvers
+    and ``kkt_residual`` certify here.
     """
     r = np.subtract(u, u_prev)
     r /= tau
@@ -281,7 +287,7 @@ def _residuals(ops, u_prev, tau, p, divz, u, q, conj):
     r *= r
     r *= ops.grid.cell_volumes
     primal = math.sqrt(r.sum())
-    dual, root = _relation(ops, p, q)
+    dual, root = _relation(ops, p, q) if relation is None else relation
     gap_terms = np.subtract(root, ops.dot(p, q), out=root)
     gap_terms -= conj
     np.maximum(gap_terms, 0.0, out=gap_terms)
@@ -535,17 +541,20 @@ def _newton(ops, u0, cfg, p) -> StepResult:
 
     An iterate's state is u = u_prev + tau div p by construction, so its
     primal residual is only rounding, and the dual relation decides.  Each
-    iterate is screened with the certificate's own dual relation
-    (``_relation``); the full certificate ``_residuals`` runs only where
-    that relation reaches ``inner_tol`` (or is NaN), at ``max_inner``, and
-    before the line search raises, so that every NonConvergenceError names
-    all three residuals.  A certified step thus evaluates it once.
+    iterate is screened once with the certificate's own dual relation
+    (``_relation``); the full certificate ``_residuals`` runs, on that
+    relation, only where it reaches ``inner_tol`` (or is NaN), at
+    ``max_inner``, and before the line search raises, so that every
+    NonConvergenceError names all three residuals.  A certified step thus
+    evaluates the certificate once.
 
     Every iterate and every line-search trial is one ``_DualIterate``, so
-    each term is made once per dual: div p, u and K u feed the certificate
-    and the gradient both, and the accepted trial becomes the next iterate
-    as it stands.  The Hessian's dual-independent bands come from the
-    grid's ops object, which keeps them for the last tau.
+    each term is made at most once per dual, on its first read: div p, u
+    and K u feed the certificate and the gradient both, -D and the gradient
+    are made only for a Newton step or a line-search test, and the
+    accepted trial becomes the next iterate as it stands.  The Hessian's
+    dual-independent bands come from the grid's ops object, which keeps
+    them for the last tau.
 
     A start entry at or beyond |p| = 1 takes the value of the cold start,
     the variational dual of u_prev.  Clipped to ``_P_MAX`` instead, it would
@@ -560,9 +569,9 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     coupling = ops.hessian_coupling(tau)
     it = _DualIterate(ops, u0, tau, np.clip(p, -_P_MAX, _P_MAX))  # never the caller's array
     for k in range(1, cfg.max_inner + 1):
-        it.make_q()
-        if k == cfg.max_inner or not _relation(ops, it.p, it.q)[0] > tol:
-            residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
+        relation, residuals = _relation(ops, it.p, it.q), None
+        if k == cfg.max_inner or not relation[0] > tol:
+            residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj, relation)
             if all(r <= tol for r in residuals):
                 return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
             if k == cfg.max_inner:
@@ -583,7 +592,8 @@ def _newton(ops, u0, cfg, p) -> StepResult:
                 break
             alpha *= 0.5
         else:
-            residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj)
+            if residuals is None:  # the screen turned this iterate away
+                residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj, relation)
             raise _nonconvergence("Newton iteration (line search stalled)", k, residuals, tol)
         it = trial
     raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)
@@ -724,6 +734,14 @@ class _DualPredictor:
 
 # From this face slope |du|/h on, sqrt(float max), 1 + |K u|^2 overflows.
 _SLOPE_LIMIT = math.sqrt(sys.float_info.max)
+# ``evolve`` measures its certified states in stacks of at most this many
+# cell values (``diagnostics._measure_stack``): a record then costs a share
+# of one array call per diagnostic instead of about thirty calls of its own.
+# Measured per record as the min of 5 repeats (2-core Xeon, numpy 2.4.6):
+# on 400 cells 58-90 us alone, 13-19 us at this budget (10 states), 11-15 us
+# at 8 192 and 14-20 us at 16 384; on 64 cells 50-70 us alone and 4-7 us
+# here.  16 384 raised the benchmark's peak RSS on quarter_circles by 0.3 MB.
+_STACK_VALUES = 4096
 # A run holds about 340 bytes per step (a record, a time, an iteration count
 # and a residual): far above the longest preset (2 000 steps), far below memory.
 _MAX_STEPS = 10**6
@@ -804,6 +822,12 @@ def evolve(
     keep : "snapshots" | "all"
         "all" additionally stores every intermediate state.
 
+    The records are measured in stacks of certified states, at most
+    ``_STACK_VALUES`` cell values each (``diagnostics._measure_stack``),
+    after the stack fills and after the last step; each equals ``measure``
+    of its state against the one before, bit for bit.  The t = 0 record is
+    ``measure``'s own, made while the run is planned.
+
     Raises
     ------
     ValueError
@@ -834,6 +858,8 @@ def evolve(
     predictor = _DualPredictor(ops)
     inner_iters = np.zeros(n_steps, dtype=int)
     kkt_residuals = np.zeros(n_steps)
+    per_stack = max(1, _STACK_VALUES // u.values.size)
+    unmeasured = [u]  # the last measured state, then the states awaiting records
     for k in range(1, n_steps + 1):
         try:
             res = implicit_step(u, cfg, dual=dual)
@@ -844,12 +870,18 @@ def evolve(
         if k in snap_idx:  # before the predictor takes the dual and reuses it
             snapshots.append((float(times[k]), res.u_next, _face_flux(ops, res.dual)))
         dual = predictor.push(res.dual)
-        records.append(measure(res.u_next, u, float(times[k]), cfg.tau, kappa))
         if keep == "all":
             states.append(res.u_next)
         inner_iters[k - 1] = res.inner_iters
         kkt_residuals[k - 1] = res.kkt_residual
         u = res.u_next
+        unmeasured.append(u)
+        if len(unmeasured) > per_stack or k == n_steps:
+            stack = np.stack([state.values for state in unmeasured])
+            first = k + 2 - len(unmeasured)
+            records += _measure_stack(grid, stack[1:], stack[:-1], times[first : k + 1],
+                                      cfg.tau, kappa)
+            unmeasured = [u]
     return Trajectory(
         grid=grid,
         config=cfg,

@@ -1,9 +1,12 @@
 """Diagnostic records, jump detection, and the gate checks."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from pmsflow import diagnostics
+from pmsflow import diagnostics, solver
 from pmsflow.diagnostics import (
     DiagnosticRecord,
     check_contraction,
@@ -84,6 +87,53 @@ def test_measure_is_the_public_calculus_bit_for_bit(grid):
         got = (rec.energy, rec.lip, rec.max_face_diff)
         assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
         assert rec.jump_count == sum(int(np.count_nonzero(d >= 0.3)) for d in gaps)
+    # the three draws measured as one stack, each stepped from the one
+    # before it, are measure of each alone
+    stack = np.array(draws)
+    records = diagnostics._measure_stack(grid, stack[1:], stack[:-1], (0.1, 0.2), 0.1, 0.3)
+    want = [measure(CellField(grid, v), CellField(grid, w), t, 0.1, 0.3)
+            for v, w, t in zip(draws[1:], draws, (0.1, 0.2))]
+    got, want = (np.array([dataclasses.astuple(r) for r in recs]) for recs in (records, want))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_STACKED = [
+    interval_grid(0.0, 2.0, 200),
+    *(radial_grid(n, 1.0, 512) for n in range(2, 7)),
+    rectangle_grid((0.0, 0.0), (1.0, 2.3), (16, 12)),
+    rectangle_grid((0.0, 0.0), (1.0, 1.0), (66, 64)),
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    _STACKED,
+    ids=["interval", *(f"radial{n}" for n in range(2, 7)), "rect16x12", "rect66x64"],
+)
+def test_evolve_records_are_measure_state_by_state(grid):
+    # evolve measures its states in stacks of at most solver._STACK_VALUES
+    # cell values (one state per stack on the 66 x 64 rectangle); each
+    # record is measure of its state alone, to the bit, in runs that end
+    # after one step and one step before, at and after a stack's end.  The
+    # data jump, and the rest of the domain holds +0.0 and -0.0
+    per_stack = max(1, solver._STACK_VALUES // math.prod(grid.shape))
+    assert (per_stack == 1) == (grid.shape == (66, 64))
+    x = grid.cell_centers[0].reshape((-1,) + (1,) * (grid.ndim - 1))
+    signed_zeros = np.where(np.indices(grid.shape).sum(axis=0) % 2, -0.0, 0.0)
+    u0 = CellField(grid, np.where(x < 0.5 * grid.cell_centers[0][-1], 0.8, signed_zeros))
+    tau = 1e-3
+    for n in sorted({1, per_stack - 1, per_stack, per_stack + 1} - {0}):
+        traj = evolve(u0, n * tau, SolverConfig(tau=tau), kappa=0.3, keep="all")
+        states = traj.states
+        want = [measure(states[0], None, 0.0, tau, 0.3)]
+        want += [measure(states[k], states[k - 1], traj.times[k], tau, 0.3)
+                 for k in range(1, n + 1)]
+        assert len(traj.records) == n + 1
+        got, want = (np.array([dataclasses.astuple(r) for r in recs])
+                     for recs in (traj.records, want))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(type(r.jump_count) is int for r in traj.records)
+        assert traj.records[-1].jump_count > 0
 
 
 def test_record_fields_enumerates_the_csv_columns():

@@ -620,7 +620,7 @@ def test_rectangle_non_convergence_reports_the_full_triplet(monkeypatch):
 
 
 @pytest.mark.parametrize("failure", ["max_inner", "line search stalled"])
-def test_one_axis_non_convergence_reports_the_full_triplet(failure):
+def test_one_axis_non_convergence_reports_the_full_triplet(failure, monkeypatch):
     # Newton screens its iterates with the dual relation alone; both failure
     # exits still evaluate the primal residual and the gap, so all three are
     # finite and named
@@ -630,11 +630,25 @@ def test_one_axis_non_convergence_reports_the_full_triplet(failure):
     else:  # the step of test_step_below_the_float_floor_fails_fast at height 1e7
         grid = interval_grid(0.0, 1.0, 10)
         u, cfg = CellField(grid, np.where(np.arange(10) < 5, 0.0, 1e7)), SolverConfig(tau=1e-3)
+    relation, residuals, screens, results = solver._relation, solver._residuals, [], []
+
+    def screened(*args):
+        screens.append(args)
+        return relation(*args)
+
+    def certified(*args):
+        results.append(residuals(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_relation", screened)
+    monkeypatch.setattr(solver, "_residuals", certified)
     with pytest.raises(NonConvergenceError) as info:
         implicit_step(u, cfg)
     err = info.value
     assert ("line search stalled" in str(err)) == (failure == "line search stalled")
+    assert len(screens) == err.iterations  # the relation is evaluated once per iterate
     triplet = (err.primal_residual, err.dual_residual, err.gap)
+    assert triplet == results[-1]
     assert all(np.isfinite(r) for r in triplet)
     assert max(err.primal_residual, err.dual_residual) > cfg.inner_tol
     for name, value in zip(("primal", "dual", "gap"), triplet):
@@ -664,6 +678,84 @@ def test_newton_runs_the_full_certificate_once_per_certified_step(monkeypatch):
     assert len(calls) == 5
     monkeypatch.undo()
     assert res.kkt_residual == kkt_residual(res.u_next, res.dual, first.u_next, cfg.tau)
+
+
+# What a dual of the Newton solve makes, in order: an iterate is screened
+# with the dual relation and, unless that certifies it, takes a Newton step
+# (the gradient, then -D); a trial makes -D for the Armijo test or the
+# gradient for the relation test, and is screened if it is accepted.
+_DUAL_HISTORIES = {
+    ("new", "screen"), ("new", "screen", "grad", "-D"),
+    ("new", "-D"), ("new", "-D", "screen"), ("new", "-D", "screen", "grad"),
+    ("new", "grad"), ("new", "grad", "screen"), ("new", "grad", "screen", "-D"),
+}
+
+
+def test_newton_makes_each_term_of_a_dual_only_where_it_is_read(monkeypatch):
+    # -D (with its noise) and the gradient are made on their first read,
+    # and the dual relation screens each iterate once and is handed to the
+    # certificate: the certified iterate makes nothing after its screen, a
+    # trial tested by the relation never makes -D, and one tested by Armijo
+    # never applies K.  Runs: a cold step, a 5-step evolve, and the step of
+    # test_step_below_the_float_floor_fails_fast at height 1e7, whose line
+    # search turns 60 relation-tested trials away
+    duals, events = [], []
+
+    class Recorded(_DualIterate):
+        def __init__(self, *args):
+            super().__init__(*args)
+            duals.append(self)
+            events.append(("new", self))
+
+    relation, negative_dual = solver._relation, _DualIterate._negative_dual
+    gradient = _DualIterate.grad.fget
+
+    def screened(ops, p, q):
+        events.append(("screen", next(d for d in duals if d.p is p)))
+        return relation(ops, p, q)
+
+    def made_dual(self):
+        events.append(("-D", self))
+        negative_dual(self)
+
+    def made_gradient(self):
+        if self._grad is None:
+            events.append(("grad", self))
+        return gradient(self)
+
+    monkeypatch.setattr(solver, "_DualIterate", Recorded)
+    monkeypatch.setattr(solver, "_relation", screened)
+    monkeypatch.setattr(_DualIterate, "_negative_dual", made_dual)
+    monkeypatch.setattr(_DualIterate, "grad", property(made_gradient))
+    grid = interval_grid(0.0, 2.0, 100)
+    u0, cfg = quarter_circles(grid, c=1.0), SolverConfig(tau=1e-3)
+    runs = []
+    for run in range(3):
+        duals.clear()
+        events.clear()
+        if run == 0:
+            iters = [implicit_step(u0, cfg).inner_iters]
+        elif run == 1:
+            iters = evolve(u0, 5 * cfg.tau, cfg).inner_iters
+        else:
+            tall = CellField(interval_grid(0.0, 1.0, 10), np.where(np.arange(10) < 5, 0.0, 1e7))
+            with pytest.raises(NonConvergenceError, match="line search stalled") as info:
+                implicit_step(tall, cfg)
+            iters = [info.value.iterations]
+        histories = [tuple(kind for kind, d in events if d is dual) for dual in duals]
+        runs.append((iters, histories, duals[:]))
+    monkeypatch.undo()
+    for iters, histories, duals in runs:
+        assert set(histories) <= _DUAL_HISTORIES
+        assert sum(h.count("screen") for h in histories) == sum(iters)  # once per iterate
+        for h, dual in zip(histories, duals):
+            if "screen" not in h and "grad" not in h:
+                assert dual._q is None  # K never applied
+    # the histories that end in a screen are the certified iterates
+    (cold, cold_histories, _), (steps, histories, _), (_, stall_histories, _) = runs
+    assert [h[-1] for h in cold_histories].count("screen") == len(cold) == 1
+    assert [h[-1] for h in histories].count("screen") == len(steps) == 5
+    assert stall_histories.count(("new", "grad")) == 60
 
 
 def test_rectangle_certifies_only_where_its_screen_passes(monkeypatch):
@@ -920,7 +1012,6 @@ def test_dual_gradient_is_the_derivative_of_the_negative_dual(grid):
     u0, tau = rng.standard_normal(grid.shape), 0.2
     p = rng.uniform(-0.9, 0.9, grid.face_shape(0))
     iterate = _DualIterate(ops, u0, tau, p)
-    iterate.make_q()
     assert np.array_equal(iterate.q, ops.k_apply(u0 + tau * ops.div_dual(p)))
     grad = iterate.grad
     eps = 1e-6
