@@ -174,30 +174,32 @@ _DUAL_NOISE = 1e-13
 
 
 class _DualIterate:
-    """One dual iterate p of the one-axis Newton solve, with the terms that
-    its certificate, gradient, Hessian and line search share, each made at
-    most once and only where it is read.
+    """One dual p of the one-axis Newton solve, an iterate or a line-search
+    trial, with the terms that its screen, certificate, gradient, Hessian
+    and descent test share, each made at most once and only where it is
+    read.
 
     Construction makes what every dual needs: slack = (1 - p)(1 + p),
     conj = sqrt(slack), div p and u = u_prev + tau div p.  The rest is made
     on its first read:
 
-    * ``q`` = K u, for the Newton solve's dual-relation screen and, on the
-      iterate that passes it, the full certificate;
+    * ``q`` = K u, for the dual-relation screen that the Newton solve
+      makes of every dual as soon as it is made and, on a dual that passes
+      it, the full certificate;
     * ``f`` and ``noise``, together: the negative dual of the step problem
 
           -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
 
       minimized where u solves the step, and its rounding noise, which the
-      line search reads on an iterate that takes a Newton step and on the
-      trials it tests by Armijo;
+      descent test reads on the iterate it steps from and on the trials it
+      tests by Armijo, and only for a trial that does not certify;
     * ``grad``, the gradient of -D, for the Newton direction and
       ``relation_sq``.
 
-    The certified iterate thus makes nothing after its screen but the
-    certificate, a trial that fails the Armijo test makes neither q nor the
-    gradient, and an accepted trial brings what it made into the next
-    Newton step.
+    A dual that certifies, the start or a line-search trial, thus makes
+    nothing after its screen but the certificate; a trial that fails the
+    Armijo test makes no gradient; and an accepted trial brings what it
+    made into the next Newton step.
     """
 
     def __init__(self, ops, u0, tau, p):

@@ -292,7 +292,7 @@ class CellField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"cell values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("cell values must be finite")
         self.values = v
 
@@ -315,7 +315,7 @@ class FaceField:
             want = self.grid.face_shape(axis)
             if c.shape != want:
                 raise ValueError(f"axis {axis} face shape {c.shape} != {want}")
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise ValueError("face values must be finite")
         self.components = comps
 

@@ -295,6 +295,18 @@ def _verdict_lines(verdicts: list[Verdict]) -> list[str]:
     return [*map(_verdict_line, verdicts), f"overall: {overall}"]
 
 
+def _jump_detection(traj: Trajectory) -> str:
+    """Whether kappa lets the jump detector see the initial jumps, said so
+    that a regularization time of 0 cannot pass for "regular from the
+    start" when kappa lies at or above the initial largest face
+    difference."""
+    if traj.kappa < traj.records[0].max_face_diff:
+        return "kappa lies below the initial largest face difference: initial jumps detected"
+    return ("blind: kappa is at or above the initial largest face difference and hides "
+            "the initial jumps, so a regularization time of 0 means no jump was ever "
+            "detected, not that the run was regular from the start")
+
+
 def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
@@ -329,6 +341,8 @@ def run(cfg: RunConfig, out_dir) -> RunReport:
         "max_kkt_residual": float(np.max(traj.kkt_residuals)),
         "kappa": traj.kappa,
         "regularization_time": reg_time,
+        "initial_max_face_diff": traj.records[0].max_face_diff,
+        "jump_detection": _jump_detection(traj),
         "wall_time_seconds": elapsed,
         "outputs": [
             p.name for p in (series_path, *snapshot_paths, report_text_path, report_json_path)

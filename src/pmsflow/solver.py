@@ -20,14 +20,16 @@ odd-even reduction in array passes down to at most 128 unknowns, then an
 LDL^T loop), the step keeps a fixed fraction of the distance to |p| = 1
 and backtracks until -D decreases (Armijo), or, once that decrease is
 below the rounding of -D, until the scaled gradient does.  It certifies
-within a handful of steps.  Each dual it visits, an iterate or a
+within a handful of steps.  Each dual it visits, the start or a
 line-search trial, is one ``_DualIterate``, which makes each term once
-and only where it is read: sqrt(1 - p^2), div p and u always; K u on an
-iterate and on a trial whose test reads the gradient; -D with its noise
-on an iterate that takes a Newton step and on a trial the Armijo test
-reads; the gradient on an iterate that steps and on a trial the relation
-test reads.  The certified iterate, which passes its screen at once,
-makes neither -D nor the gradient as an iterate.  The part of the Hessian
+and only where it is read: sqrt(1 - p^2), div p, u and K u on every
+dual, which is screened with the dual relation as soon as it is made;
+-D with its noise on an iterate whose trial meets the descent test and
+on a trial the Armijo test reads; the gradient on an iterate that steps
+and on a trial the relation test reads.  A trial is screened, and
+certified where its screen passes, before its descent test, and one that
+certifies is returned at once as the next iterate: the certified dual,
+start or trial, makes neither -D nor the gradient.  The part of the Hessian
 that does not depend on p is a run invariant: the grid's ops object
 (``energy._make_ops``, one per live grid) keeps it for the last tau, with
 the domain volume and the volume no dual weight covers that every record
@@ -383,7 +385,7 @@ def _checked_dual(ops, dual) -> np.ndarray:
                          f"got a {type(dual).__name__}") from None
     if p.shape != ops.dual_shape:
         raise ValueError(f"dual must have shape {ops.dual_shape}, got {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError(f"dual of shape {ops.dual_shape} must be finite")
     return p
 
@@ -529,32 +531,34 @@ _P_MAX = float(np.nextafter(1.0, 0.0))
 
 
 def _newton(ops, u0, cfg, p) -> StepResult:
-    """Damped Newton on the step's dual over |p| < 1, certified once per step.
+    """Damped Newton on the step's dual over |p| < 1, certified once per dual.
 
     Each step is capped at ``_TO_BOUNDARY`` of the way to |p| = 1 and
-    halved until -D decreases by the Armijo fraction of its prediction.
-    Near the solution that decrease sinks below the rounding noise of -D;
-    there a step is accepted when it shrinks the gradient, measured by
-    ``relation_sq``, by ``_RELATION_SHRINK`` instead.  A step that finds
-    no acceptable length raises NonConvergenceError at once.
+    halved until the line search accepts a trial (``_descends``).  A step
+    that finds no acceptable length raises NonConvergenceError at once.
     ``inner_iters`` counts the iterates: Newton steps + 1.
 
-    An iterate's state is u = u_prev + tau div p by construction, so its
-    primal residual is only rounding, and the dual relation decides.  Each
-    iterate is screened once with the certificate's own dual relation
-    (``_relation``); the full certificate ``_residuals`` runs, on that
-    relation, only where it reaches ``inner_tol`` (or is NaN), at
-    ``max_inner``, and before the line search raises, so that every
-    NonConvergenceError names all three residuals.  A certified step thus
-    evaluates the certificate once.
+    A dual's state is u = u_prev + tau div p by construction, so its primal
+    residual is only rounding, and the dual relation decides.  Each dual,
+    the start and every line-search trial, is screened once with the
+    certificate's own dual relation (``_screened``); the full certificate
+    ``_residuals`` runs, on that relation, only where it reaches
+    ``inner_tol`` (or is NaN).  A trial is screened before its descent
+    test: one that certifies is accepted at once and returned as the next
+    iterate, so the certified trial makes neither -D nor the gradient, and
+    only a trial that does not certify meets ``_descends``.  That never
+    returns more than ``max_inner`` iterates, since no step is taken from
+    iterate ``max_inner``.  An accepted trial carries its screen, and its
+    certificate if it ran, into the next iteration, so no dual is screened
+    or certified twice.  At ``max_inner`` and before the line search
+    raises, the last iterate is certified if it was not, so that every
+    NonConvergenceError names all three residuals.
 
-    Every iterate and every line-search trial is one ``_DualIterate``, so
-    each term is made at most once per dual, on its first read: div p, u
-    and K u feed the certificate and the gradient both, -D and the gradient
-    are made only for a Newton step or a line-search test, and the
-    accepted trial becomes the next iterate as it stands.  The Hessian's
-    dual-independent bands come from the grid's ops object, which keeps
-    them for the last tau.
+    Every dual is one ``_DualIterate``, so each term is made at most once
+    per dual, on its first read: div p, u and K u feed the screen, the
+    certificate and the gradient; -D and the gradient are made only for a
+    Newton step or a descent test.  The Hessian's dual-independent bands
+    come from the grid's ops object, which keeps them for the last tau.
 
     A start entry at or beyond |p| = 1 takes the value of the cold start,
     the variational dual of u_prev.  Clipped to ``_P_MAX`` instead, it would
@@ -567,15 +571,14 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     if outside.any():
         p = np.where(outside, _variational_dual(ops, u0), p)
     coupling = ops.hessian_coupling(tau)
-    it = _DualIterate(ops, u0, tau, np.clip(p, -_P_MAX, _P_MAX))  # never the caller's array
+    it = _DualIterate(ops, u0, tau, np.minimum(np.maximum(p, -_P_MAX), _P_MAX))  # never the caller's
+    relation, residuals = _screened(ops, u0, tau, it, tol)
+    failure = "Newton iteration"
     for k in range(1, cfg.max_inner + 1):
-        relation, residuals = _relation(ops, it.p, it.q), None
-        if k == cfg.max_inner or not relation[0] > tol:
-            residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj, relation)
-            if all(r <= tol for r in residuals):
-                return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
-            if k == cfg.max_inner:
-                break
+        if residuals is not None and all(r <= tol for r in residuals):
+            return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
+        if k == cfg.max_inner:
+            break
         d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
         with np.errstate(divide="ignore"):  # d = +-0 leaves room +inf
             room = np.divide(np.copysign(1.0, d) - it.p, d)
@@ -585,18 +588,40 @@ def _newton(ops, u0, cfg, p) -> StepResult:
             trial_p = it.p + alpha * d
             np.minimum(np.maximum(trial_p, -_P_MAX, out=trial_p), _P_MAX, out=trial_p)
             trial = _DualIterate(ops, u0, tau, trial_p)
-            if -alpha * slope > it.noise:
-                if trial.f <= it.f + _ARMIJO * alpha * slope:
-                    break
-            elif trial.relation_sq() <= _RELATION_SHRINK * it.relation_sq():
-                break
+            screened = _screened(ops, u0, tau, trial, tol)
+            certified = screened[1] is not None and all(r <= tol for r in screened[1])
+            if certified or _descends(it, trial, alpha, slope):
+                break  # a certified trial is returned as iterate k + 1
             alpha *= 0.5
         else:
-            if residuals is None:  # the screen turned this iterate away
-                residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj, relation)
-            raise _nonconvergence("Newton iteration (line search stalled)", k, residuals, tol)
-        it = trial
-    raise _nonconvergence("Newton iteration", cfg.max_inner, residuals, tol)
+            failure += " (line search stalled)"
+            break
+        it, (relation, residuals) = trial, screened
+    if residuals is None:  # the screen turned the last iterate away
+        residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj, relation)
+    raise _nonconvergence(failure, k, residuals, tol)
+
+
+def _screened(ops, u0, tau, dual, tol):
+    """(relation, residuals) of a Newton dual: its dual relation
+    (``_relation``) and, only where that is <= tol or NaN, its full
+    certificate on that relation, else None."""
+    relation = _relation(ops, dual.p, dual.q)
+    if relation[0] > tol:
+        return relation, None
+    return relation, _residuals(ops, u0, tau, dual.p, dual.divz, dual.u, dual.q, dual.conj,
+                                relation)
+
+
+def _descends(it, trial, alpha, slope) -> bool:
+    """The line search's test of ``trial`` = it.p + alpha d, d the Newton
+    direction and ``slope`` = grad . d: where the predicted decrease
+    -alpha slope exceeds the rounding noise of -D, -D must fall by the
+    Armijo fraction of it; below that noise ``relation_sq`` must shrink by
+    ``_RELATION_SHRINK``."""
+    if -alpha * slope > it.noise:
+        return trial.f <= it.f + _ARMIJO * alpha * slope
+    return trial.relation_sq() <= _RELATION_SHRINK * it.relation_sq()
 
 
 def kkt_residual(u: CellField, p: np.ndarray, u_prev: CellField, tau: float) -> float:

@@ -664,3 +664,32 @@ def test_quarter_circle_run_reports_the_regularization_time(tmp_path, capsys):
     assert 0.4 <= doc["regularization_time"] <= 0.6
     text = (tmp_path / "out" / "report.txt").read_text()
     assert "regularization time" in text
+    # kappa 0.3 lies below the initial largest face difference, the unit
+    # jump plus the steep quarter-circle ends beside it: the jump is seen
+    assert doc["kappa"] == 0.3 and 1.0 < doc["initial_max_face_diff"] < 1.2
+    assert doc["jump_detection"].endswith("initial jumps detected")
+    assert f"initial max face diff: {json.dumps(doc['initial_max_face_diff'])}" in text
+    assert f"jump detection: {json.dumps(doc['jump_detection'])}" in text
+
+
+def test_a_blind_jump_detector_says_so(tmp_path, capsys):
+    # a unit step on 32 cells gets the default kappa 10 sqrt(h sup|u0|) =
+    # 1.768, above its jump of 1: no record ever jumps, and the reports say
+    # that the regularization time of 0 means the jump was never detected
+    path = write_config(tmp_path, "\n".join([
+        "experiment: custom", "grid: {kind: interval, lo: 0.0, hi: 1.0, cells: 32}",
+        "initial: {type: step}", "tau: 1.0e-3", "t_end: 0.02", "",
+    ]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "report.json") as fh:
+        doc = json.load(fh)
+    assert doc["kappa"] == pytest.approx(10.0 * np.sqrt(1.0 / 32))
+    assert doc["initial_max_face_diff"] == 1.0
+    assert doc["regularization_time"] == 0.0
+    assert doc["jump_detection"].startswith("blind: kappa is at or above")
+    assert "0 means no jump was ever detected, not that the run was regular from the start" \
+        in doc["jump_detection"]
+    text = (tmp_path / "out" / "report.txt").read_text()
+    assert f"jump detection: {json.dumps(doc['jump_detection'])}" in text
+    assert "initial max face diff: 1.0" in text

@@ -621,9 +621,9 @@ def test_rectangle_non_convergence_reports_the_full_triplet(monkeypatch):
 
 @pytest.mark.parametrize("failure", ["max_inner", "line search stalled"])
 def test_one_axis_non_convergence_reports_the_full_triplet(failure, monkeypatch):
-    # Newton screens its iterates with the dual relation alone; both failure
-    # exits still evaluate the primal residual and the gap, so all three are
-    # finite and named
+    # Newton screens its iterates and trials with the dual relation alone;
+    # both failure exits still evaluate the primal residual and the gap, so
+    # all three are finite and named
     if failure == "max_inner":
         grid = interval_grid(0.0, 2.0, 100)
         u, cfg = quarter_circles(grid, c=1.0), SolverConfig(tau=1e-2, max_inner=2)
@@ -640,13 +640,24 @@ def test_one_axis_non_convergence_reports_the_full_triplet(failure, monkeypatch)
         results.append(residuals(*args))
         return results[-1]
 
+    descends, tests = solver._descends, []
+
+    def tested(*args):
+        tests.append(descends(*args))
+        return tests[-1]
+
     monkeypatch.setattr(solver, "_relation", screened)
     monkeypatch.setattr(solver, "_residuals", certified)
+    monkeypatch.setattr(solver, "_descends", tested)
     with pytest.raises(NonConvergenceError) as info:
         implicit_step(u, cfg)
     err = info.value
     assert ("line search stalled" in str(err)) == (failure == "line search stalled")
-    assert len(screens) == err.iterations  # the relation is evaluated once per iterate
+    # the relation is evaluated once per dual: every iterate, and every
+    # line-search trial the descent test turned away
+    rejected = tests.count(False)
+    assert len(screens) == err.iterations + rejected
+    assert (rejected >= solver._MAX_HALVINGS) == (failure == "line search stalled")
     triplet = (err.primal_residual, err.dual_residual, err.gap)
     assert triplet == results[-1]
     assert all(np.isfinite(r) for r in triplet)
@@ -680,59 +691,94 @@ def test_newton_runs_the_full_certificate_once_per_certified_step(monkeypatch):
     assert res.kkt_residual == kkt_residual(res.u_next, res.dual, first.u_next, cfg.tau)
 
 
-# What a dual of the Newton solve makes, in order: an iterate is screened
-# with the dual relation and, unless that certifies it, takes a Newton step
-# (the gradient, then -D); a trial makes -D for the Armijo test or the
-# gradient for the relation test, and is screened if it is accepted.
+# What a dual of the Newton solve makes, in order: every dual, the start and
+# each line-search trial, is screened with the dual relation once, as soon
+# as it is made.  A dual that certifies makes nothing more.  A trial that
+# does not meets the descent test, which makes -D (Armijo) or the gradient
+# (relation test); an iterate that steps makes the gradient for its
+# direction, and -D for a descent test unless it has it already.
 _DUAL_HISTORIES = {
-    ("new", "screen"), ("new", "screen", "grad", "-D"),
-    ("new", "-D"), ("new", "-D", "screen"), ("new", "-D", "screen", "grad"),
-    ("new", "grad"), ("new", "grad", "screen"), ("new", "grad", "screen", "-D"),
+    ("new", "screen"),
+    ("new", "screen", "grad"), ("new", "screen", "grad", "-D"),
+    ("new", "screen", "-D"), ("new", "screen", "-D", "grad"),
 }
+
+
+class _Recorder:
+    """Records, per ``_DualIterate`` that ``solver`` makes, the terms it
+    makes in order: its screen, the gradient, -D (with its noise) and each
+    ``relation_sq`` read; ``install`` patches them in through monkeypatch."""
+
+    def __init__(self):
+        self.duals, self.events = [], []
+
+    def install(self, monkeypatch):
+        duals, events = self.duals, self.events
+
+        class Recorded(_DualIterate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                duals.append(self)
+                events.append(("new", self))
+
+        relation, negative_dual = solver._relation, _DualIterate._negative_dual
+        gradient, relation_sq = _DualIterate.grad.fget, _DualIterate.relation_sq
+
+        def screened(ops, p, q):
+            events.append(("screen", next(d for d in duals if d.p is p)))
+            return relation(ops, p, q)
+
+        def made_dual(self):
+            events.append(("-D", self))
+            negative_dual(self)
+
+        def made_gradient(self):
+            if self._grad is None:
+                events.append(("grad", self))
+            return gradient(self)
+
+        def read_relation_sq(self):
+            events.append(("relation_sq", self))
+            return relation_sq(self)
+
+        monkeypatch.setattr(solver, "_DualIterate", Recorded)
+        monkeypatch.setattr(solver, "_relation", screened)
+        monkeypatch.setattr(_DualIterate, "_negative_dual", made_dual)
+        monkeypatch.setattr(_DualIterate, "grad", property(made_gradient))
+        monkeypatch.setattr(_DualIterate, "relation_sq", read_relation_sq)
+
+    def clear(self):
+        self.duals.clear()
+        self.events.clear()
+
+    def histories(self, kinds=("screen", "grad", "-D")):
+        return [tuple(kind for kind, d in self.events if d is dual and kind in ("new",) + kinds)
+                for dual in self.duals]
 
 
 def test_newton_makes_each_term_of_a_dual_only_where_it_is_read(monkeypatch):
     # -D (with its noise) and the gradient are made on their first read,
-    # and the dual relation screens each iterate once and is handed to the
-    # certificate: the certified iterate makes nothing after its screen, a
-    # trial tested by the relation never makes -D, and one tested by Armijo
-    # never applies K.  Runs: a cold step, a 5-step evolve, and the step of
+    # and the dual relation screens each dual once, as soon as it is made,
+    # and is handed to the certificate: a certified dual makes nothing
+    # after its screen, a trial tested by the relation never makes -D, and
+    # one turned away by Armijo never makes the gradient.  Runs: a cold
+    # step, a 5-step evolve, and the step of
     # test_step_below_the_float_floor_fails_fast at height 1e7, whose line
     # search turns 60 relation-tested trials away
-    duals, events = [], []
+    recorder, descends, tests = _Recorder(), solver._descends, []
 
-    class Recorded(_DualIterate):
-        def __init__(self, *args):
-            super().__init__(*args)
-            duals.append(self)
-            events.append(("new", self))
+    def tested(*args):
+        tests.append(descends(*args))
+        return tests[-1]
 
-    relation, negative_dual = solver._relation, _DualIterate._negative_dual
-    gradient = _DualIterate.grad.fget
-
-    def screened(ops, p, q):
-        events.append(("screen", next(d for d in duals if d.p is p)))
-        return relation(ops, p, q)
-
-    def made_dual(self):
-        events.append(("-D", self))
-        negative_dual(self)
-
-    def made_gradient(self):
-        if self._grad is None:
-            events.append(("grad", self))
-        return gradient(self)
-
-    monkeypatch.setattr(solver, "_DualIterate", Recorded)
-    monkeypatch.setattr(solver, "_relation", screened)
-    monkeypatch.setattr(_DualIterate, "_negative_dual", made_dual)
-    monkeypatch.setattr(_DualIterate, "grad", property(made_gradient))
+    recorder.install(monkeypatch)
+    monkeypatch.setattr(solver, "_descends", tested)
     grid = interval_grid(0.0, 2.0, 100)
     u0, cfg = quarter_circles(grid, c=1.0), SolverConfig(tau=1e-3)
     runs = []
     for run in range(3):
-        duals.clear()
-        events.clear()
+        recorder.clear()
+        tests.clear()
         if run == 0:
             iters = [implicit_step(u0, cfg).inner_iters]
         elif run == 1:
@@ -742,20 +788,160 @@ def test_newton_makes_each_term_of_a_dual_only_where_it_is_read(monkeypatch):
             with pytest.raises(NonConvergenceError, match="line search stalled") as info:
                 implicit_step(tall, cfg)
             iters = [info.value.iterations]
-        histories = [tuple(kind for kind, d in events if d is dual) for dual in duals]
-        runs.append((iters, histories, duals[:]))
+        runs.append((iters, recorder.histories(), tests.count(False)))
     monkeypatch.undo()
-    for iters, histories, duals in runs:
+    for iters, histories, rejected in runs:
         assert set(histories) <= _DUAL_HISTORIES
-        assert sum(h.count("screen") for h in histories) == sum(iters)  # once per iterate
-        for h, dual in zip(histories, duals):
-            if "screen" not in h and "grad" not in h:
-                assert dual._q is None  # K never applied
-    # the histories that end in a screen are the certified iterates
-    (cold, cold_histories, _), (steps, histories, _), (_, stall_histories, _) = runs
-    assert [h[-1] for h in cold_histories].count("screen") == len(cold) == 1
-    assert [h[-1] for h in histories].count("screen") == len(steps) == 5
-    assert stall_histories.count(("new", "grad")) == 60
+        assert all(h.count("screen") == 1 for h in histories)
+        assert len(histories) == sum(iters) + rejected  # iterates and turned-away trials
+    # the histories that end in their screen are the certified duals
+    (cold, cold_histories, _), (steps, histories, _), (_, stall_histories, stalled) = runs
+    assert cold_histories.count(("new", "screen")) == len(cold) == 1
+    assert histories.count(("new", "screen")) == len(steps) == 5
+    assert ("new", "screen") not in stall_histories
+    assert stalled == solver._MAX_HALVINGS
+    assert stall_histories.count(("new", "screen", "grad")) >= stalled
+
+
+def _certifies(ops, u0, tau, dual, tol):
+    residuals = solver._screened(ops, u0, tau, dual, tol)[1]
+    return residuals is not None and all(r <= tol for r in residuals)
+
+
+def _descent_first_newton(ops, u0, cfg, p):
+    """``solver._newton`` in the order it had before it screened its trials:
+    every trial meets the descent test (``solver._descends``) and is
+    screened only as the next iterate.  Returns the certified dual, the
+    iterate count and the number of trials that would have certified but
+    were turned away by the descent test, or None where it stalls."""
+    tau, tol, bound = cfg.tau, cfg.inner_tol, solver._P_MAX
+    outside = np.abs(p) >= 1.0
+    if outside.any():
+        p = np.where(outside, solver._variational_dual(ops, u0), p)
+    coupling = ops.hessian_coupling(tau)
+    it, turned_away = _DualIterate(ops, u0, tau, np.clip(p, -bound, bound)), 0
+    for k in range(1, cfg.max_inner + 1):
+        if _certifies(ops, u0, tau, it, tol):
+            return it.p, k, turned_away
+        d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
+        with np.errstate(divide="ignore"):
+            room = np.divide(np.copysign(1.0, d) - it.p, d)
+        alpha = min(1.0, solver._TO_BOUNDARY * float(room.min()))
+        slope = float(np.dot(it.grad, d))
+        for _ in range(solver._MAX_HALVINGS):
+            trial = _DualIterate(ops, u0, tau, np.clip(it.p + alpha * d, -bound, bound))
+            if solver._descends(it, trial, alpha, slope):
+                break
+            turned_away += _certifies(ops, u0, tau, trial, tol)
+            alpha *= 0.5
+        else:
+            return None
+        it = trial
+    return None
+
+
+def test_newton_returns_the_trial_it_certifies(monkeypatch):
+    # a line-search trial is screened, and certified where its screen
+    # passes, before its descent test; a trial that certifies is returned
+    # at once as the next iterate
+    grid = interval_grid(0.0, 2.0, 100)
+    u0, cfg = quarter_circles(grid, c=1.0), SolverConfig(tau=1e-3)
+    recorder, residuals, certified = _Recorder(), solver._residuals, []
+
+    def counted(ops, u_prev, tau, p, *args):
+        certified.append(p)
+        return residuals(ops, u_prev, tau, p, *args)
+
+    # (1) a certified trial makes no -D, noise, gradient or relation_sq, and
+    # each step runs the full certificate once
+    recorder.install(monkeypatch)
+    monkeypatch.setattr(solver, "_residuals", counted)
+    traj = evolve(u0, 5 * cfg.tau, cfg)
+    histories = recorder.histories(("screen", "grad", "-D", "relation_sq"))
+    assert len(certified) == 5
+    returned = [h for d, h in zip(recorder.duals, histories)
+                if any(d.p is p for p in certified)]
+    assert returned == [("new", "screen")] * 5
+    assert traj.inner_iters.sum() > 5  # some steps return a trial
+    monkeypatch.undo()
+
+    # (2) iterate max_inner may be a certified trial: a step of that evolve
+    # whose first trial certifies returns 2 iterates under max_inner = 2
+    starts, step = [], solver.implicit_step
+
+    def started(u, cfg, dual=None):
+        starts.append((u, None if dual is None else dual.copy()))  # the predictor reuses it
+        return step(u, cfg, dual=dual)
+
+    monkeypatch.setattr(solver, "implicit_step", started)
+    k = list(evolve(u0, 5 * cfg.tau, cfg).inner_iters).index(2)
+    monkeypatch.undo()
+    u, dual = starts[k]
+    res, capped = (implicit_step(u, dataclasses.replace(cfg, max_inner=m), dual=dual)
+                   for m in (cfg.max_inner, 2))
+    assert res.inner_iters == capped.inner_iters == 2
+    assert np.array_equal(capped.dual, res.dual)
+    assert np.array_equal(capped.u_next.values, res.u_next.values)
+
+    # (3) a trial that passes the screen but not the certificate (the primal
+    # residual of this jump lies at its float floor) is certified once: one
+    # that the descent test then accepts carries its certificate into the
+    # iteration it is the iterate of, until the line search stalls
+    tall = CellField(interval_grid(0.0, 1.0, 12), np.where(np.arange(12) < 6, 0.0, 3e6))
+    results, descends, accepted = [], solver._descends, []
+
+    def kept(*args):
+        results.append(residuals(*args))
+        certified.append(args[3])
+        return results[-1]
+
+    def tested(it, trial, *args):
+        if descends(it, trial, *args):
+            accepted.append(trial.p)
+            return True
+        return False
+
+    certified.clear()
+    monkeypatch.setattr(solver, "_residuals", kept)
+    monkeypatch.setattr(solver, "_descends", tested)
+    with pytest.raises(NonConvergenceError, match="line search stalled") as info:
+        implicit_step(tall, cfg)
+    monkeypatch.undo()
+    err = info.value
+    assert len({id(p) for p in certified}) == len(certified) > 1
+    assert not any(all(r <= cfg.inner_tol for r in triplet) for triplet in results)
+    assert any(dual <= cfg.inner_tol < primal for primal, dual, _ in results)
+    assert any(p is q for p in accepted for q in certified[:-1])  # a carried certificate
+    assert (err.primal_residual, err.dual_residual, err.gap) in results
+
+    # (4) on quarter_circles data, radial grids N = 2 ... 6 and random
+    # pieces, every trial that certifies also passes the descent test, so
+    # each step returns the dual and iterate count of the former order bit
+    # for bit
+    newton, compared = solver._newton, []
+
+    def both(ops, u0, cfg, p):
+        expected = _descent_first_newton(ops, u0, cfg, p)
+        res = newton(ops, u0, cfg, p)
+        dual, iters, turned_away = expected
+        assert turned_away == 0
+        assert res.inner_iters == iters and np.array_equal(res.dual, dual)
+        compared.append(iters)
+        return res
+
+    monkeypatch.setattr(solver, "_newton", both)
+    grid = interval_grid(0.0, 2.0, 100)
+    evolve(quarter_circles(grid, c=1.0), 0.02, SolverConfig(tau=1e-3))
+    for n in range(2, 7):
+        grid = radial_grid(n, 1.0, 64)
+        evolve(capped_inverse(grid), 0.01, SolverConfig(tau=5e-4))
+    cfg = SolverConfig(tau=5e-3, inner_tol=1e-10)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for grid in (interval_grid(0.0, 1.0, 64), radial_grid(2 + seed, 1.0, 48)):
+            evolve(random_piecewise(grid, rng, pieces=6), 0.05, cfg)
+    assert len(compared) == 20 + 5 * 20 + 8 * 10
+    assert sum(k > 1 for k in compared) > 100  # steps that return a trial
 
 
 def test_rectangle_certifies_only_where_its_screen_passes(monkeypatch):
