@@ -87,46 +87,57 @@ _EXPERIMENTS = {
     "custom": {},
 }
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings of one experiment run.
 
-    It carries every SolverConfig field under the same name, which is how
-    ``_evolve_inputs`` reads them.  The fields with defaults steer the
-    rectangle loop and are set through the API only; a config file leaves
-    them at SolverConfig's defaults, so the loop's step sizes follow from tau.
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SolverConfig):
+    """Fully resolved settings of one experiment run: a SolverConfig plus
+    the run's own fields, built by keyword.
+
+    ``run`` hands it to ``evolve`` as the solver settings.  A preset or a
+    config file sets ``tau``, ``inner_tol`` and ``max_inner`` of the solver
+    fields; the four that steer the rectangle loop are set through the API
+    only, so a file run's step sizes follow from tau.
     """
 
     experiment: str
     grid: dict
     initial: dict
-    tau: float
     t_end: float
-    snapshot_times: tuple
-    kappa: float | None
-    inner_tol: float
-    max_inner: int
-    theta: float = SolverConfig.theta
-    check_every: int = SolverConfig.check_every
-    sigma: float | None = SolverConfig.sigma
-    s: float | None = SolverConfig.s
+    snapshot_times: tuple = ()
+    kappa: float | None = None
 
 
-# A config file sets exactly the RunConfig fields without a default.
-_TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING}
+def _mapping(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping")
+    return dict(value)
 
-# Keys every experiment may leave unset: no snapshots, the default jump
-# threshold, and SolverConfig's own inner-iteration defaults.
-_BASE_DEFAULTS = {
-    "snapshot_times": (),
-    "kappa": None,
-    "inner_tol": SolverConfig.inner_tol,
-    "max_inner": SolverConfig.max_inner,
+
+def _times(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return tuple(_as_float(t, key) for t in value)
+
+
+# The reader of each key a preset or a config file may set; RunConfig's own
+# defaults fill in the keys left unset.  A config file sets exactly these
+# keys and the experiment.
+_READERS = {
+    "grid": _mapping,
+    "initial": _mapping,
+    "tau": _as_float,
+    "t_end": _as_float,
+    "snapshot_times": _times,
+    "kappa": lambda value, key: None if value is None else _as_float(value, key),
+    "inner_tol": _as_float,
+    "max_inner": _as_count,
 }
+_TOP_KEYS = {"experiment", *_READERS}
 
 
 def load_config(path) -> RunConfig:
-    """Parse and resolve a YAML run config; unknown keys are errors."""
+    """Parse and resolve a YAML run config; unknown keys and bad solver
+    settings are errors."""
     import yaml  # imported here: runs built through the API parse no YAML
 
     text = Path(path).read_text()
@@ -152,31 +163,12 @@ def _resolve(experiment: str, settings: dict) -> RunConfig:
             f"unknown experiment {experiment!r}; expected one of "
             f"{sorted(_EXPERIMENTS)}"
         )
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(_EXPERIMENTS[experiment])
-    merged.update(settings)
+    merged = {**_EXPERIMENTS[experiment], **settings}
     for key in ("grid", "initial", "tau", "t_end"):
         if key not in merged:
             raise ConfigError(f"experiment {experiment!r} needs an explicit {key!r}")
-    if not isinstance(merged["grid"], dict):
-        raise ConfigError("grid must be a mapping")
-    if not isinstance(merged["initial"], dict):
-        raise ConfigError("initial must be a mapping")
-    snaps = merged["snapshot_times"]
-    if not isinstance(snaps, (list, tuple)):
-        raise ConfigError(f"snapshot_times must be a list, got {snaps!r}")
-    kappa = merged["kappa"]
-    return RunConfig(
-        experiment=experiment,
-        grid=dict(merged["grid"]),
-        initial=dict(merged["initial"]),
-        tau=_as_float(merged["tau"], "tau"),
-        t_end=_as_float(merged["t_end"], "t_end"),
-        snapshot_times=tuple(_as_float(t, "snapshot_times") for t in snaps),
-        kappa=None if kappa is None else _as_float(kappa, "kappa"),
-        inner_tol=_as_float(merged["inner_tol"], "inner_tol"),
-        max_inner=_as_count(merged["max_inner"], "max_inner"),
-    )
+    values = {key: read(merged[key], key) for key, read in _READERS.items() if key in merged}
+    return RunConfig(experiment=experiment, **values)
 
 
 def _gate_verdicts(traj: Trajectory, experiment: str) -> list[Verdict]:
@@ -187,19 +179,16 @@ def _gate_verdicts(traj: Trajectory, experiment: str) -> list[Verdict]:
     return gates
 
 
-def _evolve_inputs(cfg: RunConfig) -> tuple[CellField, SolverConfig]:
-    """The initial data and solver settings of a resolved config: a bad
-    grid, initial value or solver setting fails here, before any write."""
-    grid = build_grid(cfg.grid)
-    u0 = build_initial(grid, cfg.initial)
-    fields = dataclasses.fields(SolverConfig)
-    return u0, SolverConfig(**{f.name: getattr(cfg, f.name) for f in fields})
+def _initial_data(cfg: RunConfig) -> CellField:
+    """The initial data of a resolved config: a bad grid or initial value
+    fails here, before any write."""
+    return build_initial(build_grid(cfg.grid), cfg.initial)
 
 
 def _evolve_config(cfg: RunConfig) -> Trajectory:
     """Build the grid and initial data of a resolved config and evolve them."""
-    u0, solver_cfg = _evolve_inputs(cfg)
-    return evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
+    return evolve(_initial_data(cfg), cfg.t_end, cfg, snapshot_times=cfg.snapshot_times,
+                  kappa=cfg.kappa)
 
 
 def _write_rows(path: Path, header: str, columns, coordinates=()) -> None:
@@ -296,13 +285,14 @@ def _verdict_lines(verdicts: list[Verdict]) -> list[str]:
 
 
 def _jump_detection(traj: Trajectory) -> str:
-    """Whether kappa lets the jump detector see the initial jumps, said so
-    that a regularization time of 0 cannot pass for "regular from the
-    start" when kappa lies at or above the initial largest face
-    difference."""
-    if traj.kappa < traj.records[0].max_face_diff:
-        return "kappa lies below the initial largest face difference: initial jumps detected"
-    return ("blind: kappa is at or above the initial largest face difference and hides "
+    """Whether the jump detector sees the initial jumps, read from the t = 0
+    record's jump count, said so that a regularization time of 0 cannot
+    pass for "regular from the start" when kappa lies above the initial
+    largest face difference."""
+    if traj.records[0].jump_count:
+        return ("kappa lies at or below the initial largest face difference: "
+                "initial jumps detected")
+    return ("blind: kappa is above the initial largest face difference and hides "
             "the initial jumps, so a regularization time of 0 means no jump was ever "
             "detected, not that the run was regular from the start")
 
@@ -310,12 +300,12 @@ def _jump_detection(traj: Trajectory) -> str:
 def run(cfg: RunConfig, out_dir) -> RunReport:
     """Execute one configured run, write its outputs, check its gates."""
     started = time.perf_counter()
-    u0, solver_cfg = _evolve_inputs(cfg)
-    _, steps, _, _ = _check_run_settings(u0, cfg.t_end, solver_cfg, cfg.kappa, cfg.snapshot_times)
+    u0 = _initial_data(cfg)
+    _, steps, _, _ = _check_run_settings(u0, cfg.t_end, cfg, cfg.kappa, cfg.snapshot_times)
     snapshot_names = _snapshot_names(cfg.tau, steps)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before evolving
-    traj = evolve(u0, cfg.t_end, solver_cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
+    traj = evolve(u0, cfg.t_end, cfg, snapshot_times=cfg.snapshot_times, kappa=cfg.kappa)
     gates = _gate_verdicts(traj, cfg.experiment)
     passed = all(g.passed for g in gates)
     reg_time = regularization_time(traj)

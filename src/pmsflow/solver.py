@@ -143,8 +143,10 @@ class SolverConfig:
     Newton iterates, one per Newton step plus the start (one-axis grids);
     it and ``check_every`` are integers.  The rectangle loop screens with
     its primal step every ``check_every`` iterations and certifies where
-    the screen passes.  Only the tests and the benchmark set the other
-    four fields, which stay while the benchmark does.
+    the screen passes.  Only the tests and the benchmark set those four
+    fields, which stay while the benchmark does.  A ``runner.RunConfig`` is
+    a SolverConfig plus a run's own fields, so a config file's bad ``tau``,
+    ``inner_tol`` or ``max_inner`` fails these checks as it loads.
     """
 
     tau: float
@@ -432,7 +434,7 @@ def _primal_update(w, cbdivz, a, theta, cu0, w_new, vbar):
 # A rectangle step raises at the float floor eps max|u_prev| / tau of its
 # primal certificate where its screen passes and the pair's primal residual
 # lies above inner_tol, within this multiple of the floor.  The property
-# tests draw tolerances above four floors, so none of their steps stop here.
+# tests draw tolerances above this multiple, so none of their steps stop here.
 _FLOOR_MULTIPLE = 4.0
 
 

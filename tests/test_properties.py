@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pmsflow.energy import _make_ops, area_energy
 from pmsflow.grid import CellField, interval_grid, radial_grid, rectangle_grid
-from pmsflow.solver import SolverConfig, evolve, implicit_step
+from pmsflow.solver import _FLOOR_MULTIPLE, SolverConfig, evolve, implicit_step
 
 
 def _data(grid, kind, rng):
@@ -62,19 +62,17 @@ _STEP_SETTINGS = dict(
     seed=st.integers(0, 2**32 - 1),
 )
 
-# Safety factor over the rounding floor eps max|u| / tau of the primal
-# certificate; a 2 x 2 +-10 step at tau 1e-5 stalls at 0.17 of that floor.
-_FLOOR_FACTOR = 4.0
-
 
 def _assume_above_the_float_floor(cfg, *fields):
     # The primal certificate compares (u_next - u)/tau with div(flux), and
     # u_next is stored in float64, so it cannot go below about
     # eps max|u| / tau on any solver: a tolerance under that floor asks for
     # a certificate no step can give, which is not what these tests cover.
+    # The margin is the solver's own floor multiple; a 2 x 2 +-10 step at
+    # tau 1e-5 stalls at 0.17 of that floor.
     for u in fields:
         floor = np.finfo(float).eps * float(np.max(np.abs(u.values))) / cfg.tau
-        assume(cfg.inner_tol > _FLOOR_FACTOR * floor)
+        assume(cfg.inner_tol > _FLOOR_MULTIPLE * floor)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,14 +1,21 @@
 """Config loading, run outputs, and the command line interface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmsflow.runner as runner_module
+from pmsflow import initial_data
 from pmsflow.diagnostics import Verdict
 from pmsflow.runner import ConfigError, RunConfig, load_config, main, run
 from pmsflow.solver import SolverConfig
@@ -66,8 +73,8 @@ def test_smooth_preset_tightens_inner_tol(tmp_path):
 @pytest.mark.parametrize("experiment", ["quarter_circles", "radial_spike", "smooth_cosine"])
 def test_presets_leave_the_step_sizes_unset(experiment):
     # every preset is one-axis, whose Newton solve takes no step sizes
-    _, solver_cfg = runner_module._evolve_inputs(runner_module._resolve(experiment, {}))
-    assert solver_cfg.sigma is None and solver_cfg.s is None
+    cfg = runner_module._resolve(experiment, {})
+    assert cfg.sigma is None and cfg.s is None
 
 
 def test_custom_config_carries_the_solver_defaults(tmp_path):
@@ -75,6 +82,21 @@ def test_custom_config_carries_the_solver_defaults(tmp_path):
     defaults = SolverConfig(tau=cfg.tau)
     for key in ("inner_tol", "max_inner", "theta", "check_every", "sigma", "s"):
         assert getattr(cfg, key) == getattr(defaults, key), key
+
+
+def test_a_run_config_is_a_solver_config(tmp_path):
+    assert isinstance(load_config(write_config(tmp_path, CUSTOM_SMALL)), SolverConfig)
+
+
+@pytest.mark.parametrize("key, value", [("max_inner", 0), ("inner_tol", 0.0), ("tau", -1.0)])
+def test_load_config_checks_the_solver_settings(tmp_path, key, value):
+    # the solver's own check rejects the value as the config loads
+    with pytest.raises(ValueError) as expected:
+        SolverConfig(**{"tau": 1e-3, key: value})
+    path = write_config(tmp_path, f"{CUSTOM_SMALL}{key}: {value!r}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == str(expected.value)
 
 
 def test_custom_requires_the_core_keys(tmp_path):
@@ -123,6 +145,11 @@ def small_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("small_run")
     cfg = load_config(write_config(tmp, CUSTOM_SMALL))
     return run(cfg, tmp / "out"), tmp
+
+
+def test_run_evolves_the_run_config_itself(small_run):
+    report, _ = small_run
+    assert report.trajectory.config is report.config
 
 
 def test_run_declares_exactly_the_files_it_writes(small_run):
@@ -630,6 +657,11 @@ def test_printed_reference_is_the_quarter_circles_preset(tmp_path, capsys):
     assert load_config(path) == runner_module._resolve("quarter_circles", {})
 
 
+def test_printed_reference_sets_exactly_the_config_keys(capsys):
+    assert main(["print-config-reference"]) == 0
+    assert set(yaml.safe_load(capsys.readouterr().out)) == runner_module._TOP_KEYS
+
+
 def test_report_json_is_strict_json(tmp_path, capsys):
     # a one-step smooth run has no ut_sup increment to bound: its worst
     # value is -inf, which strict JSON writes as null
@@ -687,9 +719,118 @@ def test_a_blind_jump_detector_says_so(tmp_path, capsys):
     assert doc["kappa"] == pytest.approx(10.0 * np.sqrt(1.0 / 32))
     assert doc["initial_max_face_diff"] == 1.0
     assert doc["regularization_time"] == 0.0
-    assert doc["jump_detection"].startswith("blind: kappa is at or above")
+    assert doc["jump_detection"].startswith("blind: kappa is above")
     assert "0 means no jump was ever detected, not that the run was regular from the start" \
         in doc["jump_detection"]
     text = (tmp_path / "out" / "report.txt").read_text()
     assert f"jump detection: {json.dumps(doc['jump_detection'])}" in text
     assert "initial max face diff: 1.0" in text
+
+
+@pytest.mark.parametrize("kappa, detected", [(1.0, True), (float(np.nextafter(1.0, 2.0)), False)],
+                         ids=["at-the-jump", "just-above"])
+def test_jump_detection_agrees_with_the_detector(tmp_path, kappa, detected):
+    # the detector counts a face whose difference reaches kappa, so a kappa
+    # equal to the unit jump sees it and the next float above does not
+    cfg = runner_module._resolve("custom", {
+        "grid": {"kind": "interval", "lo": 0.0, "hi": 1.0, "cells": 8},
+        "initial": {"type": "step"}, "tau": 1e-3, "t_end": 2e-3, "kappa": kappa,
+    })
+    report = run(cfg, tmp_path / "out")
+    doc = json.loads(report.report_json_path.read_text())
+    assert doc["initial_max_face_diff"] == 1.0
+    assert report.trajectory.records[0].jump_count == int(detected)
+    if detected:
+        assert doc["regularization_time"] == 1e-3
+        assert doc["jump_detection"].endswith("initial jumps detected")
+    else:
+        assert doc["regularization_time"] == 0.0
+        assert doc["jump_detection"].startswith("blind: kappa is above")
+
+
+# ------------------------------------------------------------- config fuzz
+
+_FUZZ_GRIDS = {
+    "interval": st.fixed_dictionaries({
+        "kind": st.just("interval"), "lo": st.floats(-1.0, 0.0), "hi": st.floats(0.5, 2.0),
+        "cells": st.integers(2, 16),
+    }),
+    "rectangle": st.fixed_dictionaries({
+        "kind": st.just("rectangle"), "lo": st.just([0.0, 0.0]),
+        "hi": st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2),
+        "cells": st.lists(st.integers(2, 4), min_size=2, max_size=2),
+    }),
+    "radial": st.fixed_dictionaries({
+        "kind": st.just("radial"), "dimension": st.integers(2, 4),
+        "radius": st.floats(0.5, 2.0), "cells": st.integers(2, 16),
+    }),
+}
+_FUZZ_INITIAL_VALUES = {
+    "value": st.floats(-2.0, 2.0), "left": st.floats(-2.0, 2.0), "right": st.floats(-2.0, 2.0),
+    "position": st.none() | st.floats(0.0, 1.0), "amplitude": st.floats(0.0, 2.0),
+    "c": st.floats(0.1, 2.0), "cap": st.floats(1.0, 20.0), "seed": st.integers(0, 99),
+    "pieces": st.integers(1, 6),
+}
+# the wrong values of a key by the way they break it; a break may also add
+# an unknown key or drop a key
+_FUZZ_WRONG = {
+    "type": ["fast", [1.0], {"a": 1}, True],
+    "non-finite": [float("nan"), float("inf"), -float("inf")],
+    "range": [0, -1, -1.0, 0.0, 1e300, 10**9],
+}
+
+
+@st.composite
+def _fuzz_initial(draw):
+    kind = draw(st.sampled_from(sorted(initial_data._BUILDERS)))
+    keys = draw(st.sets(st.sampled_from(sorted(initial_data._BUILDERS[kind][1]))))
+    return {"type": kind, **{key: draw(_FUZZ_INITIAL_VALUES[key]) for key in sorted(keys)}}
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A small config of any experiment, valid or broken at one key."""
+    tau = draw(st.floats(1e-4, 1e-1))
+    steps = draw(st.integers(1, 3))
+    config = {
+        "experiment": draw(st.sampled_from(sorted(runner_module._EXPERIMENTS))),
+        "grid": draw(st.sampled_from(sorted(_FUZZ_GRIDS)).flatmap(_FUZZ_GRIDS.get)),
+        "initial": draw(_fuzz_initial()),
+        "tau": tau,
+        "t_end": steps * tau,
+        "snapshot_times": draw(st.lists(st.integers(0, steps).map(lambda k: k * tau),
+                                        max_size=2, unique=True)),
+    }
+    if draw(st.booleans()):
+        config["kappa"] = draw(st.none() | st.floats(0.01, 3.0))
+    if draw(st.booleans()):
+        config["inner_tol"] = draw(st.floats(1e-11, 1e-6))
+    if draw(st.booleans()):
+        config["max_inner"] = draw(st.integers(1, 50))
+    breaking = draw(st.none() | st.sampled_from([*_FUZZ_WRONG, "unknown", "missing"]))
+    if breaking is None:
+        return config
+    holder = draw(st.sampled_from([config, config["grid"], config["initial"]]))
+    key = draw(st.sampled_from(sorted(holder)))
+    if breaking == "unknown":
+        holder["banana"] = 1.0
+    elif breaking == "missing":
+        del holder[key]
+    else:
+        holder[key] = draw(st.sampled_from(_FUZZ_WRONG[breaking]))
+    return config
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(config=_fuzz_config())
+def test_cli_run_exits_cleanly_on_fuzzed_configs(config):
+    # every config runs (exit 0 or 1), fails to converge (exit 3) or is
+    # rejected before anything is written (exit 2); none ends in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", str(path), "--out", str(out)])
+        assert rc in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+        assert rc != 2 or not out.exists()

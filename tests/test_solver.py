@@ -30,7 +30,7 @@ from pmsflow.grid import (
     rectangle_grid,
 )
 from pmsflow.initial_data import capped_inverse, cosine, quarter_circles, random_piecewise
-from pmsflow.runner import _evolve_inputs, _resolve, main
+from pmsflow.runner import _initial_data, _resolve, main
 from pmsflow.solver import (
     NonConvergenceError,
     SolverConfig,
@@ -536,7 +536,8 @@ def test_quarter_circles_steps_take_at_most_two_evaluations_from_the_third_on():
     # the predicted dual of a smooth flow misses the next dual by O(tau^m):
     # one Newton step certifies from the third step on, and on some steps
     # the start itself does
-    u0, cfg = _evolve_inputs(_resolve("quarter_circles", {}))
+    cfg = _resolve("quarter_circles", {})
+    u0 = _initial_data(cfg)
     traj = evolve(u0, 0.4, cfg)
     assert len(traj.inner_iters) == 400
     assert list(traj.inner_iters[:2]) == [3, 3]
@@ -550,7 +551,8 @@ def test_extrapolated_starts_cut_the_preset_evaluations(experiment):
     # over the first 100 steps of the steep and the tightly certified
     # preset, the variable order takes fewer evaluations than the linear
     # prediction 2 p_k - p_(k-1)
-    u0, cfg = _evolve_inputs(_resolve(experiment, {}))
+    cfg = _resolve(experiment, {})
+    u0 = _initial_data(cfg)
     traj = evolve(u0, 100 * cfg.tau, cfg)
     reference = _linear_prediction_counts(u0, cfg, 100)
     assert len(traj.inner_iters) == 100
