@@ -22,14 +22,10 @@ leading axis), so that one set of record formulas serves every grid kind,
 and ``evolve`` measures many states in one array call.
 ``k_apply`` and ``div_dual`` serve the certificates and the Newton solve;
 the benchmark's tracer times them.
-The Newton solve of one-axis grids maximizes the step's dual, whose
-Hessian is tridiagonal; ``_OneAxisOps.hessian_coupling``
-gives the part of it that does not depend on the dual, ``_DualIterate``
-holds the terms at one p (the dual, its gradient, the rest of the Hessian),
-each made where it is first read,
-and ``_solve_tridiagonal`` gives the Newton direction: odd-even reduction
-in array passes down to at most ``_REDUCE_ABOVE`` unknowns, then an LDL^T
-loop over Python floats.  ``_make_ops`` keeps one ops object per live
+The one-axis Newton solve of ``solver`` takes the part of its tridiagonal
+Hessian that does not depend on the dual from
+``_OneAxisOps.hessian_coupling``, and its direction from
+``_solve_tridiagonal``.  ``_make_ops`` keeps one ops object per live
 grid, and with it the run invariants: the domain volume, the volume no
 dual weight covers, and the coupling bands of the last tau.  ``_dual_radius``,
 the exact proximal map of the unlifted conjugate, is a test reference; it
@@ -166,102 +162,6 @@ class _OneAxisOps(_GridOps):
                 band.setflags(write=False)
             self._coupling = tau, bands  # one store: a reader sees both or neither
         return bands
-
-
-# Rounding noise of -D relative to the sum of its terms' magnitudes: a
-# predicted decrease below it cannot be told from zero.
-_DUAL_NOISE = 1e-13
-
-
-class _DualIterate:
-    """One dual p of the one-axis Newton solve, an iterate or a line-search
-    trial, with the terms that its screen, certificate, gradient, Hessian
-    and descent test share, each made at most once and only where it is
-    read.
-
-    Construction makes what every dual needs: slack = (1 - p)(1 + p),
-    conj = sqrt(slack), div p and u = u_prev + tau div p.  The rest is made
-    on its first read:
-
-    * ``q`` = K u, for the dual-relation screen that the Newton solve
-      makes of every dual as soon as it is made and, on a dual that passes
-      it, the full certificate;
-    * ``f`` and ``noise``, together: the negative dual of the step problem
-
-          -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
-
-      minimized where u solves the step, and its rounding noise, which the
-      descent test reads on the iterate it steps from and on the trials it
-      tests by Armijo, and only for a trial that does not certify;
-    * ``grad``, the gradient of -D, for the Newton direction and
-      ``relation_sq``.
-
-    A dual that certifies, the start or a line-search trial, thus makes
-    nothing after its screen but the certificate; a trial that fails the
-    Armijo test makes no gradient; and an accepted trial brings what it
-    made into the next Newton step.
-    """
-
-    def __init__(self, ops, u0, tau, p):
-        self.ops, self.u0, self.tau, self.p = ops, u0, tau, p
-        self.slack = (1.0 - p) * (1.0 + p)
-        self.conj = np.sqrt(self.slack)
-        self.divz = ops.div_dual(p)
-        self.u = u0 + tau * self.divz
-        self._q = self._grad = self._f = self._noise = self._rel_sq = None
-
-    @property
-    def q(self) -> np.ndarray:
-        """K u, applied on the first read."""
-        if self._q is None:
-            self._q = self.ops.k_apply(self.u)
-        return self._q
-
-    @property
-    def f(self) -> float:
-        """-D(p); made with ``noise``."""
-        if self._f is None:
-            self._negative_dual()
-        return self._f
-
-    @property
-    def noise(self) -> float:
-        """Rounding noise of -D, ``_DUAL_NOISE`` times the sum of its terms'
-        magnitudes; made with ``f``."""
-        if self._f is None:
-            self._negative_dual()
-        return self._noise
-
-    def _negative_dual(self) -> None:
-        ops, divz = self.ops, self.divz
-        conj_sum = (ops.dual_weights * self.conj).sum()
-        pair = ops.grid.cell_volumes * divz * (self.u0 + 0.5 * self.tau * divz)
-        self._f = float(pair.sum() - conj_sum)
-        self._noise = _DUAL_NOISE * float(conj_sum + np.abs(pair).sum())
-
-    @property
-    def grad(self) -> np.ndarray:
-        """The gradient W (p / sqrt(1 - p^2) - q) of -D, which vanishes
-        exactly where the dual relation does."""
-        if self._grad is None:
-            self._grad = self.ops.dual_weights * (self.p / self.conj - self.q)
-        return self._grad
-
-    def relation_sq(self) -> float:
-        """Squared norm of (1 - p^2) grad / W, which is the dual-relation
-        residual p sqrt(1 + q^2) - q to first order.  Unlike the bare
-        gradient, it does not blow up the rounding of faces near saturation."""
-        if self._rel_sq is None:
-            r = self.slack * self.grad / self.ops.dual_weights
-            self._rel_sq = float(np.dot(r, r))
-        return self._rel_sq
-
-    def hessian_bands(self, coupling) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of the Hessian of -D: the conjugate's
-        W (1 - p^2)^(-3/2) on the diagonal plus ``coupling``, the bands of
-        tau div^T V div (``_OneAxisOps.hessian_coupling``)."""
-        diag, off = coupling
-        return self.ops.dual_weights / (self.slack * self.conj) + diag, off
 
 
 # Odd-even reduction halves a tridiagonal system while it has more unknowns

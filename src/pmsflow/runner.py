@@ -432,12 +432,13 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     from .acceptance import run_acceptance  # acceptance imports this module
 
+    out = None if args.out is None else Path(args.out)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the suite
     verdicts = run_acceptance(seed=args.seed, progress=print)
     text = "\n".join(_verdict_lines(verdicts)) + "\n"
     sys.stdout.write(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "verify_report.txt").write_text(text)
     return 0 if all(v.passed for v in verdicts) else 1
 

@@ -21,15 +21,12 @@ LDL^T loop), the step keeps a fixed fraction of the distance to |p| = 1
 and backtracks until -D decreases (Armijo), or, once that decrease is
 below the rounding of -D, until the scaled gradient does.  It certifies
 within a handful of steps.  Each dual it visits, the start or a
-line-search trial, is one ``_DualIterate``, which makes each term once
-and only where it is read: sqrt(1 - p^2), div p, u and K u on every
-dual, which is screened with the dual relation as soon as it is made;
--D with its noise on an iterate whose trial meets the descent test and
-on a trial the Armijo test reads; the gradient on an iterate that steps
-and on a trial the relation test reads.  A trial is screened, and
-certified where its screen passes, before its descent test, and one that
-certifies is returned at once as the next iterate: the certified dual,
-start or trial, makes neither -D nor the gradient.  The part of the Hessian
+line-search trial, is one ``_DualIterate``, which is screened with the
+dual relation as it is made, owns its certificate and makes every other
+term once and only where it is read.  A trial is screened, and certified
+where its screen passes, before its descent test, and one that certifies
+is returned at once as the next iterate: the certified dual, start or
+trial, makes neither -D nor the gradient.  The part of the Hessian
 that does not depend on p is a run invariant: the grid's ops object
 (``energy._make_ops``, one per live grid) keeps it for the last tau, with
 the domain volume and the volume no dual weight covers that every record
@@ -71,16 +68,17 @@ iterate equals the duality gap of the step problem.  One routine,
 (u_prev + tau div p, p), only where a cheaper screen passes or a failure
 is raised, so every NonConvergenceError reports that pair's triplet.
 Newton screens with the dual relation (``_relation``), since its state is
-u_prev + tau div p by construction, and hands that relation to the
-certificate; the rectangle loop screens with its primal step.  Neither
-runs on below the float floor of its certificates: Newton fails once no
-step length shrinks them, the rectangle loop once its screen passes while
-the pair's primal, the rounding of u_prev + tau div p, lies above
-``inner_tol`` within a few times eps max|u_prev| / tau; the error names
-that floor.  The returned state is exactly
-u_prev + tau * divergence_values(flux) in the grid module's calculus, so
-the weighted mean is conserved to machine precision and the energy
-inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) +
+u_prev + tau div p by construction, and each dual certifies on its own
+screen's relation; the rectangle loop screens with its primal step.
+Neither runs on below the float floor of its certificates, where the
+pair's primal, the rounding of u_prev + tau div p, lies above
+``inner_tol`` within a few times eps max|u_prev| / tau
+(``_at_float_floor``): the rectangle loop fails once its screen passes
+there, and names that floor; Newton then certifies only its iterates, and
+fails once no step length shrinks its dual relation.  The returned state
+is exactly u_prev + tau * divergence_values(flux) in the grid module's
+calculus, so the weighted mean is conserved to machine precision and the
+energy inequality E(u_next) + |u_next - u_prev|_w^2/(2 tau) <= E(u_prev) +
 inner_tol holds by convex duality rather than by observation.
 
 Both solvers certify a step from any finite start, so the start only sets
@@ -114,7 +112,7 @@ from .diagnostics import DiagnosticRecord, _measure_stack, default_jump_threshol
 # calls _dual_radius (the tests use it as the exact prox); the name stays
 # bound here until the benchmark drops its dual-radius metrics.
 from .energy import _dual_radius, _make_ops, _OneAxisOps, _RectangleOps  # noqa: F401
-from .energy import _DualIterate, _solve_tridiagonal
+from .energy import _solve_tridiagonal
 from .grid import CellField, FaceField, Grid, cell_norm, forward_gradient_values
 
 __all__ = [
@@ -277,10 +275,10 @@ def _residuals(ops, u_prev, tau, p, divz, u, q, conj, relation=None):
     ``divz`` = div(p), ``q`` = K u and ``conj`` = sqrt(1 - |p|^2)
     (``_conjugate``) come from the caller, which computes each once per
     pair.  Primal: |(u - u_prev)/tau - div(p)|_w.  Dual: ``_relation``,
-    which Newton also screens with and then passes in as ``relation``, so
-    that it is evaluated once per iterate; its root array is overwritten
-    here.  Gap: sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)), the
-    duality gap of the step problem at u = u_prev + tau * div(p).  Each
+    which a Newton dual screens with as it is made and passes in as
+    ``relation``, so that it is evaluated once per dual; its root array is
+    overwritten here.  Gap: sum W * (sqrt(1 + |q|^2) - p.q - sqrt(1 - |p|^2)),
+    the duality gap of the step problem at u = u_prev + tau * div(p).  Each
     works in place on the arrays it makes, in the order of the formulas,
     which spares the allocations of a 96 x 96 certificate.  Both solvers
     and ``kkt_residual`` certify here.
@@ -431,11 +429,21 @@ def _primal_update(w, cbdivz, a, theta, cu0, w_new, vbar):
     np.add(vbar, cu0, vbar)
 
 
-# A rectangle step raises at the float floor eps max|u_prev| / tau of its
-# primal certificate where its screen passes and the pair's primal residual
-# lies above inner_tol, within this multiple of the floor.  The property
-# tests draw tolerances above this multiple, so none of their steps stop here.
+# A primal residual above inner_tol and within this multiple of the float
+# floor eps max|u_prev| / tau is rounding that the step cannot remove
+# (``_at_float_floor``).  The property tests draw tolerances above this
+# multiple, so none of their steps stop there.
 _FLOOR_MULTIPLE = 4.0
+
+
+def _float_floor(u0, tau) -> float:
+    return np.finfo(float).eps * float(np.abs(u0).max()) / tau
+
+
+def _at_float_floor(primal, tol, u0, tau) -> bool:
+    """Whether a step from ``u0`` whose pair has this primal residual can
+    never certify: the residual fails tol within the floor's multiple."""
+    return tol < primal <= _FLOOR_MULTIPLE * _float_floor(u0, tau)
 
 
 def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
@@ -486,7 +494,6 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
     cu0 = c * u0
     w = (c * tau) * ops.div_dual(p)  # the increment the start dual certifies
     np.add(cu0, w, vbar)
-    floor = np.finfo(float).eps * float(np.abs(u0).max()) / tau
     step_norm = math.sqrt(float(ops.grid.cell_volumes.flat[0])) / (c * s)  # |.|_V / (c s)
     for k in range(1, cfg.max_inner + 1):
         k_add()
@@ -509,8 +516,8 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
             residuals = _residuals(ops, u0, tau, p, divz, u, ops.k_apply(u), _conjugate(ops, p))
             if all(r <= tol for r in residuals):
                 return StepResult(CellField(ops.grid, u), p.copy(), k, max(residuals[:2]))
-            if passes and tol < residuals[0] <= _FLOOR_MULTIPLE * floor:
-                where = f"the float floor eps max|u| / tau = {floor:.3e}"
+            if passes and _at_float_floor(residuals[0], tol, u0, tau):
+                where = f"the float floor eps max|u| / tau = {_float_floor(u0, tau):.3e}"
                 raise _nonconvergence(f"inner iteration (stalled at {where})", k, residuals, tol)
     raise _nonconvergence("inner iteration", cfg.max_inner, residuals, tol)
 
@@ -521,6 +528,9 @@ def _pdhg(ops, u0, cfg, sigma, s, p) -> StepResult:
 _TO_BOUNDARY = 0.995
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+# Rounding noise of -D relative to the sum of its terms' magnitudes: a
+# predicted decrease below it cannot be told from zero.
+_DUAL_NOISE = 1e-13
 # Below the rounding noise of -D (``_DualIterate.noise``) a step must cut
 # the squared ``relation_sq`` by this factor, as Newton does near the
 # solution.  A step at that measure's own
@@ -532,6 +542,108 @@ _RELATION_SHRINK = 0.25
 _P_MAX = float(np.nextafter(1.0, 0.0))
 
 
+class _DualIterate:
+    """One dual p of the one-axis Newton solve, an iterate or a line-search
+    trial, with its screen, its certificate and the terms that its
+    gradient, Hessian and descent test share, each made at most once.
+
+    Construction makes slack = (1 - p)(1 + p), conj = sqrt(slack), div p,
+    u = u_prev + tau div p, q = K u and the screen ``relation`` of p against
+    q (``_relation``).  The rest is made on its first read:
+
+    * ``residuals``, the certificate (``_residuals``) of (u, p) on that
+      relation, read where the screen passes and where a step fails;
+    * ``f`` and ``noise``, together: the negative dual of the step problem
+
+          -D(p) = -sum W conj + <u_prev, div p>_V + (tau/2) |div p|_V^2,
+
+      minimized where u solves the step, and its rounding noise, which the
+      descent test reads on the iterate it steps from and on the trials it
+      tests by Armijo, and only for a trial that does not certify;
+    * ``grad``, the gradient of -D, for the Newton direction and
+      ``relation_sq``.
+
+    A dual that certifies thus makes nothing after its screen but the
+    certificate; a trial that fails the Armijo test makes no gradient; and
+    an accepted trial brings what it made into the next Newton step.
+    """
+
+    def __init__(self, ops, u0, tau, p):
+        self.ops, self.u0, self.tau, self.p = ops, u0, tau, p
+        self.slack = (1.0 - p) * (1.0 + p)
+        self.conj = np.sqrt(self.slack)
+        self.divz = ops.div_dual(p)
+        self.u = u0 + tau * self.divz
+        self.q = ops.k_apply(self.u)
+        self.relation = _relation(ops, p, self.q)
+        self._triplet = self._grad = self._f = self._noise = self._rel_sq = None
+
+    @property
+    def residuals(self) -> tuple[float, float, float]:
+        """The certificate (primal, dual relation, gap) of (u, p), made on
+        the first read from the screen's relation, whose root it overwrites."""
+        if self._triplet is None:
+            self._triplet = _residuals(self.ops, self.u0, self.tau, self.p, self.divz, self.u,
+                                       self.q, self.conj, self.relation)
+        return self._triplet
+
+    def certified(self, tol) -> bool:
+        """Whether the screen passes (its relation is <= tol or NaN) and then
+        all three certificates reach tol."""
+        return not self.relation[0] > tol and all(r <= tol for r in self.residuals)
+
+    def stuck_at_floor(self, tol) -> bool:
+        """Whether its certificate, if made, fails at the float floor."""
+        return self._triplet is not None and _at_float_floor(self._triplet[0], tol,
+                                                             self.u0, self.tau)
+
+    @property
+    def f(self) -> float:
+        """-D(p); made with ``noise``."""
+        if self._f is None:
+            self._negative_dual()
+        return self._f
+
+    @property
+    def noise(self) -> float:
+        """Rounding noise of -D, ``_DUAL_NOISE`` times the sum of its terms'
+        magnitudes; made with ``f``."""
+        if self._f is None:
+            self._negative_dual()
+        return self._noise
+
+    def _negative_dual(self) -> None:
+        ops, divz = self.ops, self.divz
+        conj_sum = (ops.dual_weights * self.conj).sum()
+        pair = ops.grid.cell_volumes * divz * (self.u0 + 0.5 * self.tau * divz)
+        self._f = float(pair.sum() - conj_sum)
+        self._noise = _DUAL_NOISE * float(conj_sum + np.abs(pair).sum())
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The gradient W (p / sqrt(1 - p^2) - q) of -D, which vanishes
+        exactly where the dual relation does."""
+        if self._grad is None:
+            self._grad = self.ops.dual_weights * (self.p / self.conj - self.q)
+        return self._grad
+
+    def relation_sq(self) -> float:
+        """Squared norm of (1 - p^2) grad / W, which is the dual-relation
+        residual p sqrt(1 + q^2) - q to first order.  Unlike the bare
+        gradient, it does not blow up the rounding of faces near saturation."""
+        if self._rel_sq is None:
+            r = self.slack * self.grad / self.ops.dual_weights
+            self._rel_sq = float(np.dot(r, r))
+        return self._rel_sq
+
+    def hessian_bands(self, coupling) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the Hessian of -D: the conjugate's
+        W (1 - p^2)^(-3/2) on the diagonal plus ``coupling``, the bands of
+        tau div^T V div (``_OneAxisOps.hessian_coupling``)."""
+        diag, off = coupling
+        return self.ops.dual_weights / (self.slack * self.conj) + diag, off
+
+
 def _newton(ops, u0, cfg, p) -> StepResult:
     """Damped Newton on the step's dual over |p| < 1, certified once per dual.
 
@@ -540,27 +652,20 @@ def _newton(ops, u0, cfg, p) -> StepResult:
     that finds no acceptable length raises NonConvergenceError at once.
     ``inner_iters`` counts the iterates: Newton steps + 1.
 
-    A dual's state is u = u_prev + tau div p by construction, so its primal
-    residual is only rounding, and the dual relation decides.  Each dual,
-    the start and every line-search trial, is screened once with the
-    certificate's own dual relation (``_screened``); the full certificate
-    ``_residuals`` runs, on that relation, only where it reaches
-    ``inner_tol`` (or is NaN).  A trial is screened before its descent
-    test: one that certifies is accepted at once and returned as the next
-    iterate, so the certified trial makes neither -D nor the gradient, and
-    only a trial that does not certify meets ``_descends``.  That never
-    returns more than ``max_inner`` iterates, since no step is taken from
-    iterate ``max_inner``.  An accepted trial carries its screen, and its
-    certificate if it ran, into the next iteration, so no dual is screened
-    or certified twice.  At ``max_inner`` and before the line search
-    raises, the last iterate is certified if it was not, so that every
-    NonConvergenceError names all three residuals.
-
-    Every dual is one ``_DualIterate``, so each term is made at most once
-    per dual, on its first read: div p, u and K u feed the screen, the
-    certificate and the gradient; -D and the gradient are made only for a
-    Newton step or a descent test.  The Hessian's dual-independent bands
-    come from the grid's ops object, which keeps them for the last tau.
+    Every dual, the start and each line-search trial, is one
+    ``_DualIterate``, screened with the certificate's own dual relation as
+    it is made: its state is u_prev + tau div p by construction, so its
+    primal residual is only rounding, and ``certified`` runs the full
+    certificate only where the relation passes (or is NaN).  A trial is
+    screened before its descent test, and one that certifies is returned at
+    once as the next iterate: only a trial that does not certify meets
+    ``_descends``, and no step is taken from iterate ``max_inner``.  An
+    accepted trial carries its screen and certificate into the next
+    iteration.  A failure names the last iterate's certificate, made then
+    if it was not before.  Once a certificate of the step fails on a primal
+    residual at the float floor (``_at_float_floor``), which halving the
+    step barely moves, the line search only screens its trials, and only
+    iterates are certified.
 
     A start entry at or beyond |p| = 1 takes the value of the cold start,
     the variational dual of u_prev.  Clipped to ``_P_MAX`` instead, it would
@@ -574,11 +679,11 @@ def _newton(ops, u0, cfg, p) -> StepResult:
         p = np.where(outside, _variational_dual(ops, u0), p)
     coupling = ops.hessian_coupling(tau)
     it = _DualIterate(ops, u0, tau, np.minimum(np.maximum(p, -_P_MAX), _P_MAX))  # never the caller's
-    relation, residuals = _screened(ops, u0, tau, it, tol)
-    failure = "Newton iteration"
+    failure, at_floor = "Newton iteration", False
     for k in range(1, cfg.max_inner + 1):
-        if residuals is not None and all(r <= tol for r in residuals):
-            return StepResult(CellField(ops.grid, it.u), it.p, k, max(residuals[:2]))
+        if it.certified(tol):
+            return StepResult(CellField(ops.grid, it.u), it.p, k, max(it.residuals[:2]))
+        at_floor = at_floor or it.stuck_at_floor(tol)
         if k == cfg.max_inner:
             break
         d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
@@ -590,29 +695,17 @@ def _newton(ops, u0, cfg, p) -> StepResult:
             trial_p = it.p + alpha * d
             np.minimum(np.maximum(trial_p, -_P_MAX, out=trial_p), _P_MAX, out=trial_p)
             trial = _DualIterate(ops, u0, tau, trial_p)
-            screened = _screened(ops, u0, tau, trial, tol)
-            certified = screened[1] is not None and all(r <= tol for r in screened[1])
-            if certified or _descends(it, trial, alpha, slope):
+            if not at_floor and trial.certified(tol):
                 break  # a certified trial is returned as iterate k + 1
+            at_floor = at_floor or trial.stuck_at_floor(tol)
+            if _descends(it, trial, alpha, slope):
+                break
             alpha *= 0.5
         else:
             failure += " (line search stalled)"
             break
-        it, (relation, residuals) = trial, screened
-    if residuals is None:  # the screen turned the last iterate away
-        residuals = _residuals(ops, u0, tau, it.p, it.divz, it.u, it.q, it.conj, relation)
-    raise _nonconvergence(failure, k, residuals, tol)
-
-
-def _screened(ops, u0, tau, dual, tol):
-    """(relation, residuals) of a Newton dual: its dual relation
-    (``_relation``) and, only where that is <= tol or NaN, its full
-    certificate on that relation, else None."""
-    relation = _relation(ops, dual.p, dual.q)
-    if relation[0] > tol:
-        return relation, None
-    return relation, _residuals(ops, u0, tau, dual.p, dual.divz, dual.u, dual.q, dual.conj,
-                                relation)
+        it = trial
+    raise _nonconvergence(failure, k, it.residuals, tol)
 
 
 def _descends(it, trial, alpha, slope) -> bool:

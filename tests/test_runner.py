@@ -557,6 +557,17 @@ def test_cli_rejects_unusable_paths_before_evolving(tmp_path, monkeypatch, capsy
     assert str(bad) in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_an_unusable_out_before_the_suite(tmp_path, monkeypatch, capsys):
+    import pmsflow.acceptance
+
+    monkeypatch.setattr(pmsflow.acceptance, "run_acceptance",
+                        lambda *a, **kw: pytest.fail("ran the suite"))
+    out = tmp_path / "out"
+    out.write_text("an existing file\n")
+    assert main(["verify", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
 def test_cli_rejects_a_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from pmsflow import solver
 from pmsflow.acceptance import _primal_step_oracle
 import reference_calculus as ref
 from pmsflow.energy import (
-    _DualIterate,
     _ldl_solve,
     _make_ops,
     _RectangleOps,
@@ -32,6 +31,7 @@ from pmsflow.grid import (
 from pmsflow.initial_data import capped_inverse, cosine, quarter_circles, random_piecewise
 from pmsflow.runner import _initial_data, _resolve, main
 from pmsflow.solver import (
+    _DualIterate,
     NonConvergenceError,
     SolverConfig,
     evolve,
@@ -708,8 +708,9 @@ _DUAL_HISTORIES = {
 
 class _Recorder:
     """Records, per ``_DualIterate`` that ``solver`` makes, the terms it
-    makes in order: its screen, the gradient, -D (with its noise) and each
-    ``relation_sq`` read; ``install`` patches them in through monkeypatch."""
+    makes in order: its screen, which construction makes, its certificate,
+    the gradient, -D (with its noise) and each ``relation_sq`` read;
+    ``install`` patches them in through monkeypatch."""
 
     def __init__(self):
         self.duals, self.events = [], []
@@ -719,35 +720,40 @@ class _Recorder:
 
         class Recorded(_DualIterate):
             def __init__(self, *args):
-                super().__init__(*args)
-                duals.append(self)
+                duals.append(self)  # before construction, which screens it
                 events.append(("new", self))
+                super().__init__(*args)
 
-        relation, negative_dual = solver._relation, _DualIterate._negative_dual
-        gradient, relation_sq = _DualIterate.grad.fget, _DualIterate.relation_sq
+            def _negative_dual(self):
+                events.append(("-D", self))
+                super()._negative_dual()
+
+            @property
+            def grad(self):
+                if self._grad is None:
+                    events.append(("grad", self))
+                return super().grad
+
+            def relation_sq(self):
+                events.append(("relation_sq", self))
+                return super().relation_sq()
+
+        relation, residuals = solver._relation, solver._residuals
+
+        def owner(p):
+            return next(d for d in duals if d.p is p)
 
         def screened(ops, p, q):
-            events.append(("screen", next(d for d in duals if d.p is p)))
+            events.append(("screen", owner(p)))
             return relation(ops, p, q)
 
-        def made_dual(self):
-            events.append(("-D", self))
-            negative_dual(self)
-
-        def made_gradient(self):
-            if self._grad is None:
-                events.append(("grad", self))
-            return gradient(self)
-
-        def read_relation_sq(self):
-            events.append(("relation_sq", self))
-            return relation_sq(self)
+        def certified(ops, u_prev, tau, p, *args):
+            events.append(("cert", owner(p)))
+            return residuals(ops, u_prev, tau, p, *args)
 
         monkeypatch.setattr(solver, "_DualIterate", Recorded)
         monkeypatch.setattr(solver, "_relation", screened)
-        monkeypatch.setattr(_DualIterate, "_negative_dual", made_dual)
-        monkeypatch.setattr(_DualIterate, "grad", property(made_gradient))
-        monkeypatch.setattr(_DualIterate, "relation_sq", read_relation_sq)
+        monkeypatch.setattr(solver, "_residuals", certified)
 
     def clear(self):
         self.duals.clear()
@@ -790,24 +796,21 @@ def test_newton_makes_each_term_of_a_dual_only_where_it_is_read(monkeypatch):
             with pytest.raises(NonConvergenceError, match="line search stalled") as info:
                 implicit_step(tall, cfg)
             iters = [info.value.iterations]
-        runs.append((iters, recorder.histories(), tests.count(False)))
+        runs.append((iters, recorder.histories(), tests.count(False),
+                     recorder.histories(("cert",))))
     monkeypatch.undo()
-    for iters, histories, rejected in runs:
+    for iters, histories, rejected, certificates in runs:
         assert set(histories) <= _DUAL_HISTORIES
         assert all(h.count("screen") == 1 for h in histories)
+        assert all(h.count("cert") <= 1 for h in certificates)
         assert len(histories) == sum(iters) + rejected  # iterates and turned-away trials
     # the histories that end in their screen are the certified duals
-    (cold, cold_histories, _), (steps, histories, _), (_, stall_histories, stalled) = runs
+    (cold, cold_histories, *_), (steps, histories, *_), (_, stall_histories, stalled, _) = runs
     assert cold_histories.count(("new", "screen")) == len(cold) == 1
     assert histories.count(("new", "screen")) == len(steps) == 5
     assert ("new", "screen") not in stall_histories
     assert stalled == solver._MAX_HALVINGS
     assert stall_histories.count(("new", "screen", "grad")) >= stalled
-
-
-def _certifies(ops, u0, tau, dual, tol):
-    residuals = solver._screened(ops, u0, tau, dual, tol)[1]
-    return residuals is not None and all(r <= tol for r in residuals)
 
 
 def _descent_first_newton(ops, u0, cfg, p):
@@ -823,7 +826,7 @@ def _descent_first_newton(ops, u0, cfg, p):
     coupling = ops.hessian_coupling(tau)
     it, turned_away = _DualIterate(ops, u0, tau, np.clip(p, -bound, bound)), 0
     for k in range(1, cfg.max_inner + 1):
-        if _certifies(ops, u0, tau, it, tol):
+        if it.certified(tol):
             return it.p, k, turned_away
         d = _solve_tridiagonal(*it.hessian_bands(coupling), -it.grad)
         with np.errstate(divide="ignore"):
@@ -834,7 +837,7 @@ def _descent_first_newton(ops, u0, cfg, p):
             trial = _DualIterate(ops, u0, tau, np.clip(it.p + alpha * d, -bound, bound))
             if solver._descends(it, trial, alpha, slope):
                 break
-            turned_away += _certifies(ops, u0, tau, trial, tol)
+            turned_away += trial.certified(tol)
             alpha *= 0.5
         else:
             return None
@@ -888,8 +891,10 @@ def test_newton_returns_the_trial_it_certifies(monkeypatch):
     # (3) a trial that passes the screen but not the certificate (the primal
     # residual of this jump lies at its float floor) is certified once: one
     # that the descent test then accepts carries its certificate into the
-    # iteration it is the iterate of, until the line search stalls
-    tall = CellField(interval_grid(0.0, 1.0, 12), np.where(np.arange(12) < 6, 0.0, 3e6))
+    # iteration it is the iterate of.  After that failure at the floor the
+    # line search only screens its trials, and the next iterate, a trial it
+    # accepted, is certified as the iterate
+    tall = CellField(interval_grid(0.0, 1.0, 20), np.where(np.arange(20) < 10, 0.0, 3e5))
     results, descends, accepted = [], solver._descends, []
 
     def kept(*args):
@@ -944,6 +949,42 @@ def test_newton_returns_the_trial_it_certifies(monkeypatch):
             evolve(random_piecewise(grid, rng, pieces=6), 0.05, cfg)
     assert len(compared) == 20 + 5 * 20 + 8 * 10
     assert sum(k > 1 for k in compared) > 100  # steps that return a trial
+
+
+@pytest.mark.parametrize("cells, height", [(10, 1e7), (12, 3e6), (20, 3e5)])
+def test_a_stalled_line_search_certifies_each_iterate_at_most_once(cells, height, monkeypatch):
+    # the primal residual of these jumps lies at the float floor, so none of
+    # their steps can certify and each line search stalls.  Once a
+    # certificate fails there, the line search only screens its trials: the
+    # step runs at most one certificate per iterate, and fails with the
+    # same message, iterate count and triplet as when it certifies every
+    # trial whose screen passes (61 and 64 certificates on the 12- and
+    # 20-cell jumps)
+    grid = interval_grid(0.0, 1.0, cells)
+    u = CellField(grid, np.where(np.arange(cells) < cells // 2, 0.0, height))
+    cfg = SolverConfig(tau=1e-3)
+    residuals, errors = solver._residuals, []
+    for floor_rule in (True, False):
+        results = []
+
+        def kept(*args):
+            results.append(residuals(*args))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "_residuals", kept)
+        if not floor_rule:
+            monkeypatch.setattr(solver, "_at_float_floor", lambda *args: False)
+        with pytest.raises(NonConvergenceError, match="line search stalled") as info:
+            implicit_step(u, cfg)
+        monkeypatch.undo()
+        err = info.value
+        triplet = (err.primal_residual, err.dual_residual, err.gap)
+        assert triplet == results[-1]
+        errors.append((str(err), err.iterations, triplet, len(results)))
+    (message, iterations, triplet, count), (*every_trial, every_count) = errors
+    assert count <= iterations
+    assert [message, iterations, triplet] == every_trial
+    assert (every_count > iterations) == (cells > 10)
 
 
 def test_rectangle_certifies_only_where_its_screen_passes(monkeypatch):
