@@ -323,8 +323,7 @@ class FaceField:
 # Index tuples of the lower and the upper cell of every interior face, keyed
 # by (ndim, axis), the grid's axes being the last ndim: any axes before them
 # stack states (``diagnostics`` measures a stack at a time).  Built once: the
-# saddle operators index with them at every certificate evaluation and every
-# Newton step.
+# records and the rectangle's certificates index with them at every use.
 _LO, _HI, _ALL = slice(None, -1), slice(1, None), slice(None)
 _FACE_SIDES = {
     (1, 0): ((..., _LO), (..., _HI)),

@@ -182,6 +182,11 @@ def test_default_steps_balance_the_two_moduli():
         assert solver._resolve_steps(grid, explicit) == (0.5 / bound, 1.0 / bound)
 
 
+def _same_bits(a, b):
+    """Whether two float arrays agree bit for bit, signed zeros included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 _ALL_GRID_KINDS = [
     interval_grid(0.0, 2.0, 24),
     *(radial_grid(n, 1.0, 20) for n in range(2, 7)),
@@ -216,6 +221,24 @@ def test_saddle_operators_are_the_public_calculus(grid):
     lhs = float(np.sum(ops.dual_weights * ops.dot(ops.k_apply(u), p)))
     rhs = float(np.sum(grid.cell_volumes * u * ops.div_dual(p)))
     assert abs(lhs + rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+    # K of a stack of states (B, *shape), as area_energy and the records
+    # apply it, is K of each state; the dual axis leads on rectangles
+    stack = rng.standard_normal((3,) + grid.shape)
+    if grid.kind == "rectangle":
+        k_stack = np.stack([ref.colocated(ref.slopes(grid, v)) for v in stack], axis=1)
+    else:
+        k_stack = np.stack([ref.slopes(grid, v)[0] for v in stack])
+    assert np.array_equal(ops.k_apply(stack), k_stack)
+    # the dual relation squares |q| as each layout's squared_magnitude does;
+    # on faces that is q * q, which must equal the |q| * |q| it replaced,
+    # signed zeros and huge slopes included
+    q = ops.k_apply(u)
+    q.reshape(-1)[:4] = (0.0, -0.0, 1e150, -1e150)
+    m = ops.magnitude(q)
+    root = np.sqrt(m * m + 1.0)
+    want = (float(np.max(ops.magnitude(p * root - q))), root)
+    got = solver._relation(ops, p, q)
+    assert got[0] == want[0] and _same_bits(got[1], want[1])
 
 
 # The in-place loop kernels may round differently from the public calculus,
@@ -1281,10 +1304,14 @@ def _tridiagonal_system(rng, n, kind):
 # solve.  At 4097 the dense matrix takes 134 MB and its solve seconds, so the
 # reference is the LDL^T loop run over all the unknowns, which eliminates
 # them in their natural order instead of the odd-even one.
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 127, 128, 129, 130, 257, 1000, 4097])
+_TRIDIAGONAL_SIZES = [1, 2, 3, 10, 127, 128, 129, 130, 257, 1000, 4097]
+_TRIDIAGONAL_KINDS = ("dominant", "saturated", "radial")
+
+
+@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
 def test_tridiagonal_solve_matches_dense_solve(n):
     rng = np.random.default_rng(n)
-    for kind in ("dominant", "saturated", "radial"):
+    for kind in _TRIDIAGONAL_KINDS:
         for _ in range(5):
             diag, off, rhs = _tridiagonal_system(rng, n, kind)
             inputs = [a.copy() for a in (diag, off, rhs)]
@@ -1300,6 +1327,19 @@ def test_tridiagonal_solve_matches_dense_solve(n):
             residual[1:] += off * x[:-1]
             assert np.max(np.abs(residual)) <= 1e-12 * (1.0 + np.max(np.abs(rhs)))
             assert all(np.array_equal(a, b) for a, b in zip(inputs, (diag, off, rhs)))
+
+
+@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
+def test_tridiagonal_solve_is_odd_in_its_right_hand_side(n):
+    # Newton solves H x = grad and steps along -x, which is the solve for
+    # -grad only because every operation of the solve is linear in the
+    # right-hand side, so that negating it negates the solution bit for bit
+    rng = np.random.default_rng(n)
+    for kind in _TRIDIAGONAL_KINDS:
+        for _ in range(5):
+            diag, off, rhs = _tridiagonal_system(rng, n, kind)
+            assert _same_bits(_solve_tridiagonal(diag, off, -rhs),
+                              -_solve_tridiagonal(diag, off, rhs))
 
 
 @pytest.mark.parametrize(
