@@ -86,8 +86,10 @@ def measure(
 
     The one-state case of ``_measure_stack``, which ``evolve`` hands its
     certified states in stacks.  ``tau`` and ``kappa`` must be positive
-    finite numbers, else ValueError.
+    finite numbers and ``u_prev`` must live on ``u``'s grid, else ValueError.
     """
+    if u_prev is not None and not u.grid.same_layout(u_prev.grid):
+        raise ValueError("u and u_prev live on different grids")
     if _as_float(tau, "tau") <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not 0 < kappa < math.inf:
@@ -108,9 +110,10 @@ def _measure_stack(grid, values, prev, times, tau, kappa) -> list[DiagnosticReco
 
     One pass over the face differences (``grid._differences``) gives
     ``max_face_diff``, ``jump_count`` (the faces whose |difference| reaches
-    kappa) and the face gradient; the grid's ops class makes K u and ``lip``
-    (the largest co-located slope) from it, so the dual layout stays in
-    ``energy``, and the energy is ``area_energy``'s.
+    kappa) and the face gradient; one call of the grid's ops class
+    (``slope_terms``) makes |K u| and ``lip`` (the largest co-located slope)
+    from it, so the dual layout stays in ``energy``, and the energy is
+    ``area_energy``'s.
     """
     ops = _make_ops(grid)
     volumes = grid.cell_volumes
@@ -125,13 +128,13 @@ def _measure_stack(grid, values, prev, times, tau, kappa) -> list[DiagnosticReco
     max_face_diff, jump_count = _face_jumps(diffs, kappa)
     # the differences are this routine's own arrays: they become the face gradient
     slopes = [np.divide(d, h, out=d) for d, h in zip(diffs, grid.spacing)]
-    mag = ops.magnitude(ops.k_from_slopes(slopes))
+    mag, lip = ops.slope_terms(slopes)
     columns = (  # in the order of DiagnosticRecord.FIELDS
         np.asarray(times, dtype=float),
         _area(ops, mag),
         _per_state(volumes * values).sum(axis=1) / ops.total_volume,
         _per_state(np.abs(values)).max(axis=1),
-        ops.lip(slopes, mag),
+        lip,
         ut_l2,
         ut_sup,
         max_face_diff,

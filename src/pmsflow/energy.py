@@ -13,13 +13,13 @@ R^3; its primal map, the closed form of the step quadratic, is applied in
 ``solver``.  ``_RectangleOps`` gives that iteration an in-place pair of K
 and div, bound to its buffers and working on a primal carried in units of
 sigma / (2 hx) (``loop_kernels``).  Each ops class proves a bound on the
-norm of its K (``norm_bound``), from which the step sizes follow, makes
-K u from the face gradient of u (``k_from_slopes``) and the largest
-co-located slope from that gradient and |K u| (``lip``), so that
-``diagnostics`` differences u once and never sees the dual layout.  These
-pieces, ``_area`` and the grid's ``colocate`` take a stack of states (a
-leading axis), so that one set of record formulas serves every grid kind,
-and ``evolve`` measures many states in one array call.
+norm of its K (``norm_bound``), from which the step sizes follow, and
+makes |K u| and the largest co-located slope from the face gradient of u
+in one call (``slope_terms``), so that ``diagnostics`` differences u once
+and never sees the dual layout.  These pieces, ``_area`` and the grid's
+``colocate`` take a stack of states (a leading axis), so that one set of
+record formulas serves every grid kind, and ``evolve`` measures many
+states in one array call.
 ``k_apply`` and ``div_dual`` serve the certificates and the Newton solve;
 the benchmark's tracer times them.
 The one-axis Newton solve of ``solver`` takes the part of its tridiagonal
@@ -122,11 +122,6 @@ class _OneAxisOps(_GridOps):
         slopes /= self.spacing
         return slopes
 
-    @staticmethod
-    def k_from_slopes(slopes) -> np.ndarray:
-        """K u from the face gradient of u (``forward_gradient_values``)."""
-        return slopes[0]
-
     def div_dual(self, p: np.ndarray) -> np.ndarray:
         """The divergence of the face flux p: per cell, the area-weighted
         flux through its upper face minus that through its lower one (an
@@ -147,19 +142,12 @@ class _OneAxisOps(_GridOps):
         """|p|^2 per dual entry, as p * p, which equals |p| * |p| exactly."""
         return p * p
 
-    @staticmethod
-    def lip(slopes, mag) -> np.ndarray:
-        """Largest co-located slope of each state of a stack; K u is the face
-        gradient, not that slope.
-
-        ``colocate`` gives a cell half the sum of its two face slopes and a
-        wall cell half its one face slope, so the largest of them is half
-        the largest of |f[i] + f[i+1]| and the two wall slopes.
-        """
-        f = slopes[0]
-        inner = np.abs(f[:, 1:] + f[:, :-1]).max(axis=1, initial=0.0)
-        walls = np.maximum(np.abs(f[:, 0]), np.abs(f[:, -1]))
-        return 0.5 * np.maximum(inner, walls)
+    def slope_terms(self, slopes) -> tuple[np.ndarray, np.ndarray]:
+        """|K u| and the largest co-located slope of each state of a stack,
+        from the face gradient of u (``forward_gradient_values``).  K u is
+        that face gradient, not the co-located one."""
+        colocated = np.abs(colocate(self.grid, slopes)[0])
+        return np.abs(slopes[0]), colocated.max(axis=1)
 
     @staticmethod
     def dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -299,11 +287,14 @@ class _RectangleOps(_GridOps):
         self.norm_bound = float(np.sqrt(sum(1.0 / h**2 for h in grid.spacing)))
 
     def k_apply(self, v: np.ndarray) -> np.ndarray:
-        return self.k_from_slopes(forward_gradient_values(self.grid, v))
+        return colocate(self.grid, forward_gradient_values(self.grid, v))
 
-    def k_from_slopes(self, slopes) -> np.ndarray:
-        """K u from the face gradient of u (``forward_gradient_values``)."""
-        return colocate(self.grid, slopes)
+    def slope_terms(self, slopes) -> tuple[np.ndarray, np.ndarray]:
+        """|K u| and the largest co-located slope of each state of a stack,
+        from the face gradient of u (``forward_gradient_values``): K u is
+        the co-located gradient, so that slope is the largest |K u|."""
+        mag = self.magnitude(colocate(self.grid, slopes))
+        return mag, mag.reshape(len(mag), -1).max(axis=1)
 
     def flux_components(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
         zx = 0.5 * (p[0, :-1, :] + p[0, 1:, :])
@@ -386,12 +377,6 @@ class _RectangleOps(_GridOps):
             multiply(out, div_coef, out)
 
         return c, k_add, div_into
-
-    @staticmethod
-    def lip(slopes, mag) -> np.ndarray:
-        """Largest co-located slope of each state of a stack: K u is the
-        co-located gradient, so the largest |K u|."""
-        return mag.reshape(len(mag), -1).max(axis=1)
 
     @staticmethod
     def magnitude(p: np.ndarray) -> np.ndarray:

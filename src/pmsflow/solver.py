@@ -806,11 +806,20 @@ class Trajectory:
         return np.array([getattr(rec, name) for rec in self.records], dtype=float)
 
     def snapshot_at(self, t: float) -> tuple[float, CellField, FaceField]:
-        tau = self.config.tau
+        """The snapshot of t's nearest step (``_nearest_step``), the step
+        ``evolve`` records a snapshot time at; KeyError if there is none."""
+        k = _nearest_step(t, self.config.tau)
         for ts, u, z in self.snapshots:
-            if abs(ts - t) <= 0.5 * tau:
+            if _nearest_step(ts, self.config.tau) == k:
                 return ts, u, z
-        raise KeyError(f"no snapshot within tau/2 of t = {t}")
+        raise KeyError(f"no snapshot at the nearest step of t = {t}")
+
+
+def _nearest_step(t: float, tau: float) -> int | None:
+    """The step k whose time k * tau lies nearest t, a tie going to the even
+    step, or None when t / tau is not finite."""
+    k = float(t) / tau
+    return round(k) if math.isfinite(k) else None
 
 
 # The dual predictor of ``evolve`` keeps the backward differences of the
@@ -918,11 +927,11 @@ def _check_run_settings(u0: CellField, t_end: float, cfg: SolverConfig, kappa, t
     n_steps = int(n_steps)
     steps = set()
     for t in times:
-        k = float(t) / cfg.tau  # inf for a finite time far beyond the run
-        if not (math.isfinite(k) and 0 <= round(k) <= n_steps):
+        k = _nearest_step(t, cfg.tau)  # None for a finite time far beyond the run
+        if k is None or not 0 <= k <= n_steps:
             raise ValueError(f"snapshot time {t!r} lies outside the run: its nearest step is "
                              f"not in 0 ... {n_steps}, the last at t = {n_steps * cfg.tau:g}")
-        steps.add(round(k))
+        steps.add(k)
     _resolve_steps(u0.grid, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         slope = max(float(np.abs(d).max()) for d in forward_gradient_values(u0.grid, u0.values))

@@ -60,10 +60,14 @@ def test_measure_unit_slope_and_velocity():
     [
         interval_grid(0.0, 2.0, 24),
         *(radial_grid(n, 1.3, 17) for n in range(2, 7)),
+        # two cells: both hold the one face slope, co-located
+        interval_grid(0.0, 2.0, 2),
+        radial_grid(3, 1.3, 2),
         rectangle_grid((0.0, 0.0), (1.0, 2.3), (9, 6)),
         rectangle_grid((0.0, 0.0), (1.7, 0.4), (2, 7)),
     ],
-    ids=["interval", *(f"radial{n}" for n in range(2, 7)), "rect9x6", "rect2x7"],
+    ids=["interval", *(f"radial{n}" for n in range(2, 7)), "interval2", "radial3_2",
+         "rect9x6", "rect2x7"],
 )
 def test_measure_is_the_public_calculus_bit_for_bit(grid):
     # measure differences u once; its energy is area_energy's, and its lip,
@@ -181,6 +185,9 @@ def test_jump_set_rejects_nonpositive_threshold():
                        ("0.1", "tau must be a number")):
         with pytest.raises(ValueError, match=match):
             measure(u, u, t=0.1, tau=tau, kappa=0.5)
+    # a velocity needs both states on one grid
+    with pytest.raises(ValueError, match="u and u_prev live on different grids"):
+        measure(u, cosine(interval_grid(0.0, 2.0, 10), 3.0), t=0.1, tau=0.1, kappa=0.5)
 
 
 def test_default_threshold_separates_jumps_from_steepness():

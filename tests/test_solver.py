@@ -1768,6 +1768,15 @@ def test_trajectory_accessors_validate_requests():
         traj.series("entropy")
     with pytest.raises(KeyError):
         traj.snapshot_at(0.1)  # no snapshot was requested there
+    # a time gets the snapshot of the step the run rounded it to, the even
+    # one on a tie (0.875 / 0.25 = 3.5 rounds to 4), and a non-finite time none
+    u0 = cosine(interval_grid(0.0, 1.0, 8))
+    for times in ([0.75, 1.0], [0.875]):
+        traj = evolve(u0, 1.0, SolverConfig(tau=0.25), snapshot_times=times)
+        assert traj.snapshot_at(0.875)[0] == 1.0
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(KeyError):
+                traj.snapshot_at(t)
 
 
 # ---------------------------------------------------------------- radial
